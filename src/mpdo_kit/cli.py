@@ -35,6 +35,7 @@ from .correspondence import (
 )
 from .decompositions import (
     MAX_ENUM_RANK,
+    is_diagonal,
     local_purification_spectral,
     make_translation_invariant,
     mixed_w_generator,
@@ -322,7 +323,14 @@ def cmd_analyze(args) -> int:
         residual=puri.residual,
     )
     if q_rank is not None:
-        report.add("q_sqrt_rank", value=q_rank, certificate="sign enumeration")
+        # the enumeration is exact only in a diagonal eigenbasis
+        exact = is_diagonal(op)
+        report.add(
+            "q_sqrt_rank",
+            value=q_rank,
+            certificate="sign enumeration" if exact else "sign enumeration (upper bound)",
+            exact=exact,
+        )
 
     diag = np.diagonal(op.data)
     off = np.linalg.norm(op.data - np.diag(diag))

@@ -9,7 +9,6 @@ transfer-matrix periodicity bound on cyclic bond dimensions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import ceil, prod, sqrt
 
@@ -26,6 +25,7 @@ from .tensor_core import (
     contract_train,
     cyclic_shift_defect,
     matricize,
+    min_rank_sign_pattern,
     numerical_rank,
     svd_split,
 )
@@ -311,11 +311,14 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
 # quantum square-root rank
 
 
-def _diagonal_part(rho: PsdOperator):
-    diag = np.diagonal(rho.data)
-    off = np.linalg.norm(rho.data - np.diag(diag))
-    total = max(np.linalg.norm(rho.data), 1e-300)
-    return diag, off / total
+def is_diagonal(rho: PsdOperator) -> bool:
+    """True when the off-diagonal mass of rho is below ``DIAG_TOL`` (relative).
+
+    :func:`q_sqrt_rank` is exact on such operators and an upper bound on
+    all others.
+    """
+    off = np.linalg.norm(rho.data - np.diag(np.diagonal(rho.data)))
+    return bool(off / max(np.linalg.norm(rho.data), 1e-300) <= DIAG_TOL)
 
 
 def q_sqrt_rank(
@@ -326,8 +329,10 @@ def q_sqrt_rank(
 ):
     """Minimal Schmidt rank over sign choices of the Hermitian square roots.
 
-    Enumerates all 2^rank spectral sign vectors (lexicographic, +1 first;
-    first minimizer wins) and refuses when the rank exceeds
+    Enumerates the spectral sign vectors (lexicographic, +1 first; first
+    minimizer wins) with the first sign pinned to +1, since a global flip
+    preserves every Schmidt rank, so 2^(rank-1) vectors are ranked, in
+    chunks of bounded memory; refuses when the rank exceeds
     ``max_enum_rank``.  Diagonal operators keep the computational basis as
     their eigenbasis, which makes the enumeration exact there; in general
     the result upper-bounds the true minimum over all Hermitian roots.
@@ -335,11 +340,10 @@ def q_sqrt_rank(
     """
     dims = rho.sites.dims
     n = len(dims)
-    diag, off_mass = _diagonal_part(rho)
-    diagonal = off_mass <= DIAG_TOL
+    diagonal = is_diagonal(rho)
 
     if diagonal:
-        vals = diag.real
+        vals = np.diagonal(rho.data).real
         top = vals.max(initial=0.0)
         if vals.min(initial=0.0) < -psd_tol * max(top, 0.0):
             raise UsageError("operator is materially non-psd")
@@ -358,26 +362,29 @@ def q_sqrt_rank(
         )
 
     roots = np.sqrt(lam)
-    best_rank = None
-    best_signs = None
-    for signs in itertools.product((1, -1), repeat=r):
-        signed = np.asarray(signs) * roots
-        if diagonal:
-            full = np.zeros(rho.sites.total_dim)
-            full[keep] = signed
-            cand = max(
-                numerical_rank(full.reshape(prod(dims[:cut]), -1), rel_tol)
-                for cut in range(1, n)
-            ) if n > 1 else (1 if np.any(full) else 0)
-        else:
-            tau = (vec * signed) @ vec.conj().T
-            cand = operator_schmidt_rank(tau, dims, rel_tol)
-        if best_rank is None or cand < best_rank:
-            best_rank = cand
-            best_signs = signs
-            if best_rank == 1:
-                break
-    return int(best_rank), SignVector(tuple(best_signs))
+    total = rho.sites.total_dim
+    # one row-by-column matricization per cut; a single site is ranked as one row
+    cuts = range(1, n) if n > 1 else [0]
+
+    if diagonal:
+        def build(signs):
+            full = np.zeros((len(signs), total))
+            full[:, keep] = signs * roots
+            return [full.reshape(len(signs), prod(dims[:cut]), -1) for cut in cuts]
+
+        rank, signs = min_rank_sign_pattern(r, build, total, rel_tol)
+    else:
+        def build(signs):
+            taus = (vec * (signs * roots)[:, None, :]) @ vec.conj().T
+            t = taus.reshape((len(signs),) + dims + dims)
+            # one matricized copy per cut, made only when the engine asks for it
+            for cut in cuts:
+                left = [1 + k for k in range(cut)] + [1 + n + k for k in range(cut)]
+                right = [1 + k for k in range(cut, n)] + [1 + n + k for k in range(cut, n)]
+                yield t.transpose([0] + left + right).reshape(len(signs), prod(dims[:cut]) ** 2, -1)
+
+        rank, signs = min_rank_sign_pattern(r, build, total * total, rel_tol)
+    return rank, SignVector(signs)
 
 
 def spectral_cluster_count(rho: PsdOperator, gap_tol: float = 1e-8) -> int:

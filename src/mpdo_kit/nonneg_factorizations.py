@@ -12,7 +12,6 @@ rejections.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from math import ceil, sqrt
@@ -28,7 +27,7 @@ from .certificates import (
     as_nonneg,
     pair_traces,
 )
-from .tensor_core import DEFAULT_RANK_TOL, UsageError, numerical_rank
+from .tensor_core import DEFAULT_RANK_TOL, UsageError, min_rank_sign_pattern, numerical_rank
 
 #: Acceptance bar for search residuals, relative to max|M|.
 SEARCH_RESIDUAL_TOL = 1e-6
@@ -159,36 +158,34 @@ def symmetric_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> Factor
 def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = DEFAULT_RANK_TOL):
     """Exact minimum rank over entrywise square roots, by sign enumeration.
 
-    One nonzero entry is pinned to the positive root (a global sign flip
-    preserves rank), leaving 2^(k-1) candidates for k nonzero entries.
-    Refuses when 2^k exceeds ``sign_budget``.  Returns ``(rank, signs)``
-    with signs in {-1, 0, +1} marking the minimizing pattern; ties go to
-    the first pattern in lexicographic order with +1 before -1.
+    The first nonzero entry (row-major) is pinned to the positive root, as
+    a global sign flip preserves rank, leaving 2^(k-1) candidates for k
+    nonzero entries; they are ranked in chunks of bounded memory by
+    :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern`.  Refuses when 2^k
+    exceeds ``sign_budget``.  Returns ``(rank, signs)`` with signs in
+    {-1, 0, +1} marking the minimizing pattern; ties go to the first
+    pattern in lexicographic order with +1 before -1.
     """
     m = as_nonneg(matrix)
-    base = np.sqrt(m)
-    nz = np.argwhere(m > 0.0)
-    k = len(nz)
+    rows, cols = np.nonzero(m > 0.0)
+    k = rows.size
     if k == 0:
         return 0, np.zeros(m.shape, dtype=int)
     if 2**k > sign_budget:
         raise UsageError(
             f"{k} nonzero entries exceed the sign budget (2^{k} > {sign_budget})"
         )
-    best_rank = None
-    best_signs = None
-    for tail in itertools.product((1, -1), repeat=k - 1):
-        signs = np.zeros(m.shape, dtype=int)
-        signs[nz[0][0], nz[0][1]] = 1
-        for (i, j), sgn in zip(nz[1:], tail):
-            signs[i, j] = sgn
-        rank = numerical_rank(signs * base, rel_tol)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best_signs = signs
-            if best_rank == 1:
-                break
-    return int(best_rank), best_signs
+    roots = np.sqrt(m[rows, cols])
+
+    def build(signs):
+        stack = np.zeros((len(signs),) + m.shape)
+        stack[:, rows, cols] = signs * roots
+        return (stack,)
+
+    rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol)
+    signs = np.zeros(m.shape, dtype=int)
+    signs[rows, cols] = best
+    return rank, signs
 
 
 def hadamard_root_certificate(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET) -> FactorCertificate:
@@ -208,12 +205,15 @@ def cpsdt_construct(
     """Constructive cpsdt factorization M_ij = tr(E_i E_j^T), always possible.
 
     Picks a symmetric entrywise square root N of M minimizing rank(N) over
-    symmetric sign patterns (within ``sign_budget`` enumerations, otherwise
-    only the all-positive root), factors N = A A^T, and forms the rank-one
-    psd matrices E_i from the rows of A; then tr(E_i E_j^T) = |N_ij|^2 =
-    M_ij.  The reported inner dimension is the rank of the chosen root --
-    minimal over the enumerated roots, with no optimality claim beyond
-    them.
+    symmetric sign patterns of the k upper-triangle nonzeros, factors
+    N = A A^T, and forms the rank-one psd matrices E_i from the rows of A;
+    then tr(E_i E_j^T) = |N_ij|^2 = M_ij.  The enumeration pins the first
+    sign (a global flip preserves rank), walks the other 2^(k-1) patterns
+    in chunks of bounded memory, and keeps the first minimizer in
+    lexicographic order with +1 before -1.  Above ``sign_budget`` (2^k
+    patterns) only the all-positive root is used.  The reported inner
+    dimension is the rank of the chosen root -- minimal over the
+    enumerated roots, with no optimality claim beyond them.
     """
     m = as_nonneg(matrix)
     if m.shape[0] != m.shape[1] or np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOL * _max_abs(m):
@@ -221,37 +221,28 @@ def cpsdt_construct(
     m = 0.5 * (m + m.T)
     d = m.shape[0]
     base = np.sqrt(m)
-    upper = [(i, j) for i in range(d) for j in range(i, d) if m[i, j] > 0.0]
-    k = len(upper)
+    rows, cols = np.nonzero(np.triu(m) > 0.0)
+    k = rows.size
 
-    candidates = []
-    if k == 0:
-        candidates.append(np.zeros_like(base))
-    elif 2**k <= sign_budget:
-        for signs in itertools.product((1, -1), repeat=k):
-            root = np.zeros_like(base)
-            for (i, j), sgn in zip(upper, signs):
-                root[i, j] = sgn * base[i, j]
-                root[j, i] = sgn * base[i, j]
-            candidates.append(root)
+    def build(signs):
+        stack = np.zeros((len(signs), d, d))
+        signed = signs * base[rows, cols]
+        stack[:, rows, cols] = signed
+        stack[:, cols, rows] = signed
+        return (stack,)
+
+    if 2**k <= sign_budget:
+        _, signs = min_rank_sign_pattern(k, build, d * d, rel_tol)
+        root = build(np.array([signs], dtype=int))[0][0]
     else:
-        candidates.append(base.copy())
+        root = base.copy()
 
-    best_root = None
-    best_rank = None
-    for root in candidates:
-        rank = numerical_rank(root, rel_tol)
-        if best_rank is None or rank < best_rank:
-            best_rank, best_root = rank, root
-            if best_rank <= 1:
-                break
-
-    sym = symmetric_factorization(best_root, rel_tol)
+    sym = symmetric_factorization(root, rel_tol)
     a = sym.payload["factor"]
     e_list = [np.outer(a[i, :], a[i, :].conj()) for i in range(d)]
     recon = pair_traces(e_list, e_list)
     residual = float(np.abs(recon - m).max())
-    return FactorCertificate("cpsdt", sym.inner_dim, {"E": e_list, "root": best_root}, residual)
+    return FactorCertificate("cpsdt", sym.inner_dim, {"E": e_list, "root": root}, residual)
 
 
 def slack_matrix_tgon(t: int) -> NonnegMatrix:

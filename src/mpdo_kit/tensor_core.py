@@ -282,6 +282,70 @@ def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+def stacked_numerical_rank(stack, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """:func:`numerical_rank` of every matrix in a ``(..., rows, cols)`` stack.
+
+    One batched SVD; numpy runs the same LAPACK routine on each stacked
+    matrix, and the count uses the same rule, so every entry equals the
+    single-matrix rank.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    stack = np.asarray(stack)
+    if stack.shape[-1] == 0 or stack.shape[-2] == 0:
+        return np.zeros(stack.shape[:-2], dtype=int)
+    s = np.linalg.svd(stack, compute_uv=False)
+    # s is sorted descending, so a zero top value gives a count of 0
+    return np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+
+
+#: Matrix entries per stacked chunk of the sign enumeration (0.5 MB real,
+#: 1 MB complex), so its memory is bounded by a few chunks, not by the 2^k
+#: patterns.  Larger chunks run no faster at desk-scale sizes.
+ENUM_CHUNK_ENTRIES = 2**16
+
+
+def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL):
+    """First sign pattern minimizing the numerical rank of a signed candidate.
+
+    Patterns s in {+1, -1}^k are walked in lexicographic order, +1 before
+    -1, in chunks of at most ``ENUM_CHUNK_ENTRIES // entries`` patterns.
+    ``build`` maps a ``(c, k)`` int array of patterns to an iterable of
+    stacked candidates, each ``(c, rows, cols)``, consumed one at a time;
+    a pattern's rank is the largest :func:`stacked_numerical_rank` across
+    them (one stack per cut, say).  ``entries`` is the number of matrix
+    entries in one pattern's candidate.  The first minimizer is kept, and
+    the walk stops at the first pattern of rank <= 1, which no nonzero
+    candidate can beat.  Returns ``(rank, signs)`` with ``signs`` a tuple
+    of k ints.
+
+    The first sign is pinned to +1.  The candidate must be linear in the
+    signs, so the global flip -s gives the negated candidate, of the same
+    rank.  In lexicographic order every pattern starting with +1 precedes
+    every pattern starting with -1, so the first minimizer (and the first
+    pattern reaching rank <= 1) starts with +1: pinning halves the work and
+    returns the same pattern as the full walk.
+    """
+    total = 2 ** (k - 1) if k > 0 else 1
+    chunk = max(1, ENUM_CHUNK_ENTRIES // max(entries, 1))
+    shifts = np.arange(k - 1, -1, -1)
+    best_rank = None
+    best_signs = None
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        signs = 1 - 2 * ((idx[:, None] >> shifts) & 1)
+        ranks = np.max([stacked_numerical_rank(stack, rel_tol) for stack in build(signs)], axis=0)
+        done = np.flatnonzero(ranks <= 1)
+        if done.size:
+            ranks = ranks[: done[0] + 1]
+        j = int(np.argmin(ranks))
+        if best_rank is None or ranks[j] < best_rank:
+            best_rank, best_signs = int(ranks[j]), signs[j]
+        if done.size:
+            break
+    return best_rank, tuple(best_signs.tolist())
+
+
 def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     """One rank-revealing split ``matrix ~ left @ right``.
 

@@ -80,6 +80,22 @@ def test_analyze_product_state(tmp_path, capsys):
     assert entry_named(doc, "sep_rank")["interval"] == [1, 1]
 
 
+def test_analyze_q_sqrt_rank_exact_only_when_diagonal(tmp_path, capsys):
+    path = write_json_matrix(tmp_path / "diag.json", np.diag([1.0, 0.0, 0.0, 1.0]))
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2", "--json"])
+    assert code == EXIT_OK
+    entry = entry_named(doc, "q_sqrt_rank")
+    assert (entry["value"], entry["exact"], entry["certificate"]) == (2, True, "sign enumeration")
+
+    rho = np.full((4, 4), 0.1) + np.diag([1.0, 2.0, 3.0, 4.0])
+    path = write_json_matrix(tmp_path / "dense.json", rho)
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2", "--json"])
+    assert code == EXIT_OK
+    entry = entry_named(doc, "q_sqrt_rank")
+    assert entry["exact"] is False
+    assert entry["certificate"] == "sign enumeration (upper bound)"
+
+
 def test_analyze_malformed_json_names_offset(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": 2, "cols": 2, "data": [[1, 2], [3 4]]}')

@@ -9,6 +9,7 @@ from mpdo_kit.certificates import (
     check_factor_certificate,
     pair_traces,
 )
+from mpdo_kit import correspondence
 from mpdo_kit.correspondence import (
     DiagBipartite,
     canonical_kind,
@@ -272,6 +273,34 @@ def test_verify_nonneg_identity():
     assert entry["verdict"] == "intervals-consistent"
     assert entry["matrix_side"] == [3, 3]
     assert entry["state_side"] == [3, 3]
+
+
+def planted_nonneg(seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, (6, 3)) @ rng.uniform(0.0, 1.0, (3, 6))
+
+
+def test_verify_nonneg_planted_graded_at_search_bar():
+    # the multiplicative-update certificate meets 1e-6 of max|M|, not the exact 1e-8
+    for seed in (1, 2):
+        entry = verify_correspondence("ii", planted_nonneg(seed), seed=seed)
+        assert entry["verdict"] == "intervals-consistent", entry
+        assert entry["matrix_side"] == entry["state_side"] == [3, 3]
+
+
+def test_verify_nonneg_corrupted_certificate_is_violation(monkeypatch):
+    m = planted_nonneg(1)
+    scan = correspondence.scan_nonneg_certificate
+
+    def corrupted(matrix, **kwargs):
+        # shift one product entry by 5e-6 of max|M|, five times the search bar
+        cert = scan(matrix, **kwargs)
+        left, right = cert.payload["left"].copy(), cert.payload["right"]
+        left[0, 0] += 5e-6 * np.abs(m).max() / right[0].max()
+        return FactorCertificate("nonnegative", cert.inner_dim, {"left": left, "right": right}, cert.residual)
+
+    monkeypatch.setattr(correspondence, "scan_nonneg_certificate", corrupted)
+    assert verify_correspondence("ii", m, seed=1)["verdict"] == "violation"
 
 
 def test_verify_psd_and_cpsdt_consistent():

@@ -1,0 +1,308 @@
+"""Exhaustive cross-check of the chunked sign-enumeration engine.
+
+The reference below is the plain per-pattern loop: every pattern of
+{+1, -1}^k in ``itertools.product`` order, no pinned sign, one
+``numerical_rank`` per candidate, first minimizer kept, stop at rank <= 1.
+The engine pins the first sign and ranks stacked chunks; rank and pattern
+must still match exactly.
+"""
+
+import itertools
+from math import prod
+
+import numpy as np
+import pytest
+
+from mpdo_kit import tensor_core
+from mpdo_kit.decompositions import operator_schmidt_rank, q_sqrt_rank
+from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank
+from mpdo_kit.tensor_core import (
+    PsdOperator,
+    SiteSpec,
+    UsageError,
+    min_rank_sign_pattern,
+    numerical_rank,
+    stacked_numerical_rank,
+)
+
+
+def reference_min(k, rank_of):
+    best = None
+    for signs in itertools.product((1, -1), repeat=k):
+        rank = rank_of(np.array(signs, dtype=int))
+        if best is None or rank < best[0]:
+            best = (rank, signs)
+            if rank <= 1:
+                break
+    return best
+
+
+def reference_sqrt(m):
+    nz = np.argwhere(m > 0.0)
+
+    def root(signs):
+        out = np.zeros(m.shape)
+        for (i, j), s in zip(nz, signs):
+            out[i, j] = s * np.sqrt(m[i, j])
+        return out
+
+    rank, signs = reference_min(len(nz), lambda s: numerical_rank(root(s)))
+    pattern = np.zeros(m.shape, dtype=int)
+    for (i, j), s in zip(nz, signs):
+        pattern[i, j] = s
+    return rank, pattern
+
+
+def reference_cpsdt_root(m):
+    upper = [(i, j) for i in range(m.shape[0]) for j in range(i, m.shape[0]) if m[i, j] > 0.0]
+
+    def root(signs):
+        out = np.zeros(m.shape)
+        for (i, j), s in zip(upper, signs):
+            out[i, j] = out[j, i] = s * np.sqrt(m[i, j])
+        return out
+
+    _, signs = reference_min(len(upper), lambda s: numerical_rank(root(s)))
+    return root(signs)
+
+
+def reference_q_sqrt_diagonal(values, dims):
+    top = values.max(initial=0.0)
+    keep = np.flatnonzero(values > 1e-10 * top) if top > 0 else np.array([], int)
+    roots = np.sqrt(values[keep])
+
+    def rank_of(signs):
+        full = np.zeros(values.size)
+        full[keep] = signs * roots
+        if len(dims) == 1:
+            return 1 if np.any(full) else 0
+        return max(numerical_rank(full.reshape(prod(dims[:cut]), -1)) for cut in range(1, len(dims)))
+
+    return reference_min(keep.size, rank_of)
+
+
+def reference_q_sqrt_dense(rho, dims):
+    w, v = np.linalg.eigh(rho)
+    top = w.max(initial=0.0)
+    w = np.clip(w, 0.0, None)
+    keep = w > 1e-10 * top
+    roots, vec = np.sqrt(w[keep]), v[:, keep]
+    return reference_min(
+        roots.size, lambda s: operator_schmidt_rank((vec * (s * roots)) @ vec.conj().T, dims)
+    )
+
+
+def sparse_matrix(rng, shape, k):
+    m = np.zeros(shape)
+    m.flat[rng.choice(m.size, k, replace=False)] = rng.uniform(0.25, 4.0, k)
+    return m
+
+
+#: Entrywise square of a rank-2 matrix with mixed signs: the all-positive
+#: root has rank 3, and the first rank-2 root is pinned pattern 18 of 256.
+LATE = np.array([[1.0, 2.0, 1.0], [2.0, -1.0, 3.0], [1.0, 3.0, -2.0]]) ** 2
+
+#: Symmetric counterpart: rank 3 for the positive root, 2 with one minus sign.
+LATE_SYMMETRIC = np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 0.0], [2.0, 0.0, 2.0]]) ** 2
+
+
+@pytest.fixture(params=[1, 40, None], ids=["chunk1", "chunk40", "default"])
+def chunk_entries(request, monkeypatch):
+    """Shrink the chunk so instances span several chunks, the last one partial."""
+    if request.param is not None:
+        monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", request.param)
+
+
+# ---------------------------------------------------------------------------
+# the engine on its own
+
+
+def test_stacked_rank_matches_numerical_rank():
+    rng = np.random.default_rng(0)
+    stack = rng.normal(size=(12, 5, 4)) + 1j * rng.normal(size=(12, 5, 4))
+    stack[3] = 0.0
+    stack[4] = np.outer(stack[4][:, 0], stack[4][0])
+    stack[5, :, 2:] = 0.0
+    got = stacked_numerical_rank(stack)
+    assert got.tolist() == [numerical_rank(x) for x in stack]
+    assert stacked_numerical_rank(np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
+    with pytest.raises(UsageError):
+        stacked_numerical_rank(stack, rel_tol=1.0)
+
+
+def table_build(table, seen):
+    """Candidates whose rank is read off ``table`` by pattern index."""
+    k = int(np.log2(len(table))) + 1
+
+    def build(signs):
+        seen.append(len(signs))
+        bits = (1 - signs) // 2
+        idx = bits @ (1 << np.arange(k - 1, -1, -1))
+        stack = np.zeros((len(signs), 4, 4))
+        for c, i in enumerate(idx):
+            stack[c, np.arange(table[i]), np.arange(table[i])] = 1.0
+        return (stack,)
+
+    return build, k
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 5, 16, 64])
+def test_engine_first_minimizer_across_chunks(monkeypatch, chunk):
+    # 16 pinned patterns; the minimum 2 first appears at index 9 and again at 12
+    table = [4, 3, 4, 3, 3, 4, 3, 3, 4, 2, 3, 4, 2, 3, 2, 4]
+    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", chunk * 16)
+    seen = []
+    build, k = table_build(table, seen)
+    rank, signs = min_rank_sign_pattern(k, build, entries=16)
+    assert rank == 2
+    assert signs == (1, -1, 1, 1, -1)
+    assert max(seen) <= chunk
+    assert sum(seen) == 16
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 7])
+def test_engine_stops_after_the_chunk_reaching_rank_one(monkeypatch, chunk):
+    table = [3, 2, 3, 2, 2, 1, 3, 1]
+    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", chunk * 16)
+    seen = []
+    build, k = table_build(table, seen)
+    rank, signs = min_rank_sign_pattern(k, build, entries=16)
+    assert (rank, signs) == (1, (1, -1, 1, -1))
+    assert sum(seen) == min(-(-6 // chunk) * chunk, 8)
+
+
+def test_engine_k0_ranks_the_single_empty_pattern():
+    rank, signs = min_rank_sign_pattern(0, lambda s: (np.zeros((len(s), 2, 2)),), entries=4)
+    assert (rank, signs) == (0, ())
+
+
+# ---------------------------------------------------------------------------
+# the three callers against the plain loop
+
+
+def sqrt_cases():
+    rng = np.random.default_rng(1)
+    cases = {
+        "zero": np.zeros((3, 3)),
+        "k1": np.array([[0.0, 2.0], [0.0, 0.0]]),
+        "all-ones": np.ones((3, 3)),
+        "tied-flip": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "tied-triangle": np.array([[1.0, 1.0], [1.0, 0.0]]),
+        "late-minimizer": LATE,
+    }
+    for t in range(8):
+        shape = tuple(rng.integers(2, 5, size=2))
+        cases[f"random{t}"] = sparse_matrix(rng, shape, int(rng.integers(2, min(9, prod(shape)) + 1)))
+    return cases
+
+
+@pytest.mark.parametrize("name,m", list(sqrt_cases().items()), ids=list(sqrt_cases()))
+def test_sqrt_rank_matches_reference(chunk_entries, name, m):
+    rank, signs = sqrt_rank(m)
+    ref_rank, ref_signs = reference_sqrt(m)
+    assert rank == ref_rank
+    assert np.array_equal(signs, ref_signs)
+
+
+def test_late_minimizer_lies_in_a_later_chunk(monkeypatch):
+    rank, signs = sqrt_rank(LATE)
+    bits = (1 - signs[LATE > 0]) // 2
+    index = int(bits @ (1 << np.arange(bits.size - 1, -1, -1)))
+    # 9 entries per pattern and 40 entries per chunk make chunks of 4 patterns
+    assert (rank, index) == (2, 18)
+    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", 40)
+    later_rank, later_signs = sqrt_rank(LATE)
+    assert later_rank == 2
+    assert np.array_equal(later_signs, signs)
+
+
+def symmetric_cases():
+    rng = np.random.default_rng(2)
+    cases = {
+        "zero": np.zeros((2, 2)),
+        "k1": np.diag([0.0, 3.0, 0.0]),
+        "all-ones": np.ones((3, 3)),
+        "tied-flip": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        "late-minimizer": LATE_SYMMETRIC,
+    }
+    for t in range(6):
+        d = int(rng.integers(2, 5))
+        x = sparse_matrix(rng, (d, d), int(rng.integers(1, d + 2)))
+        cases[f"random{t}"] = x + x.T
+    return cases
+
+
+@pytest.mark.parametrize("name,m", list(symmetric_cases().items()), ids=list(symmetric_cases()))
+def test_cpsdt_root_matches_reference(chunk_entries, name, m):
+    cert = cpsdt_construct(m)
+    ref = reference_cpsdt_root(m)
+    assert np.array_equal(cert.payload["root"], ref)
+    assert cert.inner_dim == numerical_rank(ref)
+
+
+def test_cpsdt_falls_back_to_the_positive_root_above_budget():
+    m = np.ones((3, 3))
+    m[0, 1] = m[1, 0] = 4.0
+    cert = cpsdt_construct(m, sign_budget=2)
+    assert np.array_equal(cert.payload["root"], np.sqrt(m))
+
+
+def diagonal_cases():
+    rng = np.random.default_rng(3)
+    cases = {
+        "zero-n2": (np.zeros(4), (2, 2)),
+        "k1-n3": (np.eye(8)[5] * 2.0, (2, 2, 2)),
+        "single-site": (np.array([1.0, 0.0, 2.0, 3.0]), (4,)),
+        "all-ones-n2": (np.ones(4), (2, 2)),
+        "late-minimizer": (LATE.ravel(), (3, 3)),
+    }
+    for t in range(5):
+        dims = ((2, 2, 2), (2, 3), (3, 2, 2))[t % 3]
+        values = np.zeros(prod(dims))
+        k = int(rng.integers(2, 9))
+        values[rng.choice(values.size, k, replace=False)] = rng.uniform(0.25, 4.0, k)
+        cases[f"random{t}"] = (values, dims)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name,case", list(diagonal_cases().items()), ids=list(diagonal_cases())
+)
+def test_q_sqrt_diagonal_matches_reference(chunk_entries, name, case):
+    values, dims = case
+    rank, signs = q_sqrt_rank(PsdOperator(SiteSpec(dims), np.diag(values)))
+    assert (rank, signs.signs) == reference_q_sqrt_diagonal(values, dims)
+
+
+def dense_cases():
+    rng = np.random.default_rng(4)
+    cases = {}
+    for t, (dims, r) in enumerate([((2, 2), 1), ((2, 2), 3), ((2, 2, 2), 4), ((3, 2), 5), ((4,), 3), ((2, 3), 6)]):
+        d = prod(dims)
+        x = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        cases[f"dims{'x'.join(map(str, dims))}-r{r}"] = (x @ x.conj().T, dims)
+    # a product of two rank-2 states: not diagonal, tied minima among the sign vectors
+    a = np.diag([1.0, 2.0]) + 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases["product"] = (np.kron(a, a), (2, 2))
+    return cases
+
+
+@pytest.mark.parametrize("name,case", list(dense_cases().items()), ids=list(dense_cases()))
+def test_q_sqrt_dense_matches_reference(chunk_entries, name, case):
+    rho, dims = case
+    rank, signs = q_sqrt_rank(PsdOperator(SiteSpec(dims), rho))
+    assert (rank, signs.signs) == reference_q_sqrt_dense(rho, dims)
+
+
+def test_q_sqrt_zero_operator():
+    rank, signs = q_sqrt_rank(PsdOperator(SiteSpec((2, 2)), np.zeros((4, 4))))
+    assert (rank, signs.signs) == (0, ())
+
+
+def test_rel_tol_range_is_checked():
+    with pytest.raises(UsageError):
+        sqrt_rank(np.ones((2, 2)), rel_tol=0.0)
+    with pytest.raises(UsageError):
+        cpsdt_construct(np.ones((2, 2)), rel_tol=1.5)
+    with pytest.raises(UsageError):
+        q_sqrt_rank(PsdOperator(SiteSpec((2, 2)), np.eye(4)), rel_tol=-1.0)
