@@ -91,17 +91,45 @@ def _entry_to_complex(entry, offset_hint: int):
     raise InputError(f"bad matrix entry near byte {offset_hint}: {entry!r}")
 
 
+def _json_entries(data, rows: int, cols: int, offset_hint: int) -> np.ndarray:
+    """``(rows, cols)`` array of JSON entries, plain numbers or ``[re, im]`` pairs.
+
+    All plain numbers give a real array and all pairs a complex one, each
+    converted in one ``np.array`` call.  Anything else (rows mixing the two
+    forms, strings, nulls, other lengths) goes entry by entry into a
+    complex array, which accepts the mix and rejects the rest.
+    """
+    try:
+        arr = np.array(data)
+    except ValueError:  # inhomogeneous nesting: numbers mixed with pairs
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        if arr.shape == (rows, cols):
+            return arr.astype(float, copy=False)
+        if arr.shape == (rows, cols, 2):
+            # C-ordered (re, im) float pairs are the complex128 layout
+            return arr.astype(float, copy=False).view(complex)[..., 0]
+    out = np.empty((rows, cols), dtype=complex)
+    for i, row in enumerate(data):
+        for j, entry in enumerate(row):
+            out[i, j] = _entry_to_complex(entry, offset_hint)
+    return out
+
+
 def load_matrix(path: str) -> np.ndarray:
     """Read a dense matrix from JSON or headerless CSV."""
     with open(path, "rb") as fh:
         raw = fh.read()
     text = raw.decode("utf-8", errors="replace")
+    del raw  # a JSON parse peaks at text plus document; the bytes need not add to it
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from exc
+        data_offset = text.find("data")
+        del text
         for key in ("rows", "cols", "data"):
             if key not in doc:
                 raise InputError(f"JSON matrix is missing the {key!r} field")
@@ -109,11 +137,8 @@ def load_matrix(path: str) -> np.ndarray:
         data = doc["data"]
         if len(data) != rows or any(len(r) != cols for r in data):
             raise InputError(f"data shape does not match rows={rows} cols={cols}")
-        out = np.empty((rows, cols), dtype=complex)
-        for i, row in enumerate(data):
-            for j, entry in enumerate(row):
-                out[i, j] = _entry_to_complex(entry, text.find("data"))
-        if np.abs(out.imag).max(initial=0.0) == 0.0:
+        out = _json_entries(data, rows, cols, data_offset)
+        if np.iscomplexobj(out) and np.abs(out.imag).max(initial=0.0) == 0.0:
             return out.real
         return out
     # headerless CSV
@@ -300,8 +325,7 @@ def cmd_analyze(args) -> int:
     report = Report("analyze", args.seed)
     report.input = {"path": args.path, "sites": list(sites.dims)}
 
-    osr = operator_schmidt_rank(op, rel_tol=args.tol)
-    train, train_osr = mpo_train_form(op, rel_tol=args.tol)
+    train, osr = mpo_train_form(op, rel_tol=args.tol)
     recon = contract_train(train)
     train_residual = float(
         np.linalg.norm(recon - op.data) / max(np.linalg.norm(op.data), 1e-300)
@@ -310,7 +334,8 @@ def cmd_analyze(args) -> int:
 
     puri = local_purification_spectral(op, rel_tol=args.tol)
     puri_upper = puri.osr_L
-    rank = int(np.count_nonzero(op.eigenvalues() > args.tol * max(op.eigenvalues().max(), 1e-300)))
+    eigs = op.eigenvalues()
+    rank = int(np.count_nonzero(eigs > args.tol * max(eigs.max(), 1e-300)))
     q_rank = None
     if rank <= MAX_ENUM_RANK:
         q_rank, _ = q_sqrt_rank(op)
@@ -322,20 +347,17 @@ def cmd_analyze(args) -> int:
         certificate="spectral purification",
         residual=puri.residual,
     )
+    # the enumeration is exact only in a diagonal eigenbasis
+    diagonal = is_diagonal(op)
     if q_rank is not None:
-        # the enumeration is exact only in a diagonal eigenbasis
-        exact = is_diagonal(op)
         report.add(
             "q_sqrt_rank",
             value=q_rank,
-            certificate="sign enumeration" if exact else "sign enumeration (upper bound)",
-            exact=exact,
+            certificate="sign enumeration" if diagonal else "sign enumeration (upper bound)",
+            exact=diagonal,
         )
 
-    diag = np.diagonal(op.data)
-    off = np.linalg.norm(op.data - np.diag(diag))
-    diagonal = off <= 1e-10 * max(np.linalg.norm(op.data), 1e-300)
-    report.add("diagonal", value=bool(diagonal))
+    report.add("diagonal", value=diagonal)
     if diagonal and sites.n == 2:
         m = diag_extract(op)
         cert = scan_nonneg_certificate(m, restarts=args.restarts, seed=args.seed)

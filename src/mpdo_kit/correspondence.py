@@ -55,6 +55,7 @@ from .tensor_core import (
     PsdOperator,
     SiteSpec,
     UsageError,
+    _resolve_dims,
     contract_train,
     numerical_rank,
 )
@@ -133,13 +134,7 @@ def diag_extract(sigma, sites=None) -> np.ndarray:
     Inverse of :func:`diag_embed` bit-exactly.  Raises on more or fewer
     than two sites and on material off-diagonal mass.
     """
-    if isinstance(sigma, PsdOperator):
-        data, dims = sigma.data, sigma.sites.dims
-    else:
-        if sites is None:
-            raise UsageError("site dimensions required for raw arrays")
-        dims = sites.dims if isinstance(sites, SiteSpec) else tuple(sites)
-        data = np.asarray(sigma)
+    data, dims, _ = _resolve_dims(sigma, sites)
     if len(dims) != 2:
         raise UsageError(f"operator must be bipartite, got {len(dims)} sites")
     diag = np.diagonal(data)
@@ -345,9 +340,8 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         root_side = int(round(sqrt(side)))
         if root_side * root_side != side:
             raise UsageError("site dimensions required to reshape the root")
-        dims = (root_side, root_side)
-    else:
-        dims = sites.dims if isinstance(sites, SiteSpec) else tuple(sites)
+        sites = (root_side, root_side)
+    tau, dims, _ = _resolve_dims(tau, sites)
     if len(dims) != 2:
         raise UsageError("square-root conversion needs a bipartite root")
     diag = np.diagonal(tau)

@@ -22,11 +22,10 @@ from .tensor_core import (
     SiteSpec,
     TiSiteTensor,
     UsageError,
+    _resolve_dims,
     contract_train,
     cyclic_shift_defect,
-    matricize,
     min_rank_sign_pattern,
-    numerical_rank,
     svd_split,
 )
 
@@ -125,30 +124,20 @@ class WStateFamily:
 # train form and Schmidt rank
 
 
-def _coerce_operator(op, sites=None, in_dims=None):
-    if isinstance(op, PsdOperator):
-        return op.data, op.sites.dims, op.sites.dims
-    if sites is None:
-        raise UsageError("site dimensions are required for raw arrays")
-    out_dims = sites.dims if isinstance(sites, SiteSpec) else tuple(int(d) for d in sites)
-    in_dims = out_dims if in_dims is None else tuple(int(d) for d in in_dims)
-    data = np.asarray(op, dtype=complex)
-    if data.ndim == 1:
-        data = data.reshape(-1, 1)
-    if data.shape != (prod(out_dims), prod(in_dims)):
-        raise UsageError(f"shape {data.shape} does not match dims {out_dims} x {in_dims}")
-    return data, out_dims, in_dims
-
-
 def mpo_train_form(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=None):
-    """Sweep successive rank-revealing splits into an open train.
+    """Left-canonical sweep of rank-revealing splits into an open train.
 
-    Returns ``(train, osr)`` where osr is the largest split rank, equal to
-    the largest matricization rank across cuts.  Works for rectangular
-    operators and column vectors alike; the singular values of each split
-    stay in the left factor.
+    At each cut the remainder is split by :func:`svd_split`: the core keeps
+    the orthonormal left singular vectors and the singular values are
+    carried right into the next remainder.  The cores to the left of a cut
+    then form an isometry, so the matrix split there has the singular
+    values of the operator's own matricization at that cut: each bond is
+    the numerical rank at its cut, ``train.bond_dims`` is the per-cut rank
+    profile (a zero rank keeps a zero bond of dimension 1), and the
+    returned ``osr`` is its maximum.  Works for rectangular operators and
+    column vectors alike.  Returns ``(train, osr)``.
     """
-    data, out_dims, in_dims = _coerce_operator(op, sites, in_dims)
+    data, out_dims, in_dims = _resolve_dims(op, sites, in_dims)
     n = len(out_dims)
     if n == 1:
         core = data.reshape(1, out_dims[0], in_dims[0], 1)
@@ -162,36 +151,28 @@ def mpo_train_form(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=No
     t = t.transpose(perm)
 
     cores = []
-    ranks = []
+    osr = 0
     left = 1
-    rest = t.reshape(left * out_dims[0] * in_dims[0], -1)
+    rest = t.reshape(out_dims[0] * in_dims[0], -1)
     for k in range(n - 1):
         lf, rf, r = svd_split(rest, rel_tol)
-        ranks.append(r)
-        r_eff = max(r, 1)
+        osr = max(osr, r)
         if r == 0:
             lf = np.zeros((rest.shape[0], 1), dtype=complex)
             rf = np.zeros((1, rest.shape[1]), dtype=complex)
-        cores.append(lf.reshape(left, out_dims[k], in_dims[k], r_eff))
-        left = r_eff
-        if k + 1 < n - 1:
-            rest = rf.reshape(left * out_dims[k + 1] * in_dims[k + 1], -1)
-        else:
-            cores.append(rf.reshape(left, out_dims[n - 1], in_dims[n - 1], 1))
-    osr = max(ranks)
+        cores.append(lf.reshape(left, out_dims[k], in_dims[k], -1))
+        left = lf.shape[1]
+        rest = rf.reshape(left * out_dims[k + 1] * in_dims[k + 1], -1)
+    cores.append(rest.reshape(left, out_dims[n - 1], in_dims[n - 1], 1))
     return MpoTrain(tuple(cores)), osr
 
 
 def operator_schmidt_rank(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=None) -> int:
-    """Largest matricization rank over the n-1 cuts (0 for the zero operator)."""
-    data, out_dims, in_dims = _coerce_operator(op, sites, in_dims)
-    n = len(out_dims)
-    if n == 1:
-        return 1 if np.linalg.norm(data) > 0.0 else 0
-    return max(
-        numerical_rank(matricize(data, cut, out_dims=out_dims, in_dims=in_dims), rel_tol)
-        for cut in range(1, n)
-    )
+    """Largest matricization rank over the n-1 cuts (0 for the zero operator).
+
+    Read off the :func:`mpo_train_form` sweep.
+    """
+    return mpo_train_form(op, sites, rel_tol, in_dims)[1]
 
 
 def schmidt_rank_cap(out_dims, in_dims=None) -> int:
@@ -440,8 +421,10 @@ def transfer_matrix(site: TiSiteTensor) -> np.ndarray:
     """The D^2 x D^2 map summing tensor (x) conjugate-tensor over physical legs."""
     t = site.tensor
     d = site.bond_dim
-    e = np.einsum("aijb,cijd->acbd", t, t.conj())
-    return np.ascontiguousarray(e.reshape(d * d, d * d))
+    # rows (a, b) against the physical legs (i, j); M M^dag pairs (a, b) with (c, d)
+    m = t.transpose(0, 3, 1, 2).reshape(d * d, -1)
+    e = (m @ m.conj().T).reshape(d, d, d, d)
+    return np.ascontiguousarray(e.transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
 def periodicity_lower_bound(site: TiSiteTensor, n: int, tol: float = 1e-8):

@@ -212,14 +212,21 @@ def kron_chain(factors) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _resolve_dims(op, out_dims, in_dims):
+def _resolve_dims(op, dims=None, in_dims=None):
+    """``(data, out_dims, in_dims)`` of an operator given as a PsdOperator or raw array.
+
+    ``dims`` (a :class:`SiteSpec` or a sequence) gives the per-site out
+    dimensions of a raw array and ``in_dims`` its in dimensions, by default
+    equal to ``dims``; a 1-D array is read as a column.  A PsdOperator
+    carries its own square dims.
+    """
     if isinstance(op, PsdOperator):
         return op.data, op.sites.dims, op.sites.dims
-    data = np.asarray(op)
-    if out_dims is None:
-        raise UsageError("out_dims required for raw arrays")
-    out_dims = tuple(int(d) for d in out_dims)
+    if dims is None:
+        raise UsageError("site dimensions are required for raw arrays")
+    out_dims = dims.dims if isinstance(dims, SiteSpec) else tuple(int(d) for d in dims)
     in_dims = out_dims if in_dims is None else tuple(int(d) for d in in_dims)
+    data = np.asarray(op)
     if data.ndim == 1:
         data = data.reshape(-1, 1)
     if data.shape != (prod(out_dims), prod(in_dims)):
@@ -349,53 +356,71 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
 def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     """One rank-revealing split ``matrix ~ left @ right``.
 
-    Singular values are absorbed into the left factor, so ``right`` has
-    orthonormal rows.  The inner dimension equals :func:`numerical_rank`;
-    the zero matrix yields empty factors.
+    ``left`` holds the kept left singular vectors, so it has orthonormal
+    columns, and ``right`` carries the singular values (``S @ Vh``); the
+    singular values of ``right`` are those of ``matrix``.  The inner
+    dimension equals :func:`numerical_rank`; the zero matrix yields empty
+    factors.
     """
     if not 0.0 < rel_tol < 1.0:
         raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
     matrix = np.asarray(matrix, dtype=complex)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    if matrix.shape[0] < matrix.shape[1]:
+        # LAPACK's wide path runs 2-3x slower than its tall path on the
+        # transpose (a 256 x 1024 split: 0.17 s against 0.08 s, 2-vCPU Xeon);
+        # matrix.T = A S B^dag gives matrix = conj(B) S A^T
+        a, s, bh = np.linalg.svd(matrix.T, full_matrices=False)
+        u, vh = bh.T, a.T
+    else:
+        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         r = 0
     else:
         r = int(np.count_nonzero(s > rel_tol * s[0]))
-    return u[:, :r] * s[:r], vh[:r], r
+    return u[:, :r], s[:r, None] * vh[:r], r
+
+
+def _absorb_core(block, core):
+    """Contract the right bond of a ``(left, rows, cols, bond)`` block with a core.
+
+    For each out index of the core, one batched matrix product over the
+    bond writes straight into the result's interleaved ``(rows, out) x
+    (cols, in)`` layout, so no transposed copy of the result is made.
+    """
+    left, rows, cols, bond = block.shape
+    _, do, di, right = core.shape
+    out = np.empty((left, rows, do, cols, di, right), dtype=np.result_type(block, core))
+    lhs = block.reshape(left * rows, cols, bond)
+    dest = out.reshape(left * rows, do, cols, di * right)
+    for k in range(do):
+        np.matmul(lhs, core[:, k].reshape(bond, di * right), out=dest[:, k])
+    return out.reshape(left, rows * do, cols * di, right)
 
 
 def contract_train(train: MpoTrain) -> np.ndarray:
     """Evaluate the open-boundary sum of a train into a dense operator.
 
-    The contraction sweeps left to right carrying a ``(rows, cols, bond)``
+    The contraction sweeps left to right carrying a ``(1, rows, cols, bond)``
     block, so the cost never involves materializing the full bond sum.
     """
-    cur = train.cores[0][0]  # (out, in, bond)
+    cur = train.cores[0]
     for core in train.cores[1:]:
-        cur = np.einsum("ijb,bklc->ikjlc", cur, core)
-        cur = cur.reshape(
-            cur.shape[0] * cur.shape[1], cur.shape[2] * cur.shape[3], cur.shape[4]
-        )
-    return np.ascontiguousarray(cur[:, :, 0])
+        cur = _absorb_core(cur, core)
+    return np.ascontiguousarray(cur[0, :, :, 0])
 
 
 def contract_cyclic(site: TiSiteTensor, n: int) -> np.ndarray:
-    """Evaluate the trace-closed cyclic network of ``n`` copies of one tensor."""
+    """Evaluate the trace-closed cyclic network of ``n`` copies of one tensor.
+
+    Same sweep as :func:`contract_train`; the ``(bond, rows, cols, bond)``
+    block is closed by a trace over its two bonds.
+    """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    t = site.tensor
-    if n == 1:
-        return np.ascontiguousarray(np.einsum("aija->ij", t))
-    cur = t
+    cur = site.tensor
     for _ in range(n - 1):
-        cur = np.einsum("aijb,bklc->aikjlc", cur, t)
-        cur = cur.reshape(
-            cur.shape[0],
-            cur.shape[1] * cur.shape[2],
-            cur.shape[3] * cur.shape[4],
-            cur.shape[5],
-        )
-    return np.ascontiguousarray(np.einsum("aija->ij", cur))
+        cur = _absorb_core(cur, site.tensor)
+    return np.ascontiguousarray(np.trace(cur, axis1=0, axis2=3))
 
 
 def cyclic_shift_defect(op, out_dims=None, in_dims=None) -> float:

@@ -1,12 +1,15 @@
 import json
 
 import numpy as np
+import pytest
 
 from mpdo_kit.cli import (
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_USAGE,
+    InputError,
+    load_matrix,
     main,
 )
 from mpdo_kit.decompositions import w_state_generators
@@ -94,6 +97,63 @@ def test_analyze_q_sqrt_rank_exact_only_when_diagonal(tmp_path, capsys):
     entry = entry_named(doc, "q_sqrt_rank")
     assert entry["exact"] is False
     assert entry["certificate"] == "sign enumeration (upper bound)"
+
+
+def test_analyze_diagonal_flag_agrees_with_exact(tmp_path, capsys):
+    # off-diagonal mass 2e-11 relative: above DIAG_TOL, so neither diagonal nor exact
+    rho = np.diag([1.0, 2.0, 3.0, 4.0])
+    rho[0, 3] = rho[3, 0] = 2e-11 * np.linalg.norm(rho) / np.sqrt(2)
+    path = write_json_matrix(tmp_path / "near.json", rho)
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2", "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "diagonal")["value"] is False
+    assert entry_named(doc, "q_sqrt_rank")["exact"] is False
+
+
+def write_raw_json(path, data, rows=2, cols=2):
+    path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
+    return str(path)
+
+
+def loop_reference(data):
+    """Entry-by-entry decoding, the behaviour the vectorized path must keep."""
+    out = np.array([[complex(*e) if isinstance(e, list) else complex(e) for e in row] for row in data])
+    return out.real if np.abs(out.imag).max() == 0.0 else out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1, 2.5], [-3.0, 4]],
+        [[[1.0, 0.5], [2, 0]], [[3.0, -1.0], [4.0, 2.0]]],
+        [[[1.0, 0.0], [2, 0]], [[3.0, 0.0], [4.0, 0.0]]],
+        [[1.0, [2.0, 1.0]], [3, 4.0]],
+        [[1.0, [2.0, 0.0]], [3, 4.0]],
+    ],
+    ids=["real", "pairs", "pairs-real-valued", "mixed", "mixed-real-valued"],
+)
+def test_load_matrix_json_forms(tmp_path, data):
+    got = load_matrix(write_raw_json(tmp_path / "m.json", data))
+    want = loop_reference(data)
+    assert got.dtype == want.dtype and got.shape == (2, 2)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([["1.0", 2.0], [3.0, 4.0]], "bad matrix entry"),
+        ([[1.0, None], [3.0, 4.0]], "bad matrix entry"),
+        ([[[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]], "bad matrix entry"),
+        ([[1.0, [2.0, 3.0, 4.0]], [3.0, 4.0]], "bad matrix entry"),
+        ([[1.0, 2.0], [3.0]], "data shape does not match"),
+        ([[1.0, 2.0]], "data shape does not match"),
+    ],
+    ids=["string", "null", "triples", "one-triple", "ragged", "missing-row"],
+)
+def test_load_matrix_json_rejects(tmp_path, data, message):
+    with pytest.raises(InputError, match=message):
+        load_matrix(write_raw_json(tmp_path / "m.json", data))
 
 
 def test_analyze_malformed_json_names_offset(tmp_path, capsys):

@@ -87,6 +87,21 @@ def test_train_roundtrip_tolerance():
         assert osr == max(cuts) == max(train.bond_dims)
 
 
+def test_train_form_weighted_cut_ranks():
+    # the 1e-11 component is below the relative threshold at the second cut
+    # only once the first cut's singular values weight the carried remainder
+    psi = np.zeros((2, 2, 3))
+    psi[0, 0, 0] = psi[0, 1, 1] = 1.0
+    psi[1, 0, 1] = 1e-5
+    psi[1, 1, 2] = 1e-11
+    vec = psi.ravel()
+    train, osr = mpo_train_form(vec, (2, 2, 3), in_dims=(1, 1, 1))
+    assert (osr, train.bond_dims) == (2, (2, 2))
+    assert operator_schmidt_rank(vec, (2, 2, 3), in_dims=(1, 1, 1)) == 2
+    rho = PsdOperator(SiteSpec((2, 2, 3)), np.outer(vec, vec))
+    assert local_purification_spectral(rho).osr_L == 2
+
+
 def test_osr_flip_symmetric_pair():
     rho = np.eye(4) + kron_chain([SX, SX])
     assert operator_schmidt_rank(op_on_qubits(rho, 2)) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpdo_kit.decompositions import transfer_matrix
 from mpdo_kit.tensor_core import (
     MpoTrain,
     PsdOperator,
@@ -190,6 +191,76 @@ def test_contract_cyclic_product_case():
     site = TiSiteTensor(a.reshape(1, 2, 2, 1))
     for n in (1, 2, 3):
         assert np.allclose(contract_cyclic(site, n), kron_chain([a] * n))
+
+
+def rand_cores(rng, out_dims, in_dims, bonds):
+    """Random complex cores with the given legs and internal bonds, boundary bonds 1."""
+    edges = (1,) + tuple(bonds) + (1,)
+    return tuple(
+        rng.normal(size=(edges[k], do, di, edges[k + 1]))
+        + 1j * rng.normal(size=(edges[k], do, di, edges[k + 1]))
+        for k, (do, di) in enumerate(zip(out_dims, in_dims))
+    )
+
+
+def einsum_contract_train(cores):
+    """Reference open-train contraction by np.einsum, one bond at a time."""
+    cur = cores[0][0]
+    for core in cores[1:]:
+        cur = np.einsum("ijb,bklc->ikjlc", cur, core)
+        cur = cur.reshape(cur.shape[0] * cur.shape[1], cur.shape[2] * cur.shape[3], cur.shape[4])
+    return cur[:, :, 0]
+
+
+def einsum_contract_cyclic(t, n):
+    """Reference cyclic contraction by np.einsum, closed by an einsum trace."""
+    cur = t
+    for _ in range(n - 1):
+        cur = np.einsum("aijb,bklc->aikjlc", cur, t)
+        s = cur.shape
+        cur = cur.reshape(s[0], s[1] * s[2], s[3] * s[4], s[5])
+    return np.einsum("aija->ij", cur)
+
+
+@pytest.mark.parametrize(
+    "out_dims, in_dims, bonds",
+    [
+        ((3,), (2,), ()),
+        ((2,), (1,), ()),
+        ((2, 3), (3, 1), (4,)),
+        ((2, 3, 2), (1, 2, 3), (3, 5)),
+        ((3, 2, 2, 2), (2, 2, 1, 3), (2, 4, 3)),
+        ((2, 2, 2), (2, 2, 2), (1, 1)),
+    ],
+)
+def test_contract_train_matches_einsum_oracle(out_dims, in_dims, bonds):
+    rng = np.random.default_rng(sum(bonds) + len(out_dims))
+    cores = rand_cores(rng, out_dims, in_dims, bonds)
+    want = einsum_contract_train(cores)
+    got = contract_train(MpoTrain(cores))
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3, 1), (3, 2, 1, 3), (2, 3, 2, 2), (4, 1, 2, 4)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contract_cyclic_matches_einsum_oracle(shape, n):
+    rng = np.random.default_rng(n)
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = einsum_contract_cyclic(t, n)
+    got = contract_cyclic(TiSiteTensor(t), n)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3, 1), (3, 2, 1, 3), (2, 3, 2, 2), (5, 1, 1, 5)])
+def test_transfer_matrix_matches_einsum_oracle(shape):
+    rng = np.random.default_rng(shape[0])
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    d = shape[0]
+    want = np.einsum("aijb,cijd->acbd", t, t.conj()).reshape(d * d, d * d)
+    got = transfer_matrix(TiSiteTensor(t))
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_cyclic_shift_defect():
