@@ -20,6 +20,10 @@ CLIP_TOL = 1e-12
 #: Relative psd tolerance for certificate payload matrices.
 PSD_FEAS_TOL = 1e-10
 
+#: Largest max|X - X^dag| / max|X| a payload matrix may have and still
+#: count as Hermitian; psd feasibility is judged only past this test.
+HERMITIAN_TOL = 1e-10
+
 KINDS = ("minimal", "nonnegative", "psd", "symmetric", "cp", "cpsdt", "hadamard-root")
 
 
@@ -101,6 +105,19 @@ def _min_rel_eig(mat) -> float:
     return float(w.min(initial=0.0) / top)
 
 
+def _check_psd_payload(mats, inner_dim: int) -> None:
+    """Raise unless every matrix is inner_dim x inner_dim, Hermitian and psd."""
+    for x in mats:
+        x = np.asarray(x)
+        if x.shape != (inner_dim, inner_dim):
+            raise ValueError("psd factor size does not match inner dimension")
+        scale = max(np.abs(x).max(initial=0.0), 1e-300)
+        if np.abs(x - np.conj(x).T).max(initial=0.0) > HERMITIAN_TOL * scale:
+            raise ValueError("payload matrix is not Hermitian")
+        if _min_rel_eig(x) < -PSD_FEAS_TOL:
+            raise ValueError("payload matrix is not psd")
+
+
 def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: float = 1e-8):
     """Recompute reconstruction and kind-specific feasibility of a certificate.
 
@@ -120,15 +137,13 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
             raise ValueError("inner dimension does not match the factors")
         recon = (a @ b).real
         if kind == "nonnegative":
-            if a.min() < -CLIP_TOL or b.min() < -CLIP_TOL:
+            if any(np.iscomplexobj(x) and np.abs(x.imag).max() > 0 for x in (a, b)):
+                raise ValueError("nonnegative factors must be real")
+            if a.real.min() < -CLIP_TOL or b.real.min() < -CLIP_TOL:
                 raise ValueError("factors are not entrywise nonnegative")
     elif kind == "psd":
         e_list, f_list = pay["E"], pay["F"]
-        for x in list(e_list) + list(f_list):
-            if np.asarray(x).shape != (cert.inner_dim, cert.inner_dim):
-                raise ValueError("psd factor size does not match inner dimension")
-            if _min_rel_eig(x) < -PSD_FEAS_TOL:
-                raise ValueError("payload matrix is not psd")
+        _check_psd_payload(list(e_list) + list(f_list), cert.inner_dim)
         recon = pair_traces(e_list, f_list)
     elif kind == "symmetric":
         a = np.asarray(pay["factor"])
@@ -148,11 +163,7 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
         recon = a.real @ a.real.T
     elif kind == "cpsdt":
         e_list = pay["E"]
-        for x in e_list:
-            if np.asarray(x).shape != (cert.inner_dim, cert.inner_dim):
-                raise ValueError("psd factor size does not match inner dimension")
-            if _min_rel_eig(x) < -PSD_FEAS_TOL:
-                raise ValueError("payload matrix is not psd")
+        _check_psd_payload(e_list, cert.inner_dim)
         recon = pair_traces(e_list, e_list)
     elif kind == "hadamard-root":
         root = np.asarray(pay["root"], dtype=float)

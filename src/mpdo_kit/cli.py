@@ -53,6 +53,7 @@ from .nonneg_factorizations import (
     minimal_factorization,
     nonneg_factorization_search,
     psd_factorization_search,
+    scan_cp_certificate,
     scan_nonneg_certificate,
     slack_matrix_tgon,
     symmetric_factorization,
@@ -360,7 +361,7 @@ def cmd_analyze(args) -> int:
     report.add("diagonal", value=diagonal)
     if diagonal and sites.n == 2:
         m = diag_extract(op)
-        cert = scan_nonneg_certificate(m, restarts=args.restarts, seed=args.seed)
+        cert = scan_nonneg_certificate(m, restarts=args.restarts, iters=args.iters, seed=args.seed)
         report.add(
             "sep_rank",
             interval=[osr, cert.inner_dim],
@@ -429,7 +430,7 @@ def _state_decomposition_for(kind: str, m: np.ndarray, args):
     if kind == "minimal":
         return factorization_to_decomposition(kind, minimal_factorization(m), target)
     if kind == "nonnegative":
-        cert = scan_nonneg_certificate(m, restarts=args.restarts, seed=args.seed)
+        cert = scan_nonneg_certificate(m, restarts=args.restarts, iters=args.iters, seed=args.seed)
         return factorization_to_decomposition(kind, cert, target)
     if kind == "psd":
         puri = local_purification_spectral(diag_embed(m))
@@ -438,11 +439,7 @@ def _state_decomposition_for(kind: str, m: np.ndarray, args):
     if kind == "symmetric":
         return factorization_to_decomposition(kind, symmetric_factorization(m), target)
     if kind == "cp":
-        cert = None
-        for r in range(max(int(np.linalg.matrix_rank(m)), 1), m.shape[0] + 1):
-            cert = cp_factorization_search(m, r, args.restarts, seed=args.seed)
-            if cert is not None:
-                break
+        cert = scan_cp_certificate(m, restarts=args.restarts, seed=args.seed)
         if cert is None:
             return None
         return factorization_to_decomposition(kind, cert, target)
@@ -501,7 +498,7 @@ def cmd_convert(args) -> int:
 
     if args.direction == "both":
         entry = verify_correspondence(
-            kind, m, sign_budget=args.budget, restarts=args.restarts, seed=args.seed
+            kind, m, sign_budget=args.budget, restarts=args.restarts, iters=args.iters, seed=args.seed
         )
         report.add("correspondence", **{k: v for k, v in entry.items() if k != "kind"})
         report.emit(args.json)
@@ -622,7 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for randomized procedures")
         p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance")
         p.add_argument("--restarts", type=int, default=20)
-        p.add_argument("--iters", type=int, default=4000)
+        p.add_argument(
+            "--iters",
+            type=int,
+            default=4000,
+            help="iteration cap per restart of the multiplicative-update (nonnegative) search",
+        )
         p.add_argument("--budget", type=int, default=2**20, help="sign enumeration budget")
 
     p = sub.add_parser("analyze", help="rank and bound report for a dense operator")

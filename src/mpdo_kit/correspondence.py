@@ -34,18 +34,20 @@ from .certificates import (
 )
 from .decompositions import (
     CERT_RESIDUAL_TOL,
+    DIAG_TOL,
     PurificationCertificate,
     SeparableCertificate,
+    is_diagonal,
     local_purification_spectral,
     operator_schmidt_rank,
     q_sqrt_rank,
 )
 from .nonneg_factorizations import (
     SEARCH_RESIDUAL_TOL,
-    cp_factorization_search,
     cpsdt_construct,
     minimal_factorization,
     psd_rank_lower_bound,
+    scan_cp_certificate,
     scan_nonneg_certificate,
     sqrt_rank,
     symmetric_factorization,
@@ -132,17 +134,16 @@ def diag_extract(sigma, sites=None) -> np.ndarray:
     """Read the nonnegative matrix back off a diagonal bipartite operator.
 
     Inverse of :func:`diag_embed` bit-exactly.  Raises on more or fewer
-    than two sites and on material off-diagonal mass.
+    than two sites and on an operator that fails
+    :func:`~mpdo_kit.decompositions.is_diagonal`, the predicate ``analyze``
+    reports as ``diagonal``.
     """
     data, dims, _ = _resolve_dims(sigma, sites)
     if len(dims) != 2:
         raise UsageError(f"operator must be bipartite, got {len(dims)} sites")
-    diag = np.diagonal(data)
-    norm = np.linalg.norm(data)
-    off = np.linalg.norm(data - np.diag(diag))
-    if norm > 0 and off > 1e-10 * norm:
-        raise UsageError(f"operator is materially non-diagonal (off mass {off / norm:.3e})")
-    return np.ascontiguousarray(diag.real.reshape(dims[0], dims[1]))
+    if not is_diagonal(data):
+        raise UsageError(f"operator is not diagonal (relative off-diagonal mass above {DIAG_TOL:g})")
+    return np.ascontiguousarray(np.diagonal(data).real.reshape(dims[0], dims[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +345,9 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
     tau, dims, _ = _resolve_dims(tau, sites)
     if len(dims) != 2:
         raise UsageError("square-root conversion needs a bipartite root")
-    diag = np.diagonal(tau)
-    off = np.linalg.norm(tau - np.diag(diag))
-    if off > 1e-10 * max(np.linalg.norm(tau), 1e-300):
+    if not is_diagonal(tau):
         raise UsageError("Hermitian root is not diagonal in the computational basis")
-    root = diag.real.reshape(dims)
+    root = np.diagonal(tau).real.reshape(dims)
     signs = np.sign(root).astype(int)
     rank = numerical_rank(root)
     return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, 0.0)
@@ -476,11 +475,7 @@ def verify_correspondence(
 
     if kind == "cp":
         try:
-            found = None
-            for r in range(max(rank, 1), m.shape[0] + 1):
-                found = cp_factorization_search(m, r, restarts=restarts, seed=seed)
-                if found is not None:
-                    break
+            found = scan_cp_certificate(m, restarts=restarts, seed=seed)
         except NecessaryConditionError as exc:
             entry.update(verdict="skipped", note=f"no cp factorization: {exc.condition}")
             return entry

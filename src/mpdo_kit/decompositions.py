@@ -81,12 +81,20 @@ class SeparableCertificate:
         return out
 
     def psd_defect(self) -> float:
-        """Worst relative negative eigenvalue over the core matrices."""
+        """Worst defect over the core matrices: 0 when every core is psd.
+
+        A core's defect is the larger of its relative negative eigenvalue
+        (of the Hermitian part) and its relative anti-Hermitian mass
+        max|X - X^dag| / max|X|, so a non-Hermitian core cannot pass on
+        the strength of its Hermitian part.
+        """
         worst = 0.0
         for mat in self.core_matrices():
             w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
             top = max(w.max(initial=0.0), 1e-300)
-            worst = max(worst, -w.min(initial=0.0) / top)
+            scale = max(np.abs(mat).max(initial=0.0), 1e-300)
+            skew = np.abs(mat - mat.conj().T).max(initial=0.0) / scale
+            worst = max(worst, -w.min(initial=0.0) / top, skew)
         return worst
 
 
@@ -292,14 +300,18 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
 # quantum square-root rank
 
 
-def is_diagonal(rho: PsdOperator) -> bool:
+def is_diagonal(rho) -> bool:
     """True when the off-diagonal mass of rho is below ``DIAG_TOL`` (relative).
 
+    Takes a :class:`PsdOperator` or a plain square array; the mass is the
+    Frobenius norm of the off-diagonal part over that of the whole.
     :func:`q_sqrt_rank` is exact on such operators and an upper bound on
-    all others.
+    all others; ``correspondence`` reads a matrix off an operator only
+    when it passes.
     """
-    off = np.linalg.norm(rho.data - np.diag(np.diagonal(rho.data)))
-    return bool(off / max(np.linalg.norm(rho.data), 1e-300) <= DIAG_TOL)
+    data = rho.data if isinstance(rho, PsdOperator) else np.asarray(rho)
+    off = np.linalg.norm(data - np.diag(np.diagonal(data)))
+    return bool(off / max(np.linalg.norm(data), 1e-300) <= DIAG_TOL)
 
 
 def q_sqrt_rank(

@@ -12,8 +12,6 @@ rejections.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from math import ceil, sqrt
 
 import numpy as np
@@ -41,34 +39,31 @@ DEFAULT_SIGN_BUDGET = 2**20
 SYMMETRY_TOL = 1e-10
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MPDO_KIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _first_success(worker, restarts: int):
-    """Run seeded restarts, returning the lowest-index success.
+    """Run ``worker(idx)`` for idx = 0, 1, ... and return the first non-None result.
 
-    Restarts may be evaluated in parallel chunks (capped by
-    MPDO_KIT_THREADS); each restart uses its own RNG stream, and within a
-    chunk the smallest index wins, so the result is schedule independent.
+    The serial restart loop: the psd search runs its ``least_squares``
+    restarts through it, and the cp search its per-restart polish.  The
+    nonneg search and the cp projected-gradient phase run their restarts
+    in lockstep instead (see :func:`nonneg_factorization_search`).
     """
-    threads = _thread_count()
-    if threads <= 1:
-        for idx in range(restarts):
-            res = worker(idx)
-            if res is not None:
-                return res
-        return None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, restarts, threads):
-            chunk = range(start, min(start + threads, restarts))
-            for res in pool.map(worker, chunk):
-                if res is not None:
-                    return res
+    for idx in range(restarts):
+        res = worker(idx)
+        if res is not None:
+            return res
     return None
+
+
+def _frobenius_norms(x) -> np.ndarray:
+    """Frobenius norm of each slice of a ``(B, ...)`` stack.
+
+    Bit-identical to ``np.linalg.norm`` of each slice: the square is one
+    ``v @ v`` dot per slice, the sum ``np.linalg.norm`` forms for a single
+    matrix.  A reduction over the stack would add in another order and
+    could flip ties between equal norms.
+    """
+    v = x.reshape(x.shape[0], 1, -1)
+    return np.sqrt((v @ v.transpose(0, 2, 1))[:, 0, 0])
 
 
 def _max_abs(m) -> float:
@@ -280,6 +275,16 @@ def nonneg_factorization_search(
     Returns the first certificate (by restart index) whose max-abs residual
     meets ``SEARCH_RESIDUAL_TOL * max|M|``, or None -- absence of a
     certificate is a normal outcome and proves nothing.
+
+    Restart ``idx`` starts from its own stream ``default_rng([seed, idx])``
+    and runs the Lee-Seung updates for at most ``iters`` iterations,
+    testing its residual every 50th.  The restarts run in lockstep, stacked
+    as ``(restarts, p, r)`` and ``(restarts, r, q)`` arrays with one batched
+    update per iteration; each slice gets the BLAS calls a lone restart
+    would, so every restart follows its serial path bit for bit.  A restart
+    that meets the bar at a check is frozen there, and it and every higher
+    index leave the batch, since none of them can be the lowest-index
+    success; the loop ends when no lower index is left running.
     """
     m = as_nonneg(matrix)
     if r < 1:
@@ -288,21 +293,38 @@ def nonneg_factorization_search(
     target = SEARCH_RESIDUAL_TOL * _max_abs(m)
     scale = sqrt(max(m.mean(), MU_EPS) / r)
 
-    def attempt(idx):
+    restarts = max(restarts, 0)
+    w = np.empty((restarts, p, r))
+    h = np.empty((restarts, r, q))
+    for idx in range(restarts):
         rng = np.random.default_rng([seed, idx])
-        w = rng.uniform(0.1, 1.0, (p, r)) * scale
-        h = rng.uniform(0.1, 1.0, (r, q)) * scale
-        for it in range(iters):
-            w *= (m @ h.T) / (w @ (h @ h.T) + MU_EPS)
-            h *= (w.T @ m) / ((w.T @ w) @ h + MU_EPS)
-            if it % 50 == 49 and np.abs(m - w @ h).max() <= target:
-                break
-        residual = float(np.abs(m - w @ h).max())
-        if residual <= target:
-            return FactorCertificate("nonnegative", r, {"left": w, "right": h}, residual)
-        return None
+        w[idx] = rng.uniform(0.1, 1.0, (p, r)) * scale
+        h[idx] = rng.uniform(0.1, 1.0, (r, q)) * scale
 
-    return _first_success(attempt, restarts)
+    def certificate(k, residual):
+        return FactorCertificate("nonnegative", r, {"left": w[k].copy(), "right": h[k].copy()}, residual)
+
+    # restarts 0 .. len(w) - 1 are running (the batch only ever loses a
+    # tail, so slice k is restart k); ``won`` beats every higher index
+    won = None
+    for it in range(iters):
+        if not len(w):
+            break
+        w *= (m @ h.transpose(0, 2, 1)) / (w @ (h @ h.transpose(0, 2, 1)) + MU_EPS)
+        wt = w.transpose(0, 2, 1)
+        h *= (wt @ m) / ((wt @ w) @ h + MU_EPS)
+        if it % 50 == 49:
+            residual = np.abs(m - w @ h).max(axis=(1, 2))
+            hit = np.flatnonzero(residual <= target)
+            if hit.size:
+                k = int(hit[0])
+                won = certificate(k, float(residual[k]))
+                w, h = w[:k], h[:k]
+    residual = np.abs(m - w @ h).max(axis=(1, 2))
+    hit = np.flatnonzero(residual <= target)
+    if hit.size:
+        return certificate(int(hit[0]), float(residual[hit[0]]))
+    return won
 
 
 def trivial_nonneg_certificate(matrix) -> FactorCertificate:
@@ -359,7 +381,9 @@ def psd_factorization_search(
     Parametrizes E_i = G_i G_i^dag and F_j = H_j H_j^dag and runs bounded
     Gauss-Newton least squares on the Gram factors (``iters`` caps the
     residual evaluations per restart).  Feasibility of the output is
-    structural; acceptance is by reconstruction residual only.
+    structural; acceptance is by reconstruction residual only.  The
+    restarts run one at a time, since a ``least_squares`` run cannot be
+    stacked, and the first success by index is returned.
     """
     m = as_nonneg(matrix)
     if r < 1:
@@ -434,8 +458,11 @@ def cp_factorization_search(
 
     Rejections (not symmetric, not entrywise nonnegative, not psd) raise
     NecessaryConditionError -- those are impossibility certificates, unlike
-    a search that merely comes up empty.  Each restart runs projected
-    gradient descent followed by a bounded least-squares polish.
+    a search that merely comes up empty.  Each restart runs ``iters``
+    steps of projected gradient descent, all restarts in lockstep as one
+    ``(restarts, p, r)`` stack, then a bounded least-squares polish; the
+    polishes run one restart at a time in index order and stop at the
+    first success, so the lowest-index success wins.
     """
     raw = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
@@ -455,31 +482,52 @@ def cp_factorization_search(
     p = m.shape[0]
     target = SEARCH_RESIDUAL_TOL * _max_abs(m)
 
-    def attempt(idx):
+    # projected gradient, all restarts in lockstep: restart idx starts from
+    # default_rng([seed, idx]) with its own step, and each slice of the
+    # stack gets the BLAS calls a lone restart would
+    restarts = max(restarts, 0)
+    m_norm = np.linalg.norm(m, 2)
+    a = np.empty((restarts, p, r))
+    step = np.empty(restarts)
+    for idx in range(restarts):
         rng = np.random.default_rng([seed, idx])
-        a = rng.uniform(0.1, 1.0, (p, r)) * (max(m.mean(), MU_EPS) / max(r, 1)) ** 0.25
-        step = 1.0 / (4 * (np.linalg.norm(a.T @ a, 2) + np.linalg.norm(m, 2)) + MU_EPS)
-        for _ in range(iters):
-            res = a @ a.T - m
-            trial = np.maximum(a - step * (4 * res @ a), 0.0)
-            if np.linalg.norm(trial @ trial.T - m) <= np.linalg.norm(res):
-                a = trial
-                step *= 1.1
-            else:
-                step *= 0.5
+        a[idx] = rng.uniform(0.1, 1.0, (p, r)) * (max(m.mean(), MU_EPS) / max(r, 1)) ** 0.25
+        step[idx] = 1.0 / (4 * (np.linalg.norm(a[idx].T @ a[idx], 2) + m_norm) + MU_EPS)
+    for _ in range(iters):
+        res = a @ a.transpose(0, 2, 1) - m
+        trial = np.maximum(a - step[:, None, None] * (4 * res @ a), 0.0)
+        accept = _frobenius_norms(trial @ trial.transpose(0, 2, 1) - m) <= _frobenius_norms(res)
+        a = np.where(accept[:, None, None], trial, a)
+        step = np.where(accept, step * 1.1, step * 0.5)
 
+    def polish(idx):
         def flat_residual(x):
             am = x.reshape(p, r)
             return (am @ am.T - m).ravel()
 
         sol = least_squares(
-            flat_residual, a.ravel(), bounds=(0.0, np.inf), method="trf",
+            flat_residual, a[idx].ravel(), bounds=(0.0, np.inf), method="trf",
             xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=200,
         )
-        a = sol.x.reshape(p, r)
-        residual = float(np.abs(a @ a.T - m).max())
+        factor = sol.x.reshape(p, r)
+        residual = float(np.abs(factor @ factor.T - m).max())
         if residual <= target:
-            return FactorCertificate("cp", r, {"factor": a}, residual)
+            return FactorCertificate("cp", r, {"factor": factor}, residual)
         return None
 
-    return _first_success(attempt, restarts)
+    return _first_success(polish, restarts)
+
+
+def scan_cp_certificate(matrix, restarts: int = 20, seed: int = 0):
+    """Smallest-inner-dimension cp certificate the search can find, or None.
+
+    Scans r upward from rank(M) to the side of M.  A violated necessary
+    condition raises ``NecessaryConditionError`` from the first search;
+    None means every search came up empty, which proves nothing.
+    """
+    m = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
+    for r in range(max(numerical_rank(m), 1), m.shape[0] + 1):
+        cert = cp_factorization_search(m, r, restarts=restarts, seed=seed)
+        if cert is not None:
+            return cert
+    return None

@@ -253,6 +253,66 @@ def test_convert_rejects_non_diagonal_operator(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_convert_rejects_operator_analyze_calls_non_diagonal(tmp_path, capsys):
+    # the operator of test_analyze_diagonal_flag_agrees_with_exact: analyze
+    # reports diagonal: false, so convert must not read a matrix off it
+    rho = np.diag([1.0, 2.0, 3.0, 4.0])
+    rho[0, 3] = rho[3, 0] = 2e-11 * np.linalg.norm(rho) / np.sqrt(2)
+    path = write_json_matrix(tmp_path / "near.json", rho)
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2", "--json"])
+    assert entry_named(doc, "diagonal")["value"] is False
+    code = main(["convert", path, "--kind", "minimal", "--sites", "2,2", "--json"])
+    assert code == EXIT_USAGE
+    assert "not diagonal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "op.json", "--sites", "3,3"],
+        ["convert", "m.csv", "--kind", "nonneg", "--direction", "to-state"],
+        ["convert", "m.csv", "--kind", "nonneg", "--direction", "both"],
+        ["factorize", "m.csv", "--kind", "nonneg", "--r", "2"],
+    ],
+    ids=["analyze", "convert-to-state", "convert-both", "factorize"],
+)
+def test_iters_reaches_the_nonneg_search(tmp_path, capsys, monkeypatch, argv):
+    from mpdo_kit import cli, nonneg_factorizations
+
+    seen = []
+    search = nonneg_factorizations.nonneg_factorization_search
+
+    def recording(matrix, r, restarts=50, iters=4000, seed=0):
+        seen.append(iters)
+        return search(matrix, r, restarts, iters, seed)
+
+    monkeypatch.setattr(nonneg_factorizations, "nonneg_factorization_search", recording)
+    monkeypatch.setattr(cli, "nonneg_factorization_search", recording)
+    # rank 2 < 3, so every scan runs the search at r = 2
+    m = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]) @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    write_csv_matrix(tmp_path / "m.csv", m)
+    write_json_matrix(tmp_path / "op.json", np.diag(m.ravel()))
+    argv = [str(tmp_path / a) if a in ("m.csv", "op.json") else a for a in argv]
+    main(argv + ["--iters", "77", "--restarts", "2", "--json"])
+    capsys.readouterr()
+    assert seen and set(seen) == {77}
+
+
+def test_iters_help_names_the_multiplicative_update_search(capsys):
+    with pytest.raises(SystemExit):
+        from mpdo_kit.cli import build_parser
+
+        build_parser().parse_args(["factorize", "--help"])
+    assert "multiplicative-update" in capsys.readouterr().out
+
+
+def test_convert_cp_to_state_rejects_a_non_psd_matrix(tmp_path, capsys):
+    path = write_csv_matrix(tmp_path / "flip.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    code = main(["convert", path, "--kind", "cp", "--direction", "to-state"])
+    assert code == EXIT_REJECTED
+    assert "not psd" in capsys.readouterr().err
+
+
 def test_convert_operator_to_matrix(tmp_path, capsys):
     path = write_json_matrix(tmp_path / "op.json", np.diag([1.0, 2.0, 3.0, 4.0]))
     code, doc = run_json(

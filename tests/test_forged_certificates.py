@@ -1,0 +1,77 @@
+"""Forged certificates: each reconstructs its matrix but is not what its kind says.
+
+Every forgery here reproduces the matrix through the checker's own
+reconstruction, so only the kind-specific feasibility tests can catch it.
+"""
+
+import numpy as np
+import pytest
+
+from mpdo_kit.certificates import (
+    HERMITIAN_TOL,
+    FactorCertificate,
+    check_factor_certificate,
+    pair_traces,
+)
+from mpdo_kit.decompositions import SeparableCertificate
+from mpdo_kit.tensor_core import MpoTrain
+
+#: Antisymmetric 2 x 2 block: it adds nothing to the Hermitian part, and
+#: tr(K D^T) = 0 for every diagonal D.
+SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_nonnegative_factors_with_imaginary_parts_are_rejected():
+    # (1j)(-1j) = 1: purely imaginary "nonnegative" factors of the all-ones
+    # matrix; their real parts (all zero) pass a real-part sign test
+    left = np.array([[1j], [1j]])
+    right = np.array([[-1j, -1j]])
+    m = np.ones((2, 2))
+    assert np.array_equal((left @ right).real, m)
+    cert = FactorCertificate("nonnegative", 1, {"left": left, "right": right}, 0.0)
+    with pytest.raises(ValueError, match="must be real"):
+        check_factor_certificate(m, cert)
+
+
+def test_nonnegative_complex_dtype_with_zero_imaginary_part_passes():
+    left = np.ones((2, 1), dtype=complex)
+    right = np.ones((1, 2), dtype=complex)
+    cert = FactorCertificate("nonnegative", 1, {"left": left, "right": right}, 0.0)
+    check_factor_certificate(np.ones((2, 2)), cert)
+
+
+def test_non_hermitian_psd_payload_is_rejected():
+    # E_0 = diag(1, 0) + K has Hermitian part diag(1, 0), which is psd, and
+    # the skew part drops out of every pairing with the diagonal F
+    e = [np.diag([1.0, 0.0]) + SKEW, np.diag([0.0, 1.0])]
+    f = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    m = pair_traces(e, f)
+    assert np.array_equal(m, np.eye(2))
+    cert = FactorCertificate("psd", 2, {"E": e, "F": f}, 0.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_factor_certificate(m, cert)
+
+
+def test_non_hermitian_cpsdt_payload_is_rejected():
+    e = [np.diag([1.0, 0.0]) + SKEW, np.diag([0.0, 1.0])]
+    m = pair_traces(e, e)
+    assert np.array_equal(m, np.diag([3.0, 1.0]))
+    cert = FactorCertificate("cpsdt", 2, {"E": e}, 0.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_factor_certificate(m, cert)
+
+
+def test_round_off_level_hermiticity_defect_passes():
+    e = [np.diag([1.0, 0.0]) + 0.1 * HERMITIAN_TOL * SKEW, np.diag([0.0, 1.0])]
+    f = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    check_factor_certificate(pair_traces(e, f), FactorCertificate("psd", 2, {"E": e, "F": f}, 0.0))
+
+
+def test_separable_certificate_with_non_hermitian_core_has_a_defect():
+    # core slice [[1, 1], [-1, 1]] has Hermitian part I, whose spectrum
+    # alone reports no psd defect
+    core1 = np.zeros((1, 2, 2, 1), dtype=complex)
+    core1[0, :, :, 0] = np.eye(2) + SKEW
+    core2 = np.eye(2, dtype=complex).reshape(1, 2, 2, 1)
+    cert = SeparableCertificate(MpoTrain((core1, core2)), 1, 0.0)
+    assert cert.psd_defect() == 2.0

@@ -19,6 +19,7 @@ from mpdo_kit.nonneg_factorizations import (
     psd_certificate_from_nonneg,
     psd_factorization_search,
     psd_rank_lower_bound,
+    scan_cp_certificate,
     slack_matrix_tgon,
     sqrt_rank,
     symmetric_factorization,
@@ -271,6 +272,35 @@ def test_cp_diagonal_always_succeeds_at_full_size():
     assert cert is not None
 
 
+def test_scan_cp_certificate_starts_at_the_numerical_rank(monkeypatch):
+    from mpdo_kit import nonneg_factorizations
+
+    rng = np.random.default_rng(14)
+    a = rng.uniform(0.2, 1.2, (5, 2))
+    # a rank-2 matrix plus a 1e-13 perturbation: np.linalg.matrix_rank
+    # counts 5, the package's relative rule counts 2
+    m = a @ a.T + 1e-13 * np.eye(5)
+    assert np.linalg.matrix_rank(m) == 5
+    tried = []
+    search = nonneg_factorizations.cp_factorization_search
+
+    def recording(matrix, r, **kwargs):
+        tried.append(r)
+        return search(matrix, r, **kwargs)
+
+    monkeypatch.setattr(nonneg_factorizations, "cp_factorization_search", recording)
+    cert = scan_cp_certificate(m, restarts=10)
+    assert tried[0] == 2
+    assert cert is not None and cert.inner_dim == tried[-1]
+    check_factor_certificate(m, cert, residual_tol=2e-6)
+
+
+def test_scan_cp_certificate_surfaces_necessary_conditions():
+    with pytest.raises(NecessaryConditionError) as info:
+        scan_cp_certificate(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert info.value.condition == "not psd"
+
+
 # ---------------------------------------------------------------------------
 # square-root rank
 
@@ -386,20 +416,6 @@ def test_psd_certificate_from_nonneg_exact():
     psd = psd_certificate_from_nonneg(nn)
     assert psd.inner_dim == 2
     check_factor_certificate(a @ b, psd)
-
-
-def test_thread_cap_does_not_change_results(monkeypatch):
-    rng = np.random.default_rng(10)
-    a = rng.uniform(0.2, 1.2, (6, 2))
-    b = rng.uniform(0.2, 1.2, (2, 6))
-    m = a @ b
-    monkeypatch.setenv("MPDO_KIT_THREADS", "4")
-    threaded = nonneg_factorization_search(m, 2, restarts=8, seed=3)
-    monkeypatch.setenv("MPDO_KIT_THREADS", "1")
-    serial = nonneg_factorization_search(m, 2, restarts=8, seed=3)
-    assert threaded is not None and serial is not None
-    assert np.array_equal(threaded.payload["left"], serial.payload["left"])
-    assert np.array_equal(threaded.payload["right"], serial.payload["right"])
 
 
 def test_checker_rejects_bad_reconstruction():
