@@ -35,6 +35,7 @@ from .correspondence import (
 )
 from .decompositions import (
     MAX_ENUM_RANK,
+    clipped_spectrum,
     is_diagonal,
     local_purification_spectral,
     make_translation_invariant,
@@ -66,6 +67,7 @@ from .tensor_core import (
     contract_cyclic,
     contract_train,
     cyclic_shift_defect,
+    numerical_rank,
 )
 
 EXIT_OK = 0
@@ -333,14 +335,16 @@ def cmd_analyze(args) -> int:
     )
     report.add("osr", value=osr, certificate="train", residual=train_residual)
 
-    puri = local_purification_spectral(op, rel_tol=args.tol)
+    # one eigendecomposition for the purification, the rank gate and q_sqrt_rank
+    spectrum = clipped_spectrum(op, args.tol)
+    puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum)
     puri_upper = puri.osr_L
-    eigs = op.eigenvalues()
-    rank = int(np.count_nonzero(eigs > args.tol * max(eigs.max(), 1e-300)))
     q_rank = None
-    if rank <= MAX_ENUM_RANK:
-        q_rank, _ = q_sqrt_rank(op)
+    if spectrum[0].size <= MAX_ENUM_RANK:
+        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum)
         puri_upper = min(puri_upper, q_rank) if q_rank > 0 else puri_upper
+    # at full rank the eigenvectors are as large as rho; free them now
+    del spectrum
     puri_lower = max(ceil(sqrt(osr)), 1) if osr else 0
     report.add(
         "puri_rank",
@@ -389,8 +393,7 @@ def cmd_factorize(args) -> int:
     report = Report("factorize", args.seed)
     report.input = {"path": args.path, "kind": kind, "shape": list(m.shape)}
 
-    rank_default = max(int(np.linalg.matrix_rank(m)), 1)
-    r = args.r if args.r is not None else rank_default
+    r = args.r if args.r is not None else max(numerical_rank(m, args.tol), 1)
 
     if kind == "minimal":
         cert = minimal_factorization(m, args.tol)
@@ -640,7 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="minimal|nonneg|psd|symmetric|cp|cpsdt|sqrt (roman aliases i..vii accepted)",
     )
-    p.add_argument("--r", type=int, help="inner dimension for the searches")
+    p.add_argument(
+        "--r", type=int, help="inner dimension for the searches (default: the numerical rank at --tol)"
+    )
     common(p)
     p.set_defaults(func=cmd_factorize)
 

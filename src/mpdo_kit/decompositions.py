@@ -202,7 +202,14 @@ def schmidt_rank_cap(out_dims, in_dims=None) -> int:
 # purifications
 
 
-def _clipped_spectrum(rho: PsdOperator, rel_tol: float, psd_tol: float):
+def clipped_spectrum(rho: PsdOperator, rel_tol: float = DEFAULT_RANK_TOL, psd_tol: float = PSD_TOL):
+    """Eigenvalues of rho above ``rel_tol * lambda_max`` and their eigenvectors.
+
+    One ``eigh``; negative round-off is clipped, and a materially negative
+    eigenvalue (below ``-psd_tol * lambda_max``) raises ``UsageError``.
+    Returns ``(lam, vec)`` with ``vec[:, i]`` the eigenvector of ``lam[i]``;
+    ``lam.size`` is the numerical rank of rho.
+    """
     w, v = np.linalg.eigh(rho.data)
     top = w.max(initial=0.0)
     if w.min(initial=0.0) < -psd_tol * max(top, 0.0):
@@ -218,6 +225,7 @@ def local_purification_spectral(
     rho: PsdOperator,
     rel_tol: float = DEFAULT_RANK_TOL,
     psd_tol: float = PSD_TOL,
+    spectrum=None,
 ) -> PurificationCertificate:
     """Purification from the spectral decomposition of rho.
 
@@ -225,9 +233,11 @@ def local_purification_spectral(
     Schmidt rank squares to the rank of rho itself.  Otherwise L is the
     unique psd square root of rho, pairing each eigenvector with itself;
     that choice keeps product inputs at Schmidt rank one, which an arbitrary
-    orthonormal relabeling of the eigenbasis would destroy.
+    orthonormal relabeling of the eigenbasis would destroy.  ``spectrum``
+    is :func:`clipped_spectrum` of rho at the same tolerances, for a caller
+    that already has it; by default it is computed here.
     """
-    lam, vec = _clipped_spectrum(rho, rel_tol, psd_tol)
+    lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol, psd_tol)
     dims = rho.sites.dims
     n = len(dims)
     if lam.size == 0:
@@ -319,6 +329,7 @@ def q_sqrt_rank(
     max_enum_rank: int = MAX_ENUM_RANK,
     rel_tol: float = DEFAULT_RANK_TOL,
     psd_tol: float = PSD_TOL,
+    spectrum=None,
 ):
     """Minimal Schmidt rank over sign choices of the Hermitian square roots.
 
@@ -329,7 +340,9 @@ def q_sqrt_rank(
     ``max_enum_rank``.  Diagonal operators keep the computational basis as
     their eigenbasis, which makes the enumeration exact there; in general
     the result upper-bounds the true minimum over all Hermitian roots.
-    Returns ``(rank, SignVector)``.
+    ``spectrum`` is :func:`clipped_spectrum` of rho at the same
+    tolerances, for a caller that already has it; only the non-diagonal
+    path reads it.  Returns ``(rank, SignVector)``.
     """
     dims = rho.sites.dims
     n = len(dims)
@@ -344,7 +357,7 @@ def q_sqrt_rank(
         keep = np.flatnonzero(vals > rel_tol * top) if top > 0 else np.array([], int)
         lam = vals[keep]
     else:
-        lam, vec = _clipped_spectrum(rho, rel_tol, psd_tol)
+        lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol, psd_tol)
 
     r = lam.size
     if r == 0:

@@ -8,6 +8,16 @@ Gauss-Newton on Gram factors (psd), and projected gradient with a bounded
 least-squares polish (cp).  A failed search never certifies a lower bound;
 the only certified lower bounds here are rank-based or necessary-condition
 rejections.
+
+The searches use the rank bound to return early.  A search at inner
+dimension r can only produce a matrix X of rank <= k, with k = r for the
+nonnegative and cp searches and k = r^2 for the psd search (the trace
+pairing of r x r Hermitian matrices is a bilinear form of rank <= r^2).
+By Eckart-Young, ||M - X||_F is at least the singular-value tail
+t_k = sqrt(sum_{i>k} s_i(M)^2), and max|M - X| >= ||M - X||_F / sqrt(pq).
+So when t_k > RANK_SCREEN_MARGIN * sqrt(pq) * SEARCH_RESIDUAL_TOL * max|M|
+(margin 2, for round-off), no restart can meet the acceptance bar and the
+search returns None at once: the answer its restarts would have given.
 """
 
 from __future__ import annotations
@@ -15,7 +25,6 @@ from __future__ import annotations
 from math import ceil, sqrt
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .certificates import (
     CLIP_TOL,
@@ -37,6 +46,39 @@ MU_EPS = 1e-12
 DEFAULT_SIGN_BUDGET = 2**20
 
 SYMMETRY_TOL = 1e-10
+
+#: Round-off margin of the rank screen: a search returns None up front only
+#: when the singular-value tail exceeds this multiple of the Frobenius mass
+#: a residual at the acceptance bar can carry.
+RANK_SCREEN_MARGIN = 2.0
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call.
+
+    Importing scipy.optimize takes about half a second and 50 MB, and only
+    the psd search and the cp polish need it.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
+def _rank_floor_exceeds(m, k: int, target: float) -> bool:
+    """True when no matrix of rank <= k is within ``target`` of M entrywise.
+
+    Eckart-Young: every X of rank <= k has ||M - X||_F >= the tail
+    sqrt(sum_{i>k} s_i(M)^2), and max|M - X| >= ||M - X||_F / sqrt(pq).
+    The test fires only when the tail exceeds ``RANK_SCREEN_MARGIN`` times
+    sqrt(pq) * target, so round-off in the SVD or in a candidate's
+    residual cannot turn it against a certificate.  Never fires for
+    k >= min(p, q) or for the zero matrix.
+    """
+    p, q = m.shape
+    if k >= min(p, q):
+        return False
+    s = np.linalg.svd(m, compute_uv=False)
+    return bool(np.linalg.norm(s[k:]) > RANK_SCREEN_MARGIN * sqrt(p * q) * target)
 
 
 def _first_success(worker, restarts: int):
@@ -274,7 +316,9 @@ def nonneg_factorization_search(
 
     Returns the first certificate (by restart index) whose max-abs residual
     meets ``SEARCH_RESIDUAL_TOL * max|M|``, or None -- absence of a
-    certificate is a normal outcome and proves nothing.
+    certificate is a normal outcome and proves nothing.  When the
+    singular-value tail of M beyond r rules out every rank-r product (see
+    the module docstring), None comes back without running a restart.
 
     Restart ``idx`` starts from its own stream ``default_rng([seed, idx])``
     and runs the Lee-Seung updates for at most ``iters`` iterations,
@@ -291,6 +335,8 @@ def nonneg_factorization_search(
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
     target = SEARCH_RESIDUAL_TOL * _max_abs(m)
+    if _rank_floor_exceeds(m, r, target):
+        return None
     scale = sqrt(max(m.mean(), MU_EPS) / r)
 
     restarts = max(restarts, 0)
@@ -383,13 +429,18 @@ def psd_factorization_search(
     residual evaluations per restart).  Feasibility of the output is
     structural; acceptance is by reconstruction residual only.  The
     restarts run one at a time, since a ``least_squares`` run cannot be
-    stacked, and the first success by index is returned.
+    stacked, and the first success by index is returned.  Every candidate
+    has rank <= r^2, so when the singular-value tail of M beyond r^2 rules
+    that out (see the module docstring), None comes back without running
+    a restart.
     """
     m = as_nonneg(matrix)
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
     target = SEARCH_RESIDUAL_TOL * _max_abs(m)
+    if _rank_floor_exceeds(m, r * r, target):
+        return None
     n_g = p * r * r
     n_h = q * r * r
     scale = (m.mean() / max(r, 1)) ** 0.25 + 1e-3
@@ -462,7 +513,10 @@ def cp_factorization_search(
     steps of projected gradient descent, all restarts in lockstep as one
     ``(restarts, p, r)`` stack, then a bounded least-squares polish; the
     polishes run one restart at a time in index order and stop at the
-    first success, so the lowest-index success wins.
+    first success, so the lowest-index success wins.  After the necessary
+    conditions and the check on r, a singular-value tail of M beyond r
+    that rules out every rank-r product A A^T (see the module docstring)
+    returns None without running a restart.
     """
     raw = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
@@ -481,6 +535,8 @@ def cp_factorization_search(
 
     p = m.shape[0]
     target = SEARCH_RESIDUAL_TOL * _max_abs(m)
+    if _rank_floor_exceeds(m, r, target):
+        return None
 
     # projected gradient, all restarts in lockstep: restart idx starts from
     # default_rng([seed, idx]) with its own step, and each slice of the

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,40 @@ def test_analyze_diagonal_flag_agrees_with_exact(tmp_path, capsys):
     assert entry_named(doc, "q_sqrt_rank")["exact"] is False
 
 
+def test_analyze_diagonalizes_rho_once(tmp_path, capsys, monkeypatch):
+    # rank 2, not diagonal: the purification, the rank gate and the dense
+    # q_sqrt_rank path all read one eigendecomposition
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    path = write_json_matrix(tmp_path / "rho.json", x @ x.conj().T)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2", "--json"])
+    assert code == EXIT_OK
+    assert calls == ["eigh"]
+    assert entry_named(doc, "q_sqrt_rank")["exact"] is False
+
+
+def test_analyze_q_sqrt_rank_uses_the_tolerance_of_its_gate(tmp_path, capsys):
+    # rank 20 at the default tolerance, rank 1 at --tol 1e-3: the gate and
+    # the enumeration count at the same tolerance, so the enumeration runs
+    rho = np.diag([1.0] + [1e-4] * 19 + [0.0] * 12)
+    path = write_json_matrix(tmp_path / "rho.json", rho)
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2,2,2,2", "--tol", "1e-3", "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "q_sqrt_rank")["value"] == 1
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2,2,2,2", "--json"])
+    assert code == EXIT_OK
+    assert "q_sqrt_rank" not in [entry["name"] for entry in doc["entries"]]
+
+
 def write_raw_json(path, data, rows=2, cols=2):
     path.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
     return str(path)
@@ -206,6 +244,21 @@ def test_factorize_search_exhausted(tmp_path, capsys):
     path = write_csv_matrix(tmp_path / "m.csv", np.eye(3))
     code = main(["factorize", path, "--kind", "nonneg", "--r", "2", "--restarts", "4"])
     assert code == EXIT_NOT_FOUND
+
+
+def test_factorize_default_r_is_the_numerical_rank(tmp_path, capsys):
+    # a rank-2 cp matrix plus 1e-13 * I: np.linalg.matrix_rank counts 5,
+    # the package's relative rule counts 2, as the cp scan of convert does
+    a = np.random.default_rng(14).uniform(0.2, 1.2, (5, 2))
+    m = a @ a.T + 1e-13 * np.eye(5)
+    assert np.linalg.matrix_rank(m) == 5
+    path = write_csv_matrix(tmp_path / "m.csv", m)
+    code, doc = run_json(capsys, ["factorize", path, "--kind", "cp", "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "certificate")["inner_dim"] == 2
+    code, doc = run_json(capsys, ["convert", path, "--kind", "cp", "--direction", "to-state", "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "state_certificate")["inner_dim"] == 2
 
 
 def test_factorize_unknown_kind(tmp_path, capsys):
@@ -373,6 +426,19 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path, capsys):
         doc.pop("timestamp")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_cli_start_up_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the first search that needs it
+    import mpdo_kit
+
+    code = "import sys, mpdo_kit.cli; mpdo_kit.cli.build_parser(); print('scipy.optimize' in sys.modules)"
+    src = str(Path(mpdo_kit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_file_is_usage_error(capsys):

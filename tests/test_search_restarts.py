@@ -15,11 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from mpdo_kit import nonneg_factorizations
 from mpdo_kit.certificates import FactorCertificate
 from mpdo_kit.nonneg_factorizations import (
     MU_EPS,
     SEARCH_RESIDUAL_TOL,
     _frobenius_norms,
+    _rank_floor_exceeds,
     cp_factorization_search,
     nonneg_factorization_search,
 )
@@ -170,10 +172,15 @@ def test_nonneg_short_runs(iters):
 
 
 def test_nonneg_infeasible_r():
-    # rank+ of I3 is 3, so no restart can succeed at r = 2
-    _, want = reference_nonneg(np.eye(3), 2, 6, 400, seed=0)
+    # the cyclic 0/1 matrix has rank 3 but nonnegative rank 4, so no restart
+    # can succeed at r = 3, and the rank screen cannot tell: every restart
+    # runs to the end on both sides
+    m = np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
+    assert np.linalg.matrix_rank(m) == 3
+    assert not _rank_floor_exceeds(m, 3, SEARCH_RESIDUAL_TOL)
+    _, want = reference_nonneg(m, 3, 6, 400, seed=0)
     assert want is None
-    assert nonneg_factorization_search(np.eye(3), 2, restarts=6, iters=400, seed=0) is None
+    assert nonneg_factorization_search(m, 3, restarts=6, iters=400, seed=0) is None
 
 
 def test_nonneg_no_restarts():
@@ -217,7 +224,10 @@ def test_cp_short_runs(iters):
     assert_same(cp_factorization_search(m, 2, restarts=3, iters=iters, seed=2), want)
 
 
-def test_cp_infeasible_r():
+def test_cp_infeasible_r(monkeypatch):
+    # rank 3 at r = 2: the rank screen would answer at once, so it is
+    # switched off here to compare the full lockstep loop with the reference
+    monkeypatch.setattr(nonneg_factorizations, "_rank_floor_exceeds", lambda m, k, target: False)
     m = planted_cp(2, p=5, r=3)
     _, want = reference_cp(m, 2, 4, 200, seed=0)
     assert want is None
