@@ -24,6 +24,9 @@ PSD_FEAS_TOL = 1e-10
 #: count as Hermitian; psd feasibility is judged only past this test.
 HERMITIAN_TOL = 1e-10
 
+#: A root's rank counts its singular values above ROOT_RANK_TOL * sigma_max.
+ROOT_RANK_TOL = 1e-10
+
 KINDS = ("minimal", "nonnegative", "psd", "symmetric", "cp", "cpsdt", "hadamard-root")
 
 
@@ -168,10 +171,10 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
     elif kind == "hadamard-root":
         root = np.asarray(pay["root"], dtype=float)
         recon = root * root
-        if np.linalg.matrix_rank(root) != cert.inner_dim:
-            raise ValueError(
-                f"root has rank {np.linalg.matrix_rank(root)}, certificate claims {cert.inner_dim}"
-            )
+        s = np.linalg.svd(root, compute_uv=False)
+        rank = int(np.count_nonzero(s > ROOT_RANK_TOL * s.max(initial=0.0)))
+        if rank != cert.inner_dim:
+            raise ValueError(f"root has rank {rank}, certificate claims {cert.inner_dim}")
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind}")
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .certificates import FactorCertificate, NecessaryConditionError, as_nonneg
 from .correspondence import (
+    SYMMETRIC_KINDS,
     DiagBipartite,
     canonical_kind,
     decomposition_to_factorization,
@@ -36,7 +37,6 @@ from .correspondence import (
 from .decompositions import (
     MAX_ENUM_RANK,
     clipped_spectrum,
-    is_diagonal,
     local_purification_spectral,
     make_translation_invariant,
     mixed_w_generator,
@@ -67,7 +67,11 @@ from .tensor_core import (
     contract_cyclic,
     contract_train,
     cyclic_shift_defect,
+    is_diagonal,
+    is_symmetric,
+    nonzero_mask,
     numerical_rank,
+    relative_residual,
 )
 
 EXIT_OK = 0
@@ -329,11 +333,7 @@ def cmd_analyze(args) -> int:
     report.input = {"path": args.path, "sites": list(sites.dims)}
 
     train, osr = mpo_train_form(op, rel_tol=args.tol)
-    recon = contract_train(train)
-    train_residual = float(
-        np.linalg.norm(recon - op.data) / max(np.linalg.norm(op.data), 1e-300)
-    )
-    report.add("osr", value=osr, certificate="train", residual=train_residual)
+    report.add("osr", value=osr, certificate="train", residual=relative_residual(contract_train(train), op.data))
 
     # one eigendecomposition for the purification, the rank gate and q_sqrt_rank
     spectrum = clipped_spectrum(op, args.tol)
@@ -400,9 +400,9 @@ def cmd_factorize(args) -> int:
     elif kind == "symmetric":
         cert = symmetric_factorization(m, args.tol)
     elif kind == "cpsdt":
-        cert = cpsdt_construct(m, args.budget)
+        cert = cpsdt_construct(m, args.budget, args.tol)
     elif kind == "hadamard-root":
-        cert = hadamard_root_certificate(m, args.budget)
+        cert = hadamard_root_certificate(m, args.budget, args.tol)
     elif kind == "nonnegative":
         cert = nonneg_factorization_search(m, r, args.restarts, args.iters, args.seed)
     elif kind == "psd":
@@ -493,10 +493,7 @@ def cmd_convert(args) -> int:
             raise InputError("matrix input must be real; pass --sites for operator input")
         m = as_nonneg(matrix)
 
-    if kind in ("symmetric", "cp", "cpsdt") and (
-        m.shape[0] != m.shape[1]
-        or np.abs(m - m.T).max(initial=0.0) > 1e-10 * max(np.abs(m).max(), 1e-300)
-    ):
+    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
         raise UsageError(f"kind {kind!r} needs a symmetric matrix")
 
     if args.direction == "both":
@@ -548,7 +545,7 @@ def cmd_experiment(args) -> int:
         for t in _parse_range(args.t or "3..50"):
             slack = slack_matrix_tgon(t)
             cert = minimal_factorization(slack.entries)
-            zeros = int(np.count_nonzero(slack.entries < 1e-9))
+            zeros = int(np.count_nonzero(~nonzero_mask(slack.entries.ravel())))
             report.add(
                 f"t={t}",
                 rank=cert.inner_dim,

@@ -34,10 +34,8 @@ from .certificates import (
 )
 from .decompositions import (
     CERT_RESIDUAL_TOL,
-    DIAG_TOL,
     PurificationCertificate,
     SeparableCertificate,
-    is_diagonal,
     local_purification_spectral,
     operator_schmidt_rank,
     q_sqrt_rank,
@@ -53,13 +51,20 @@ from .nonneg_factorizations import (
     symmetric_factorization,
 )
 from .tensor_core import (
+    DIAG_TOL,
     MpoTrain,
     PsdOperator,
     SiteSpec,
     UsageError,
     _resolve_dims,
     contract_train,
+    is_diagonal,
+    is_symmetric,
+    max_abs,
+    nonzero_mask,
     numerical_rank,
+    psd_gram_factor,
+    relative_residual,
 )
 
 #: Roman labels in the traditional order of the six factorizations plus the
@@ -76,6 +81,10 @@ ROMAN_KINDS = {
 
 SYMMETRIC_KINDS = ("symmetric", "cp", "cpsdt")
 
+#: Largest imaginary part, summed over both factors, that minimal factors
+#: read off a train may carry and still be returned as real arrays.
+REAL_TOL = 1e-12
+
 
 def canonical_kind(kind: str) -> str:
     kind = kind.strip().lower()
@@ -91,20 +100,12 @@ def canonical_kind(kind: str) -> str:
 
 @dataclass(frozen=True)
 class DiagBipartite:
-    """A nonnegative matrix together with the two site dimensions it spans."""
+    """A nonnegative matrix; its shape gives the two site dimensions it spans."""
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_nonneg(self.matrix))
-
-    @property
-    def d1(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def d2(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def diag_extract(sigma, sites=None) -> np.ndarray:
 
     Inverse of :func:`diag_embed` bit-exactly.  Raises on more or fewer
     than two sites and on an operator that fails
-    :func:`~mpdo_kit.decompositions.is_diagonal`, the predicate ``analyze``
+    :func:`~mpdo_kit.tensor_core.is_diagonal`, the predicate ``analyze``
     reports as ``diagonal``.
     """
     data, dims, _ = _resolve_dims(sigma, sites)
@@ -164,16 +165,6 @@ def _diag_cores_train(left, right) -> MpoTrain:
     return MpoTrain((core1, core2))
 
 
-def _gram_vectors(mat, tol: float = 1e-10):
-    """Factor H with psd mat = H H^dag (rows index the Gram vectors by site)."""
-    herm = 0.5 * (mat + np.conj(mat).T)
-    w, v = np.linalg.eigh(herm)
-    top = max(w.max(initial=0.0), 1e-300)
-    if w.min(initial=0.0) < -tol * top:
-        raise UsageError(f"matrix is not psd (min eigenvalue {w.min():.3e})")
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
 def _purification_train(e_list, f_list) -> MpoTrain:
     """Two-site factor train realizing M_ij = tr(E_i F_j^T) as L L^dag = sigma.
 
@@ -183,8 +174,8 @@ def _purification_train(e_list, f_list) -> MpoTrain:
     p = len(e_list)
     q = len(f_list)
     r = np.asarray(e_list[0]).shape[0]
-    he = [_gram_vectors(e) for e in e_list]
-    hf = [_gram_vectors(f) for f in f_list]
+    he = [psd_gram_factor(e)[0] for e in e_list]
+    hf = [psd_gram_factor(f)[0] for f in f_list]
     s_e = he[0].shape[1]
     s_f = hf[0].shape[1]
     core1 = np.zeros((1, p, p * s_e, r), dtype=complex)
@@ -199,8 +190,7 @@ def _purification_train(e_list, f_list) -> MpoTrain:
 
 def _train_residual(train: MpoTrain, sigma: np.ndarray, purifies: bool) -> float:
     dense = contract_train(train)
-    recon = dense @ dense.conj().T if purifies else dense
-    return float(np.linalg.norm(recon - sigma) / max(np.linalg.norm(sigma), 1e-300))
+    return relative_residual(dense @ dense.conj().T if purifies else dense, sigma)
 
 
 def factorization_to_decomposition(
@@ -212,11 +202,7 @@ def factorization_to_decomposition(
         raise UsageError(f"certificate kind {cert.kind!r} does not match requested {kind!r}")
     m = target.matrix
     sigma = diag_embed(m).data
-    sym = kind in SYMMETRIC_KINDS
-    if sym and (
-        m.shape[0] != m.shape[1]
-        or np.abs(m - m.T).max(initial=0.0) > 1e-10 * max(np.abs(m).max(), 1e-300)
-    ):
+    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
         raise UsageError("symmetric kinds need a square symmetric matrix")
 
     if kind in ("minimal", "nonnegative"):
@@ -254,10 +240,7 @@ def factorization_to_decomposition(
     # hadamard-root: the diagonal Hermitian square root of sigma
     root = np.asarray(cert.payload["root"], dtype=float)
     tau = np.diag(root.ravel()).astype(complex)
-    residual = float(
-        np.linalg.norm(tau @ tau - sigma) / max(np.linalg.norm(sigma), 1e-300)
-    )
-    return StateDecomposition(kind, cert.inner_dim, tau, residual)
+    return StateDecomposition(kind, cert.inner_dim, tau, relative_residual(tau @ tau, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +279,7 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         left = np.stack([np.diagonal(core1[0, :, :, k]) for k in range(r)], axis=1)
         right = np.stack([np.diagonal(core2[k, :, :, 0]) for k in range(r)], axis=0)
         if kind == "minimal":
-            if np.abs(left.imag).max(initial=0.0) + np.abs(right.imag).max(initial=0.0) < 1e-12:
+            if np.abs(left.imag).max(initial=0.0) + np.abs(right.imag).max(initial=0.0) < REAL_TOL:
                 left, right = left.real, right.real
             residual = float(np.abs((left @ right).real - implied).max())
             return FactorCertificate(kind, r, {"left": left, "right": right}, residual)
@@ -372,7 +355,7 @@ def _search_verdict(cert: FactorCertificate, target: DiagBipartite, rank: int, o
     """
     dec = factorization_to_decomposition(cert.kind, cert, target)
     sigma = diag_embed(target.matrix).data
-    drift = np.abs(contract_train(dec.payload.train) - sigma).max() / max(np.abs(sigma).max(), 1e-300)
+    drift = np.abs(contract_train(dec.payload.train) - sigma).max() / max_abs(sigma)
     matrix_iv = [rank, cert.inner_dim]
     state_iv = [osr, dec.inner_dim]
     verdict = _interval_verdict(matrix_iv, state_iv)
@@ -406,36 +389,12 @@ def verify_correspondence(
     sigma = diag_embed(m)
     entry: dict = {"kind": kind}
 
-    if kind in SYMMETRIC_KINDS and (
-        m.shape[0] != m.shape[1] or np.abs(m - m.T).max(initial=0.0) > 1e-10 * max(np.abs(m).max(), 1e-300)
-    ):
+    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
         raise UsageError(f"kind {kind!r} needs a symmetric matrix")
 
-    if kind == "minimal":
-        rank = numerical_rank(m)
-        osr = operator_schmidt_rank(sigma)
-        dec = factorization_to_decomposition(kind, minimal_factorization(m), target)
-        back = decomposition_to_factorization(kind, dec)
-        entry.update(
-            matrix_side=rank,
-            state_side=osr,
-            round_trip_inner=(dec.inner_dim, back.inner_dim),
-            verdict="exact-match" if rank == osr == dec.inner_dim == back.inner_dim else "violation",
-        )
-        return entry
-
-    if kind == "symmetric":
-        cert = symmetric_factorization(m)
-        rank = numerical_rank(m)
-        dec = factorization_to_decomposition(kind, cert, target)
-        back = decomposition_to_factorization(kind, dec)
-        osr = operator_schmidt_rank(sigma)
-        ok = cert.inner_dim == rank == osr == dec.inner_dim == back.inner_dim and dec.residual <= CERT_RESIDUAL_TOL
-        entry.update(matrix_side=rank, state_side=osr, verdict="exact-match" if ok else "violation")
-        return entry
-
     if kind == "hadamard-root":
-        nonzeros = int(np.count_nonzero(m))
+        # the support sqrt_rank and q_sqrt_rank enumerate: the nonzero rule
+        nonzeros = int(np.count_nonzero(nonzero_mask(m.ravel())))
         if 2**nonzeros > sign_budget:
             entry.update(verdict="skipped", note=f"{nonzeros} nonzeros exceed the sign budget")
             return entry
@@ -454,6 +413,25 @@ def verify_correspondence(
 
     rank = numerical_rank(m)
     osr = operator_schmidt_rank(sigma)
+
+    if kind == "minimal":
+        dec = factorization_to_decomposition(kind, minimal_factorization(m), target)
+        back = decomposition_to_factorization(kind, dec)
+        entry.update(
+            matrix_side=rank,
+            state_side=osr,
+            round_trip_inner=(dec.inner_dim, back.inner_dim),
+            verdict="exact-match" if rank == osr == dec.inner_dim == back.inner_dim else "violation",
+        )
+        return entry
+
+    if kind == "symmetric":
+        cert = symmetric_factorization(m)
+        dec = factorization_to_decomposition(kind, cert, target)
+        back = decomposition_to_factorization(kind, dec)
+        ok = cert.inner_dim == rank == osr == dec.inner_dim == back.inner_dim and dec.residual <= CERT_RESIDUAL_TOL
+        entry.update(matrix_side=rank, state_side=osr, verdict="exact-match" if ok else "violation")
+        return entry
 
     if kind == "nonnegative":
         cert = scan_nonneg_certificate(m, restarts=restarts, iters=iters, seed=seed)

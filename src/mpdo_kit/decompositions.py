@@ -17,24 +17,29 @@ import numpy as np
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     PSD_TOL,
+    SCALE_FLOOR,
+    SHIFT_TOL,
     MpoTrain,
     PsdOperator,
     SiteSpec,
     TiSiteTensor,
     UsageError,
     _resolve_dims,
+    clip_psd_spectrum,
     contract_train,
     cyclic_shift_defect,
+    is_diagonal,
+    max_abs,
     min_rank_sign_pattern,
+    nonzero_mask,
+    psd_gram_factor,
+    relative_residual,
     svd_split,
 )
 
 #: Certificates are accepted when they reproduce their operator to this
 #: relative Frobenius residual.
 CERT_RESIDUAL_TOL = 1e-8
-
-#: Relative off-diagonal mass below which an operator counts as diagonal.
-DIAG_TOL = 1e-12
 
 #: Default cap on the rank (hence 2^rank sign vectors) in the square-root
 #: rank enumeration.
@@ -91,9 +96,8 @@ class SeparableCertificate:
         worst = 0.0
         for mat in self.core_matrices():
             w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-            top = max(w.max(initial=0.0), 1e-300)
-            scale = max(np.abs(mat).max(initial=0.0), 1e-300)
-            skew = np.abs(mat - mat.conj().T).max(initial=0.0) / scale
+            top = max(w.max(initial=0.0), SCALE_FLOOR)
+            skew = np.abs(mat - mat.conj().T).max(initial=0.0) / max_abs(mat)
             worst = max(worst, -w.min(initial=0.0) / top, skew)
         return worst
 
@@ -211,13 +215,8 @@ def clipped_spectrum(rho: PsdOperator, rel_tol: float = DEFAULT_RANK_TOL, psd_to
     ``lam.size`` is the numerical rank of rho.
     """
     w, v = np.linalg.eigh(rho.data)
-    top = w.max(initial=0.0)
-    if w.min(initial=0.0) < -psd_tol * max(top, 0.0):
-        raise UsageError(
-            f"operator is materially non-psd (min eigenvalue {w.min():.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    keep = w > rel_tol * top if top > 0.0 else np.zeros_like(w, dtype=bool)
+    w = clip_psd_spectrum(w, psd_tol)
+    keep = nonzero_mask(w, rel_tol)
     return w[keep], v[:, keep]
 
 
@@ -251,19 +250,7 @@ def local_purification_spectral(
         dense = (vec * np.sqrt(lam)) @ vec.conj().T
         train, osr = mpo_train_form(dense, dims, rel_tol, in_dims=dims)
     got = contract_train(train)
-    recon = got @ got.conj().T
-    residual = float(np.linalg.norm(recon - rho.data) / max(np.linalg.norm(rho.data), 1e-300))
-    return PurificationCertificate(train, osr, residual)
-
-
-def _psd_root(mat, tol: float = PSD_TOL):
-    herm = 0.5 * (mat + mat.conj().T)
-    w, v = np.linalg.eigh(herm)
-    top = max(w.max(initial=0.0), 0.0)
-    if w.min(initial=0.0) < -tol * max(top, 1e-300):
-        raise UsageError(f"core matrix is not psd (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return PurificationCertificate(train, osr, relative_residual(got @ got.conj().T, rho.data))
 
 
 def purification_from_separable(cert: SeparableCertificate) -> PurificationCertificate:
@@ -283,7 +270,8 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
         rt = np.empty_like(core)
         for a in range(dl):
             for b in range(dr):
-                rt[a, :, :, b] = _psd_root(core[a, :, :, b])
+                h, v = psd_gram_factor(core[a, :, :, b])
+                rt[a, :, :, b] = h @ v.conj().T
         roots.append(rt)
 
     l_cores = []
@@ -299,29 +287,13 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
     l_train = MpoTrain(tuple(l_cores))
 
     dense_l = contract_train(l_train)
-    recon = dense_l @ dense_l.conj().T
-    target = contract_train(train)
-    residual = float(np.linalg.norm(recon - target) / max(np.linalg.norm(target), 1e-300))
+    residual = relative_residual(dense_l @ dense_l.conj().T, contract_train(train))
     osr = operator_schmidt_rank(dense_l, train.out_dims, in_dims=l_train.in_dims)
     return PurificationCertificate(l_train, osr, residual)
 
 
 # ---------------------------------------------------------------------------
 # quantum square-root rank
-
-
-def is_diagonal(rho) -> bool:
-    """True when the off-diagonal mass of rho is below ``DIAG_TOL`` (relative).
-
-    Takes a :class:`PsdOperator` or a plain square array; the mass is the
-    Frobenius norm of the off-diagonal part over that of the whole.
-    :func:`q_sqrt_rank` is exact on such operators and an upper bound on
-    all others; ``correspondence`` reads a matrix off an operator only
-    when it passes.
-    """
-    data = rho.data if isinstance(rho, PsdOperator) else np.asarray(rho)
-    off = np.linalg.norm(data - np.diag(np.diagonal(data)))
-    return bool(off / max(np.linalg.norm(data), 1e-300) <= DIAG_TOL)
 
 
 def q_sqrt_rank(
@@ -349,12 +321,8 @@ def q_sqrt_rank(
     diagonal = is_diagonal(rho)
 
     if diagonal:
-        vals = np.diagonal(rho.data).real
-        top = vals.max(initial=0.0)
-        if vals.min(initial=0.0) < -psd_tol * max(top, 0.0):
-            raise UsageError("operator is materially non-psd")
-        vals = np.clip(vals, 0.0, None)
-        keep = np.flatnonzero(vals > rel_tol * top) if top > 0 else np.array([], int)
+        vals = clip_psd_spectrum(np.diagonal(rho.data).real, psd_tol)
+        keep = nonzero_mask(vals, rel_tol)
         lam = vals[keep]
     else:
         lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol, psd_tol)
@@ -396,7 +364,7 @@ def q_sqrt_rank(
 def spectral_cluster_count(rho: PsdOperator, gap_tol: float = 1e-8) -> int:
     """Number of distinct eigenvalue clusters, grouping within ``gap_tol * lambda_max``."""
     w = np.sort(rho.eigenvalues())
-    top = max(abs(w[-1]), abs(w[0]), 1e-300)
+    top = max_abs(w)
     clusters = 1
     for a, b in zip(w, w[1:]):
         if b - a > gap_tol * top:
@@ -410,7 +378,7 @@ def spectral_cluster_count(rho: PsdOperator, gap_tol: float = 1e-8) -> int:
 
 def make_translation_invariant(
     train: MpoTrain,
-    ti_tol: float = 1e-10,
+    ti_tol: float = SHIFT_TOL,
 ) -> TiSiteTensor:
     """Fold an open train for a shift-invariant operator into one cyclic tensor.
 
@@ -557,6 +525,4 @@ def mixed_w_generator(n: int):
     last[1, :, :, 0] = p0
     train = MpoTrain((first,) + (mid,) * (n - 2) + (last,))
 
-    recon = contract_train(train)
-    residual = float(np.linalg.norm(recon - data) / np.linalg.norm(data))
-    return rho, SeparableCertificate(train, 2, residual)
+    return rho, SeparableCertificate(train, 2, relative_residual(contract_train(train), data))

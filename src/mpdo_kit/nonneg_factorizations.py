@@ -34,7 +34,16 @@ from .certificates import (
     as_nonneg,
     pair_traces,
 )
-from .tensor_core import DEFAULT_RANK_TOL, UsageError, min_rank_sign_pattern, numerical_rank
+from .tensor_core import (
+    DEFAULT_RANK_TOL,
+    UsageError,
+    is_psd_spectrum,
+    is_symmetric,
+    max_abs,
+    min_rank_sign_pattern,
+    nonzero_mask,
+    numerical_rank,
+)
 
 #: Acceptance bar for search residuals, relative to max|M|.
 SEARCH_RESIDUAL_TOL = 1e-6
@@ -44,8 +53,6 @@ MU_EPS = 1e-12
 
 #: Default enumeration budget for sign patterns (2^20 candidates).
 DEFAULT_SIGN_BUDGET = 2**20
-
-SYMMETRY_TOL = 1e-10
 
 #: Round-off margin of the rank screen: a search returns None up front only
 #: when the singular-value tail exceeds this multiple of the Frobenius mass
@@ -108,8 +115,9 @@ def _frobenius_norms(x) -> np.ndarray:
     return np.sqrt((v @ v.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _max_abs(m) -> float:
-    return float(max(np.abs(m).max(initial=0.0), 1e-300))
+def _entries(matrix, dtype=float) -> np.ndarray:
+    """The unvalidated array of a NonnegMatrix or raw matrix (negative entries kept)."""
+    return np.asarray(matrix.entries if isinstance(matrix, NonnegMatrix) else matrix, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +126,9 @@ def _max_abs(m) -> float:
 
 def minimal_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> FactorCertificate:
     """Rank factorization M = left @ right via the real SVD, r = rank(M)."""
-    m = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
+    m = _entries(matrix)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > rel_tol * s[0]))
+    r = int(np.count_nonzero(nonzero_mask(s, rel_tol)))
     left = u[:, :r] * s[:r]
     right = vh[:r]
     residual = float(np.abs(left @ right - m).max())
@@ -140,12 +145,9 @@ def symmetric_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> Factor
     entry.  Negative or complex pivots make A complex through the square
     root -- for symmetric input the rank always equals the matrix rank.
     """
-    m = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UsageError(f"symmetric factorization needs a square matrix, got {m.shape}")
-    scale = _max_abs(m)
-    if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-        raise UsageError("matrix is not symmetric within tolerance")
+    m = _entries(matrix, dtype=None)
+    if not is_symmetric(m):
+        raise UsageError("symmetric factorization needs a square symmetric matrix")
     m = 0.5 * (m + m.T)
     d = m.shape[0]
     r = numerical_rank(m, rel_tol)
@@ -195,16 +197,18 @@ def symmetric_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> Factor
 def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = DEFAULT_RANK_TOL):
     """Exact minimum rank over entrywise square roots, by sign enumeration.
 
-    The first nonzero entry (row-major) is pinned to the positive root, as
-    a global sign flip preserves rank, leaving 2^(k-1) candidates for k
-    nonzero entries; they are ranked in chunks of bounded memory by
+    The signs run over the k entries above ``rel_tol * max|M|`` (the nonzero
+    rule, the support ``q_sqrt_rank`` keeps on ``diag_embed(M)``); the root
+    is 0 elsewhere.  The first of them (row-major) is pinned to the positive
+    root, as a global sign flip preserves rank, leaving 2^(k-1) candidates;
+    they are ranked in chunks of bounded memory by
     :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern`.  Refuses when 2^k
     exceeds ``sign_budget``.  Returns ``(rank, signs)`` with signs in
     {-1, 0, +1} marking the minimizing pattern; ties go to the first
     pattern in lexicographic order with +1 before -1.
     """
     m = as_nonneg(matrix)
-    rows, cols = np.nonzero(m > 0.0)
+    rows, cols = np.nonzero(nonzero_mask(m.ravel(), rel_tol).reshape(m.shape))
     k = rows.size
     if k == 0:
         return 0, np.zeros(m.shape, dtype=int)
@@ -225,10 +229,14 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
     return rank, signs
 
 
-def hadamard_root_certificate(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET) -> FactorCertificate:
-    """Certificate wrapping the minimizing entrywise square root of M."""
+def hadamard_root_certificate(
+    matrix,
+    sign_budget: int = DEFAULT_SIGN_BUDGET,
+    rel_tol: float = DEFAULT_RANK_TOL,
+) -> FactorCertificate:
+    """Certificate wrapping the minimizing entrywise square root of M (see :func:`sqrt_rank`)."""
     m = as_nonneg(matrix)
-    rank, signs = sqrt_rank(m, sign_budget)
+    rank, signs = sqrt_rank(m, sign_budget, rel_tol)
     root = signs * np.sqrt(m)
     residual = float(np.abs(root * root - m).max())
     return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, residual)
@@ -242,37 +250,35 @@ def cpsdt_construct(
     """Constructive cpsdt factorization M_ij = tr(E_i E_j^T), always possible.
 
     Picks a symmetric entrywise square root N of M minimizing rank(N) over
-    symmetric sign patterns of the k upper-triangle nonzeros, factors
+    symmetric sign patterns of the k upper-triangle nonzeros (the nonzero
+    rule of :func:`sqrt_rank`; N is 0 on the other entries), factors
     N = A A^T, and forms the rank-one psd matrices E_i from the rows of A;
     then tr(E_i E_j^T) = |N_ij|^2 = M_ij.  The enumeration pins the first
     sign (a global flip preserves rank), walks the other 2^(k-1) patterns
     in chunks of bounded memory, and keeps the first minimizer in
     lexicographic order with +1 before -1.  Above ``sign_budget`` (2^k
-    patterns) only the all-positive root is used.  The reported inner
+    patterns) only the all-positive pattern is used.  The reported inner
     dimension is the rank of the chosen root -- minimal over the
     enumerated roots, with no optimality claim beyond them.
     """
     m = as_nonneg(matrix)
-    if m.shape[0] != m.shape[1] or np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOL * _max_abs(m):
+    if not is_symmetric(m):
         raise UsageError("cpsdt factorization needs a symmetric matrix")
     m = 0.5 * (m + m.T)
     d = m.shape[0]
-    base = np.sqrt(m)
-    rows, cols = np.nonzero(np.triu(m) > 0.0)
+    rows, cols = np.nonzero(np.triu(nonzero_mask(m.ravel(), rel_tol).reshape(d, d)))
     k = rows.size
+    roots = np.sqrt(m[rows, cols])
 
     def build(signs):
         stack = np.zeros((len(signs), d, d))
-        signed = signs * base[rows, cols]
+        signed = signs * roots
         stack[:, rows, cols] = signed
         stack[:, cols, rows] = signed
         return (stack,)
 
-    if 2**k <= sign_budget:
-        _, signs = min_rank_sign_pattern(k, build, d * d, rel_tol)
-        root = build(np.array([signs], dtype=int))[0][0]
-    else:
-        root = base.copy()
+    signs = min_rank_sign_pattern(k, build, d * d, rel_tol)[1] if 2**k <= sign_budget else (1,) * k
+    root = build(np.array([signs], dtype=int))[0][0]
 
     sym = symmetric_factorization(root, rel_tol)
     a = sym.payload["factor"]
@@ -334,7 +340,7 @@ def nonneg_factorization_search(
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
-    target = SEARCH_RESIDUAL_TOL * _max_abs(m)
+    target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r, target):
         return None
     scale = sqrt(max(m.mean(), MU_EPS) / r)
@@ -432,13 +438,16 @@ def psd_factorization_search(
     stacked, and the first success by index is returned.  Every candidate
     has rank <= r^2, so when the singular-value tail of M beyond r^2 rules
     that out (see the module docstring), None comes back without running
-    a restart.
+    a restart.  The zero matrix gets the exact all-zero tuples.
     """
     m = as_nonneg(matrix)
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
-    target = SEARCH_RESIDUAL_TOL * _max_abs(m)
+    if not m.any():
+        zeros = list(np.zeros((p + q, r, r), dtype=complex))
+        return FactorCertificate("psd", r, {"E": zeros[:p], "F": zeros[p:]}, 0.0)
+    target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r * r, target):
         return None
     n_g = p * r * r
@@ -476,8 +485,7 @@ def psd_factorization_search(
 def psd_rank_lower_bound(matrix) -> int:
     """ceil(sqrt(rank M)): valid for any size-r complex psd factorization,
     since the trace pairing is a rank <= r^2 bilinear form."""
-    m = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
-    return ceil(sqrt(numerical_rank(m)))
+    return ceil(sqrt(numerical_rank(_entries(matrix))))
 
 
 def psd_certificate_from_nonneg(cert: FactorCertificate) -> FactorCertificate:
@@ -493,8 +501,7 @@ def psd_certificate_from_nonneg(cert: FactorCertificate) -> FactorCertificate:
     right = np.asarray(cert.payload["right"])
     e_list = [np.diag(left[i, :]).astype(complex) for i in range(left.shape[0])]
     f_list = [np.diag(right[:, j]).astype(complex) for j in range(right.shape[1])]
-    recon = np.einsum("iab,jab->ij", np.asarray(e_list), np.asarray(f_list)).real
-    residual = float(np.abs(recon - left @ right).max())
+    residual = float(np.abs(pair_traces(e_list, f_list) - left @ right).max())
     return FactorCertificate("psd", cert.inner_dim, {"E": e_list, "F": f_list}, max(residual, cert.residual))
 
 
@@ -516,25 +523,28 @@ def cp_factorization_search(
     first success, so the lowest-index success wins.  After the necessary
     conditions and the check on r, a singular-value tail of M beyond r
     that rules out every rank-r product A A^T (see the module docstring)
-    returns None without running a restart.
+    returns None without running a restart.  The zero matrix gets the exact
+    factor A = 0.
     """
-    raw = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
+    raw = _entries(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
         raise NecessaryConditionError("not symmetric", f"shape {raw.shape}")
-    if np.abs(raw - raw.T).max(initial=0.0) > SYMMETRY_TOL * _max_abs(raw):
+    if not is_symmetric(raw):
         raise NecessaryConditionError("not symmetric")
     if raw.min(initial=0.0) < -CLIP_TOL:
         raise NecessaryConditionError("not entrywise nonnegative", f"min entry {raw.min():.3e}")
     m = 0.5 * (raw + raw.T)
     m = np.clip(m, 0.0, None)
     w = np.linalg.eigvalsh(m)
-    if w.min(initial=0.0) < -1e-10 * max(w.max(initial=0.0), 1e-300):
+    if not is_psd_spectrum(w):
         raise NecessaryConditionError("not psd", f"min eigenvalue {w.min():.3e}")
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
 
     p = m.shape[0]
-    target = SEARCH_RESIDUAL_TOL * _max_abs(m)
+    if not m.any():
+        return FactorCertificate("cp", r, {"factor": np.zeros((p, r))}, 0.0)
+    target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r, target):
         return None
 
@@ -581,7 +591,7 @@ def scan_cp_certificate(matrix, restarts: int = 20, seed: int = 0):
     condition raises ``NecessaryConditionError`` from the first search;
     None means every search came up empty, which proves nothing.
     """
-    m = np.asarray(matrix if not isinstance(matrix, NonnegMatrix) else matrix.entries, dtype=float)
+    m = _entries(matrix)
     for r in range(max(numerical_rank(m), 1), m.shape[0] + 1):
         cert = cp_factorization_search(m, r, restarts=restarts, seed=seed)
         if cert is not None:

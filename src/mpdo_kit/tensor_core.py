@@ -19,7 +19,8 @@ from math import prod
 
 import numpy as np
 
-#: Relative singular-value threshold used by every rank decision in the package.
+#: The nonzero rule (:func:`nonzero_mask`): a singular value, eigenvalue or
+#: entry is nonzero above this multiple of the largest; ranks and supports use it.
 DEFAULT_RANK_TOL = 1e-10
 
 #: Relative Hermiticity defect tolerated on ingestion of a PsdOperator.
@@ -27,6 +28,18 @@ HERM_TOL = 1e-10
 
 #: Eigenvalues above ``-PSD_TOL * lambda_max`` count as nonnegative.
 PSD_TOL = 1e-10
+
+#: Largest max|M - M^T| / max|M| of a matrix that counts as symmetric.
+SYMMETRY_TOL = 1e-10
+
+#: Relative off-diagonal mass below which an operator counts as diagonal.
+DIAG_TOL = 1e-12
+
+#: Relative shift defect below which an operator counts as translation invariant.
+SHIFT_TOL = 1e-10
+
+#: Floor on the scale of a relative quantity, so the zero matrix gets 0.
+SCALE_FLOOR = 1e-300
 
 
 class UsageError(ValueError):
@@ -55,11 +68,6 @@ class SiteSpec:
         """Side length of a dense operator on these sites."""
         return prod(self.dims)
 
-    def uniform_dim(self) -> int:
-        if len(set(self.dims)) != 1:
-            raise UsageError(f"sites have unequal dimensions {self.dims}")
-        return self.dims[0]
-
 
 @dataclass(frozen=True)
 class PsdOperator:
@@ -83,9 +91,9 @@ class PsdOperator:
             raise UsageError(
                 f"matrix side {data.shape[0]} does not match site dims {self.sites.dims}"
             )
-        scale = np.abs(data).max()
+        scale = max_abs(data)
         defect = np.abs(data - data.conj().T).max()
-        if scale > 0 and defect > HERM_TOL * scale:
+        if defect > HERM_TOL * scale:
             warnings.warn(
                 f"input has Hermiticity defect {defect / scale:.2e} (relative); symmetrizing",
                 stacklevel=3,
@@ -106,20 +114,10 @@ class PsdOperator:
         return np.linalg.eigvalsh(self.data)
 
     def is_psd(self, psd_tol: float = PSD_TOL) -> bool:
-        w = self.eigenvalues()
-        top = w.max(initial=0.0)
-        return bool(w.min(initial=0.0) >= -psd_tol * max(top, 0.0))
+        return is_psd_spectrum(self.eigenvalues(), psd_tol)
 
     def assert_psd(self, psd_tol: float = PSD_TOL) -> None:
-        if not self.is_psd(psd_tol):
-            w = self.eigenvalues()
-            raise UsageError(
-                f"operator is materially non-psd: min eigenvalue {w.min():.3e}, "
-                f"max {w.max():.3e}"
-            )
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        clip_psd_spectrum(self.eigenvalues(), psd_tol)
 
 
 @dataclass(frozen=True)
@@ -201,6 +199,74 @@ class TiSiteTensor:
 
 
 # ---------------------------------------------------------------------------
+# shared numerical predicates: the producer modules decide "zero",
+# "symmetric", "diagonal" and "psd" only here (the checker keeps its own)
+
+
+def max_abs(m) -> float:
+    """max|M|, floored at ``SCALE_FLOOR``: the scale of the relative entrywise tests."""
+    return float(max(np.abs(m).max(initial=0.0), SCALE_FLOOR))
+
+
+def relative_residual(approx, exact) -> float:
+    """Relative Frobenius residual ``|approx - exact| / |exact|`` (0 when both are zero)."""
+    return float(np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), SCALE_FLOOR))
+
+
+def is_symmetric(m) -> bool:
+    """True for a square matrix with max|M - M^T| <= ``SYMMETRY_TOL`` * max|M|."""
+    m = np.asarray(m)
+    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+    return square and bool(np.abs(m - m.T).max(initial=0.0) <= SYMMETRY_TOL * max_abs(m))
+
+
+def is_diagonal(rho) -> bool:
+    """True when the relative Frobenius mass off the diagonal is <= ``DIAG_TOL``.
+
+    Takes a :class:`PsdOperator` or a square array.  ``q_sqrt_rank`` is
+    exact on such operators; ``correspondence`` reads matrices only off them.
+    """
+    data = rho.data if isinstance(rho, PsdOperator) else np.asarray(rho)
+    return relative_residual(np.diag(np.diagonal(data)), data) <= DIAG_TOL
+
+
+def nonzero_mask(values, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """The nonzero rule: values above ``rel_tol`` times the largest, along the last axis.
+
+    A rank counts nonzero singular values; a support is the nonzero part of
+    a spectrum or of a raveled matrix.  Nothing is nonzero when the largest
+    value is <= 0.
+    """
+    if not 0.0 < rel_tol < 1.0:
+        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    values = np.asarray(values)
+    return values > rel_tol * values.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def is_psd_spectrum(w, psd_tol: float = PSD_TOL) -> bool:
+    """True when no eigenvalue lies below ``-psd_tol * lambda_max``."""
+    return bool(np.min(w, initial=0.0) >= -psd_tol * np.max(w, initial=0.0))
+
+
+def clip_psd_spectrum(w, psd_tol: float = PSD_TOL, what: str = "operator") -> np.ndarray:
+    """Eigenvalues with negative round-off clipped to 0; ``UsageError`` naming
+    ``what`` when :func:`is_psd_spectrum` fails."""
+    if not is_psd_spectrum(w, psd_tol):
+        raise UsageError(f"{what} is materially non-psd (min eigenvalue {np.min(w):.3e})")
+    return np.clip(w, 0.0, None)
+
+
+def psd_gram_factor(mat):
+    """Eigenvectors v and Gram vectors h = v sqrt(w) of the Hermitian part X of mat.
+
+    The spectrum is clipped by :func:`clip_psd_spectrum`; ``h h^dag`` is X
+    and ``h v^dag`` its psd square root.  Returns ``(h, v)``.
+    """
+    w, v = np.linalg.eigh(0.5 * (mat + np.conj(mat).T))
+    return v * np.sqrt(clip_psd_spectrum(w, what="matrix")), v
+
+
+# ---------------------------------------------------------------------------
 # elementary operations
 
 
@@ -277,33 +343,14 @@ def unmatricize(matrix, cut: int, out_dims, in_dims=None) -> np.ndarray:
 
 
 def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rel_tol * sigma_max``; 0 for the zero matrix."""
-    if not 0.0 < rel_tol < 1.0:
-        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    """Number of nonzero singular values (:func:`nonzero_mask`); 0 for the zero matrix."""
+    return int(stacked_numerical_rank(matrix, rel_tol))
 
 
 def stacked_numerical_rank(stack, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """:func:`numerical_rank` of every matrix in a ``(..., rows, cols)`` stack.
-
-    One batched SVD; numpy runs the same LAPACK routine on each stacked
-    matrix, and the count uses the same rule, so every entry equals the
-    single-matrix rank.
-    """
-    if not 0.0 < rel_tol < 1.0:
-        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    stack = np.asarray(stack)
-    if stack.shape[-1] == 0 or stack.shape[-2] == 0:
-        return np.zeros(stack.shape[:-2], dtype=int)
-    s = np.linalg.svd(stack, compute_uv=False)
-    # s is sorted descending, so a zero top value gives a count of 0
-    return np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+    """:func:`numerical_rank` of every matrix in a ``(..., rows, cols)`` stack, by one batched SVD."""
+    s = np.linalg.svd(np.asarray(stack), compute_uv=False)
+    return np.count_nonzero(nonzero_mask(s, rel_tol), axis=-1)
 
 
 #: Matrix entries per stacked chunk of the sign enumeration (0.5 MB real,
@@ -362,8 +409,6 @@ def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     dimension equals :func:`numerical_rank`; the zero matrix yields empty
     factors.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape[0] < matrix.shape[1]:
         # LAPACK's wide path runs 2-3x slower than its tall path on the
@@ -373,10 +418,7 @@ def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
         u, vh = bh.T, a.T
     else:
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > rel_tol * s[0]))
+    r = int(np.count_nonzero(nonzero_mask(s, rel_tol)))
     return u[:, :r], s[:r, None] * vh[:r], r
 
 
@@ -433,10 +475,7 @@ def cyclic_shift_defect(op, out_dims=None, in_dims=None) -> float:
     n = len(out_dims)
     if len(set(out_dims)) != 1 or len(set(in_dims)) != 1:
         raise UsageError("shift defect requires equal dimensions on every site")
-    norm = np.linalg.norm(data)
-    if norm == 0.0:
-        return 0.0
     t = data.reshape(tuple(out_dims) + tuple(in_dims))
     roll = list(range(1, n)) + [0]
     shifted = t.transpose(roll + [n + k for k in roll]).reshape(data.shape)
-    return float(np.linalg.norm(shifted - data) / norm)
+    return relative_residual(shifted, data)

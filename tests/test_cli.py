@@ -449,3 +449,24 @@ def test_console_entry_point_runs(tmp_path, capsys):
     # the W family used by the experiment is importable and consistent
     fam = w_state_generators(3)
     assert fam.cyclic_site.bond_dim == 6
+
+
+@pytest.mark.parametrize("kind", ["cp", "psd"])
+def test_factorize_certifies_the_zero_matrix(tmp_path, capsys, kind):
+    path = write_csv_matrix(tmp_path / "zero.csv", np.zeros((3, 3)))
+    code, doc = run_json(capsys, ["factorize", path, "--kind", kind, "--r", "1", "--json"])
+    assert code == EXIT_OK
+    cert = entry_named(doc, "certificate")
+    assert cert["found"] is True
+    assert cert["residual"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "cpsdt", "minimal"])
+def test_factorize_tol_reaches_every_exact_route(tmp_path, capsys, kind):
+    path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 1.0], [1.0, 1.2]])
+    inner = {}
+    for tol in ("1e-10", "0.2"):
+        code, doc = run_json(capsys, ["factorize", path, "--kind", kind, "--tol", tol, "--json"])
+        assert code == EXIT_OK
+        inner[tol] = entry_named(doc, "certificate")["inner_dim"]
+    assert inner == {"1e-10": 2, "0.2": 1}

@@ -349,3 +349,21 @@ def test_roundtrip_preserves_inner_dim_every_kind():
         decomposition_to_factorization("hadamard-root", dec, sites=(3, 3)).inner_dim
         == cert.inner_dim
     )
+
+
+# ---------------------------------------------------------------------------
+# one nonzero rule on both sides of pairing (vii)
+
+
+def test_vii_entry_below_the_cutoff_is_zero_on_both_sides():
+    # 1e-12 is below 1e-10 * max|M|: sqrt_rank and q_sqrt_rank of the
+    # embedding both leave it out of the support
+    entry = verify_correspondence("vii", np.diag([1.0, 1e-12]))
+    assert (entry["matrix_side"], entry["state_side"], entry["verdict"]) == (1, 1, "exact-match")
+
+
+def test_vii_sign_budget_counts_only_nonzero_entries():
+    # four unit entries and one at 1e-14: four signs, within a 2^4 budget
+    m = np.array([[1.0, 1.0, 1e-14], [1.0, 1.0, 0.0]])
+    entry = verify_correspondence("vii", m, sign_budget=2**4)
+    assert (entry["matrix_side"], entry["state_side"], entry["verdict"]) == (1, 1, "exact-match")

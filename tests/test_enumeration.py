@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mpdo_kit import tensor_core
+from mpdo_kit.certificates import check_factor_certificate
 from mpdo_kit.decompositions import operator_schmidt_rank, q_sqrt_rank
 from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank
 from mpdo_kit.tensor_core import (
@@ -38,7 +39,8 @@ def reference_min(k, rank_of):
 
 
 def reference_sqrt(m):
-    nz = np.argwhere(m > 0.0)
+    # the nonzero rule: entries above 1e-10 of the largest
+    nz = np.argwhere(m > 1e-10 * m.max(initial=0.0))
 
     def root(signs):
         out = np.zeros(m.shape)
@@ -54,7 +56,8 @@ def reference_sqrt(m):
 
 
 def reference_cpsdt_root(m):
-    upper = [(i, j) for i in range(m.shape[0]) for j in range(i, m.shape[0]) if m[i, j] > 0.0]
+    cut = 1e-10 * m.max(initial=0.0)
+    upper = [(i, j) for i in range(m.shape[0]) for j in range(i, m.shape[0]) if m[i, j] > cut]
 
     def root(signs):
         out = np.zeros(m.shape)
@@ -180,6 +183,11 @@ def test_engine_k0_ranks_the_single_empty_pattern():
 # the three callers against the plain loop
 
 
+#: Three entries below the nonzero rule's cutoff: the root rank is 1, where
+#: signs on all four entries would leave rank 2.
+SUB_CUTOFF = np.array([[1.0, 1e-12], [1e-12, 1e-12]])
+
+
 def sqrt_cases():
     rng = np.random.default_rng(1)
     cases = {
@@ -189,6 +197,7 @@ def sqrt_cases():
         "tied-flip": np.array([[0.0, 1.0], [1.0, 0.0]]),
         "tied-triangle": np.array([[1.0, 1.0], [1.0, 0.0]]),
         "late-minimizer": LATE,
+        "sub-cutoff": SUB_CUTOFF,
     }
     for t in range(8):
         shape = tuple(rng.integers(2, 5, size=2))
@@ -224,6 +233,7 @@ def symmetric_cases():
         "all-ones": np.ones((3, 3)),
         "tied-flip": np.array([[0.0, 1.0], [1.0, 0.0]]),
         "late-minimizer": LATE_SYMMETRIC,
+        "sub-cutoff": SUB_CUTOFF,
     }
     for t in range(6):
         d = int(rng.integers(2, 5))
@@ -306,3 +316,17 @@ def test_rel_tol_range_is_checked():
         cpsdt_construct(np.ones((2, 2)), rel_tol=1.5)
     with pytest.raises(UsageError):
         q_sqrt_rank(PsdOperator(SiteSpec((2, 2)), np.eye(4)), rel_tol=-1.0)
+
+
+def test_sign_budget_counts_the_nonzero_support():
+    # the 1e-14 entry is below the cutoff: 4 signs fit a 2^4 budget, and
+    # the root is 0 there, within the checker's residual bar
+    m = np.array([[1.0, 1.0, 1e-14], [1.0, 1.0, 0.0]])
+    rank, signs = sqrt_rank(m, sign_budget=2**4)
+    assert rank == 1
+    assert signs[0, 2] == 0
+    sym = np.array([[1.0, 1.0, 1e-14], [1.0, 1.0, 0.0], [1e-14, 0.0, 1.0]])
+    cert = cpsdt_construct(sym, sign_budget=2**4)
+    assert cert.inner_dim == 2
+    assert cert.payload["root"][0, 2] == cert.payload["root"][2, 0] == 0.0
+    check_factor_certificate(sym, cert)

@@ -75,3 +75,12 @@ def test_separable_certificate_with_non_hermitian_core_has_a_defect():
     core2 = np.eye(2, dtype=complex).reshape(1, 2, 2, 1)
     cert = SeparableCertificate(MpoTrain((core1, core2)), 1, 0.0)
     assert cert.psd_defect() == 2.0
+
+
+def test_hadamard_root_rank_over_claim_is_rejected():
+    # the second singular value, 1e-9 of the first, is above the relative
+    # rule's 1e-10 cutoff: the root has rank 2 however small it looks
+    root = np.diag([1.0, 1e-9])
+    cert = FactorCertificate("hadamard-root", 1, {"root": root, "signs": np.sign(root).astype(int)}, 0.0)
+    with pytest.raises(ValueError, match="root has rank 2, certificate claims 1"):
+        check_factor_certificate(root * root, cert)

@@ -437,3 +437,27 @@ def test_checker_rejects_non_psd_payload():
     cert = FactorCertificate("psd", 2, {"E": bad, "F": bad}, 0.0)
     with pytest.raises(ValueError):
         check_factor_certificate(pair_traces(bad, bad), cert)
+
+
+@pytest.mark.parametrize("search", [cp_factorization_search, psd_factorization_search])
+def test_zero_matrix_gets_the_exact_zero_certificate(search):
+    m = np.zeros((3, 3))
+    cert = search(m, 1)
+    assert cert is not None
+    assert cert.residual == 0.0
+    check_factor_certificate(m, cert)
+
+
+def test_checker_ranks_a_hadamard_root_by_the_relative_rule():
+    # the root's second singular value is ~1e-11 of its first: rank 1 by the
+    # package's rule, rank 2 at numpy's default matrix_rank threshold
+    m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    cert = hadamard_root_certificate(m)
+    assert cert.inner_dim == 1
+    assert np.linalg.matrix_rank(cert.payload["root"]) == 2
+    check_factor_certificate(m, cert)
+
+
+def test_minimal_rejects_an_out_of_range_tolerance():
+    with pytest.raises(UsageError):
+        minimal_factorization(np.ones((2, 2)), rel_tol=2.0)

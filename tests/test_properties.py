@@ -1,7 +1,9 @@
 """Hypothesis properties of the square-root correspondence and the train sweep.
 
-Nonzero entries of the sparse matrices are drawn from [1e-3, 1e3]; fixed
-``max_examples`` keep the runtime bounded and no example database is written.
+Nonzero entries of the sparse matrices are drawn log-uniformly from
+[1e-16, 1e3], so a matrix can hold entries on both sides of the nonzero
+rule's cutoff (1e-10 of its largest entry); fixed ``max_examples`` keep the
+runtime bounded and no example database is written.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from mpdo_kit.tensor_core import MpoTrain, contract_train, matricize, numerical_
 
 MAX_NONZEROS = 10
 
-entry = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+entry = st.floats(min_value=-16.0, max_value=3.0).map(lambda e: 10.0**e)
 
 
 @st.composite

@@ -8,12 +8,18 @@ from mpdo_kit.tensor_core import (
     SiteSpec,
     TiSiteTensor,
     UsageError,
+    clip_psd_spectrum,
     contract_cyclic,
     contract_train,
     cyclic_shift_defect,
+    is_psd_spectrum,
+    is_symmetric,
     kron_chain,
     matricize,
+    nonzero_mask,
     numerical_rank,
+    psd_gram_factor,
+    relative_residual,
     svd_split,
     unmatricize,
 )
@@ -293,3 +299,49 @@ def test_psd_assertion():
     assert not op.is_psd()
     with pytest.raises(UsageError):
         op.assert_psd()
+
+
+# ---------------------------------------------------------------------------
+# shared predicates
+
+
+def test_nonzero_mask_is_relative_to_the_largest_value():
+    # 2e-10 sits exactly at the cutoff 1e-10 * 2 and does not count
+    assert nonzero_mask([2.0, 2e-10, 4e-10, 0.0]).tolist() == [True, False, True, False]
+    assert not nonzero_mask(np.zeros(3)).any()
+    assert not nonzero_mask([-1.0, -2.0]).any()
+    # a stack is judged row by row
+    assert nonzero_mask([[1.0, 1e-11], [1e-11, 1e-22]]).tolist() == [[True, False], [True, False]]
+    with pytest.raises(UsageError):
+        nonzero_mask([1.0], rel_tol=1.0)
+
+
+def test_is_symmetric_is_relative_and_needs_a_square():
+    assert is_symmetric(np.array([[1.0, 2.0], [2.0 + 1e-11, 1.0]]))
+    assert not is_symmetric(np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]))
+    assert not is_symmetric(np.ones((2, 3)))
+    assert is_symmetric(np.zeros((2, 2)))
+
+
+def test_psd_spectrum_guard_and_clip():
+    assert is_psd_spectrum([1.0, -1e-11])
+    assert not is_psd_spectrum([1.0, -1e-9])
+    assert not is_psd_spectrum([-1.0, 0.0])
+    assert is_psd_spectrum(np.zeros(2))
+    assert clip_psd_spectrum(np.array([1.0, -1e-11])).tolist() == [1.0, 0.0]
+    with pytest.raises(UsageError, match="core is materially non-psd"):
+        clip_psd_spectrum(np.array([1.0, -1e-9]), what="core")
+
+
+def test_psd_gram_factor_gives_gram_vectors_and_the_psd_root():
+    x = rand_psd(3, np.random.default_rng(21), rank=2)
+    h, v = psd_gram_factor(x)
+    assert np.allclose(h @ h.conj().T, x)
+    root = h @ v.conj().T
+    assert np.allclose(root, root.conj().T)
+    assert np.allclose(root @ root, x)
+
+
+def test_relative_residual_of_the_zero_matrix_is_zero():
+    assert relative_residual(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert relative_residual(np.array([3.0, 4.0]), np.array([0.0, 0.0])) > 1.0
