@@ -121,6 +121,13 @@ def _check_psd_payload(mats, inner_dim: int) -> None:
             raise ValueError("payload matrix is not psd")
 
 
+def _real_product(prod, residual_tol: float, scale: float, what: str) -> np.ndarray:
+    """Real part of a factor product; raise when its imaginary part exceeds the residual bar."""
+    if np.abs(np.imag(prod)).max(initial=0.0) > residual_tol * scale:
+        raise ValueError(f"{what} has a material imaginary part")
+    return np.real(prod)
+
+
 def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: float = 1e-8):
     """Recompute reconstruction and kind-specific feasibility of a certificate.
 
@@ -138,12 +145,12 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
         b = np.asarray(pay["right"])
         if a.shape[1] != cert.inner_dim or b.shape[0] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factors")
-        recon = (a @ b).real
         if kind == "nonnegative":
             if any(np.iscomplexobj(x) and np.abs(x.imag).max() > 0 for x in (a, b)):
                 raise ValueError("nonnegative factors must be real")
             if a.real.min() < -CLIP_TOL or b.real.min() < -CLIP_TOL:
                 raise ValueError("factors are not entrywise nonnegative")
+        recon = _real_product(a @ b, residual_tol, scale, "left @ right")
     elif kind == "psd":
         e_list, f_list = pay["E"], pay["F"]
         _check_psd_payload(list(e_list) + list(f_list), cert.inner_dim)
@@ -152,9 +159,7 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
         a = np.asarray(pay["factor"])
         if a.shape[1] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factor")
-        recon = (a @ a.T).real
-        if np.abs(np.imag(a @ a.T)).max() > residual_tol * scale:
-            raise ValueError("factor factor^T has a material imaginary part")
+        recon = _real_product(a @ a.T, residual_tol, scale, "factor factor^T")
     elif kind == "cp":
         a = np.asarray(pay["factor"])
         if np.iscomplexobj(a) and np.abs(a.imag).max() > 0:

@@ -25,11 +25,10 @@ import numpy as np
 from . import __version__
 from .certificates import FactorCertificate, NecessaryConditionError, as_nonneg
 from .correspondence import (
-    SYMMETRIC_KINDS,
     DiagBipartite,
+    _matrix_certificate,
     canonical_kind,
     decomposition_to_factorization,
-    diag_embed,
     diag_extract,
     factorization_to_decomposition,
     verify_correspondence,
@@ -48,16 +47,12 @@ from .decompositions import (
     w_state_generators,
 )
 from .nonneg_factorizations import (
+    DEFAULT_SIGN_BUDGET,
     cp_factorization_search,
-    cpsdt_construct,
-    hadamard_root_certificate,
     minimal_factorization,
     nonneg_factorization_search,
     psd_factorization_search,
-    scan_cp_certificate,
-    scan_nonneg_certificate,
     slack_matrix_tgon,
-    symmetric_factorization,
 )
 from .tensor_core import (
     DEFAULT_RANK_TOL,
@@ -68,7 +63,6 @@ from .tensor_core import (
     contract_train,
     cyclic_shift_defect,
     is_diagonal,
-    is_symmetric,
     nonzero_mask,
     numerical_rank,
     relative_residual,
@@ -123,32 +117,42 @@ def _json_entries(data, rows: int, cols: int, offset_hint: int) -> np.ndarray:
     return out
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Read a dense matrix from JSON or headerless CSV."""
+def _read_input(path: str):
+    """Parse an input file once.
+
+    Returns ``(document, byte offset of "data")`` for JSON and
+    ``(matrix, None)`` for headerless CSV.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     text = raw.decode("utf-8", errors="replace")
     del raw  # a JSON parse peaks at text plus document; the bytes need not add to it
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from exc
-        data_offset = text.find("data")
-        del text
-        for key in ("rows", "cols", "data"):
-            if key not in doc:
-                raise InputError(f"JSON matrix is missing the {key!r} field")
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        data = doc["data"]
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise InputError(f"data shape does not match rows={rows} cols={cols}")
-        out = _json_entries(data, rows, cols, data_offset)
-        if np.iscomplexobj(out) and np.abs(out.imag).max(initial=0.0) == 0.0:
-            return out.real
-        return out
-    # headerless CSV
+    if not text.lstrip().startswith("{"):
+        return _csv_matrix(text), None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from exc
+    return doc, text.find("data")
+
+
+def _json_matrix(doc, data_offset: int) -> np.ndarray:
+    """The matrix of a parsed JSON matrix document."""
+    for key in ("rows", "cols", "data"):
+        if key not in doc:
+            raise InputError(f"JSON matrix is missing the {key!r} field")
+    rows, cols = int(doc["rows"]), int(doc["cols"])
+    data = doc["data"]
+    if len(data) != rows or any(len(r) != cols for r in data):
+        raise InputError(f"data shape does not match rows={rows} cols={cols}")
+    out = _json_entries(data, rows, cols, data_offset)
+    if np.iscomplexobj(out) and np.abs(out.imag).max(initial=0.0) == 0.0:
+        return out.real
+    return out
+
+
+def _csv_matrix(text: str) -> np.ndarray:
+    """The matrix of headerless CSV text."""
     values = []
     offset = 0
     width = None
@@ -174,6 +178,12 @@ def load_matrix(path: str) -> np.ndarray:
     if not values:
         raise InputError("empty input file")
     return np.asarray(values, dtype=float)
+
+
+def load_matrix(path: str) -> np.ndarray:
+    """Read a dense matrix from JSON or headerless CSV."""
+    parsed, data_offset = _read_input(path)
+    return parsed if data_offset is None else _json_matrix(parsed, data_offset)
 
 
 def jsonable(obj):
@@ -365,7 +375,7 @@ def cmd_analyze(args) -> int:
     report.add("diagonal", value=diagonal)
     if diagonal and sites.n == 2:
         m = diag_extract(op)
-        cert = scan_nonneg_certificate(m, restarts=args.restarts, iters=args.iters, seed=args.seed)
+        cert = _matrix_certificate("nonnegative", m, restarts=args.restarts, iters=args.iters, seed=args.seed)
         report.add(
             "sep_rank",
             interval=[osr, cert.inner_dim],
@@ -395,20 +405,14 @@ def cmd_factorize(args) -> int:
 
     r = args.r if args.r is not None else max(numerical_rank(m, args.tol), 1)
 
-    if kind == "minimal":
-        cert = minimal_factorization(m, args.tol)
-    elif kind == "symmetric":
-        cert = symmetric_factorization(m, args.tol)
-    elif kind == "cpsdt":
-        cert = cpsdt_construct(m, args.budget, args.tol)
-    elif kind == "hadamard-root":
-        cert = hadamard_root_certificate(m, args.budget, args.tol)
-    elif kind == "nonnegative":
+    if kind == "nonnegative":
         cert = nonneg_factorization_search(m, r, args.restarts, args.iters, args.seed)
     elif kind == "psd":
         cert = psd_factorization_search(m, r, args.restarts, seed=args.seed)
-    else:  # cp
+    elif kind == "cp":
         cert = cp_factorization_search(m, r, args.restarts, seed=args.seed)
+    else:
+        cert = _matrix_certificate(kind, m, rel_tol=args.tol, sign_budget=args.budget)
 
     if cert is None:
         report.add("certificate", found=False, kind=kind, r=r)
@@ -427,48 +431,14 @@ def cmd_factorize(args) -> int:
     return EXIT_OK
 
 
-def _state_decomposition_for(kind: str, m: np.ndarray, args):
-    """Canonical state-side decomposition of diag_embed(m) for one kind."""
-    target = DiagBipartite(m)
-    if kind == "minimal":
-        return factorization_to_decomposition(kind, minimal_factorization(m), target)
-    if kind == "nonnegative":
-        cert = scan_nonneg_certificate(m, restarts=args.restarts, iters=args.iters, seed=args.seed)
-        return factorization_to_decomposition(kind, cert, target)
-    if kind == "psd":
-        puri = local_purification_spectral(diag_embed(m))
-        cert = decomposition_to_factorization(kind, puri)
-        return factorization_to_decomposition(kind, cert, target)
-    if kind == "symmetric":
-        return factorization_to_decomposition(kind, symmetric_factorization(m), target)
-    if kind == "cp":
-        cert = scan_cp_certificate(m, restarts=args.restarts, seed=args.seed)
-        if cert is None:
-            return None
-        return factorization_to_decomposition(kind, cert, target)
-    if kind == "cpsdt":
-        return factorization_to_decomposition(kind, cpsdt_construct(m, args.budget), target)
-    return factorization_to_decomposition(kind, hadamard_root_certificate(m, args.budget), target)
-
-
 def cmd_convert(args) -> int:
     kind = canonical_kind(args.kind)
-    with open(args.path, "rb") as fh:
-        head = fh.read(4096).decode("utf-8", errors="replace").lstrip()
-    is_cert = False
-    if head.startswith("{"):
-        with open(args.path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from exc
-        is_cert = "kind" in doc and "payload" in doc
-
+    parsed, data_offset = _read_input(args.path)
     report = Report("convert", args.seed)
     report.input = {"path": args.path, "kind": kind, "direction": args.direction}
 
-    if is_cert:
-        matrix, cert = certificate_from_doc(doc)
+    if data_offset is not None and "kind" in parsed and "payload" in parsed:
+        matrix, cert = certificate_from_doc(parsed)
         dec = factorization_to_decomposition(kind, cert, DiagBipartite(matrix))
         report.add(
             "state_certificate",
@@ -481,7 +451,8 @@ def cmd_convert(args) -> int:
         report.emit(args.json)
         return EXIT_OK
 
-    matrix = load_matrix(args.path)
+    matrix = parsed if data_offset is None else _json_matrix(parsed, data_offset)
+    del parsed  # a JSON document holds a Python object per entry; free it before the conversion
     if args.sites:
         # operator input: must be diagonal bipartite
         sites = _parse_sites(args.sites, matrix.shape[0])
@@ -493,22 +464,19 @@ def cmd_convert(args) -> int:
             raise InputError("matrix input must be real; pass --sites for operator input")
         m = as_nonneg(matrix)
 
-    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
-        raise UsageError(f"kind {kind!r} needs a symmetric matrix")
-
+    options = dict(sign_budget=args.budget, restarts=args.restarts, iters=args.iters, seed=args.seed)
     if args.direction == "both":
-        entry = verify_correspondence(
-            kind, m, sign_budget=args.budget, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
+        entry = verify_correspondence(kind, m, rel_tol=args.tol, **options)
         report.add("correspondence", **{k: v for k, v in entry.items() if k != "kind"})
         report.emit(args.json)
         return EXIT_OK
 
-    dec = _state_decomposition_for(kind, m, args)
-    if dec is None:
+    cert = _matrix_certificate(kind, m, rel_tol=args.tol, **options)
+    if cert is None:
         report.add("state_certificate", found=False)
         report.emit(args.json)
         return EXIT_NOT_FOUND
+    dec = factorization_to_decomposition(kind, cert, DiagBipartite(m))
     report.add(
         "state_certificate",
         inner_dim=dec.inner_dim,
@@ -625,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=4000,
             help="iteration cap per restart of the multiplicative-update (nonnegative) search",
         )
-        p.add_argument("--budget", type=int, default=2**20, help="sign enumeration budget")
+        p.add_argument("--budget", type=int, default=DEFAULT_SIGN_BUDGET, help="sign enumeration budget")
 
     p = sub.add_parser("analyze", help="rank and bound report for a dense operator")
     p.add_argument("path")

@@ -41,16 +41,17 @@ from .decompositions import (
     q_sqrt_rank,
 )
 from .nonneg_factorizations import (
+    DEFAULT_SIGN_BUDGET,
     SEARCH_RESIDUAL_TOL,
     cpsdt_construct,
+    hadamard_root_certificate,
     minimal_factorization,
-    psd_rank_lower_bound,
     scan_cp_certificate,
     scan_nonneg_certificate,
-    sqrt_rank,
     symmetric_factorization,
 )
 from .tensor_core import (
+    DEFAULT_RANK_TOL,
     DIAG_TOL,
     MpoTrain,
     PsdOperator,
@@ -159,9 +160,8 @@ def _diag_cores_train(left, right) -> MpoTrain:
     d2 = right.shape[1]
     core1 = np.zeros((1, d1, d1, r), dtype=complex)
     core2 = np.zeros((r, d2, d2, 1), dtype=complex)
-    for k in range(r):
-        core1[0, :, :, k] = np.diag(left[:, k])
-        core2[k, :, :, 0] = np.diag(right[k, :])
+    core1[0, np.arange(d1), np.arange(d1), :] = left
+    core2[:, np.arange(d2), np.arange(d2), 0] = right
     return MpoTrain((core1, core2))
 
 
@@ -171,20 +171,16 @@ def _purification_train(e_list, f_list) -> MpoTrain:
     Site l carries an auxiliary leg of dimension d_l * r holding the Gram
     vectors of its psd tuple; the bond enumerates the Gram columns.
     """
-    p = len(e_list)
-    q = len(f_list)
-    r = np.asarray(e_list[0]).shape[0]
-    he = [psd_gram_factor(e)[0] for e in e_list]
-    hf = [psd_gram_factor(f)[0] for f in f_list]
-    s_e = he[0].shape[1]
-    s_f = hf[0].shape[1]
-    core1 = np.zeros((1, p, p * s_e, r), dtype=complex)
-    core2 = np.zeros((r, q, q * s_f, 1), dtype=complex)
-    for k in range(r):
-        for i in range(p):
-            core1[0, i, i * s_e : (i + 1) * s_e, k] = he[i][k, :]
-        for j in range(q):
-            core2[k, j, j * s_f : (j + 1) * s_f, 0] = hf[j][k, :]
+    he = np.array([psd_gram_factor(e)[0] for e in e_list])  # (p, r, s_e)
+    hf = np.array([psd_gram_factor(f)[0] for f in f_list])  # (q, r, s_f)
+    p, r, s_e = he.shape
+    q, _, s_f = hf.shape
+    core1 = np.zeros((p, p, s_e, r), dtype=complex)
+    core2 = np.zeros((r, q, q, s_f), dtype=complex)
+    core1[np.arange(p), np.arange(p)] = he.transpose(0, 2, 1)
+    core2[:, np.arange(q), np.arange(q)] = hf.transpose(1, 0, 2)
+    core1 = core1.reshape(1, p, p * s_e, r)
+    core2 = core2.reshape(r, q, q * s_f, 1)
     return MpoTrain((core1, core2))
 
 
@@ -233,7 +229,8 @@ def factorization_to_decomposition(
         train = _purification_train(e_list, f_list)
         residual = _train_residual(train, sigma, purifies=True)
         dense = contract_train(train)
-        osr_l = operator_schmidt_rank(dense, train.out_dims, in_dims=train.in_dims)
+        # an inner dimension of 0 leaves L with no columns, and Schmidt rank 0
+        osr_l = operator_schmidt_rank(dense, train.out_dims, in_dims=train.in_dims) if dense.size else 0
         payload = PurificationCertificate(train, osr_l, residual)
         return StateDecomposition(kind, cert.inner_dim, payload, residual, site_symmetric=(kind == "cpsdt"))
 
@@ -276,8 +273,8 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         r = core1.shape[3]
         dense = contract_train(train)
         implied = diag_extract(dense, (core1.shape[1], core2.shape[1]))
-        left = np.stack([np.diagonal(core1[0, :, :, k]) for k in range(r)], axis=1)
-        right = np.stack([np.diagonal(core2[k, :, :, 0]) for k in range(r)], axis=0)
+        left = np.diagonal(core1[0], axis1=0, axis2=1).T.copy()
+        right = np.diagonal(core2[..., 0], axis1=1, axis2=2).copy()
         if kind == "minimal":
             if np.abs(left.imag).max(initial=0.0) + np.abs(right.imag).max(initial=0.0) < REAL_TOL:
                 left, right = left.real, right.real
@@ -302,16 +299,11 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         d1, d2 = core1.shape[1], core2.shape[1]
         dense = contract_train(train)
         implied = diag_extract(dense @ dense.conj().T, (d1, d2))
-        l1 = [core1[0, :, :, k] for k in range(r)]
-        l2 = [core2[k, :, :, 0] for k in range(r)]
-        e_list = [
-            np.array([[np.sum(l1[k][i, :] * np.conj(l1[l][i, :])) for l in range(r)] for k in range(r)])
-            for i in range(d1)
-        ]
-        f_list = [
-            np.array([[np.sum(l2[k][j, :] * np.conj(l2[l][j, :])) for l in range(r)] for k in range(r)])
-            for j in range(d2)
-        ]
+        # (E_i)_kl = sum_a core1[0, i, a, k] conj(core1[0, i, a, l]), and F_j alike
+        g1 = core1[0].transpose(0, 2, 1)  # (d1, r, aux)
+        g2 = core2[..., 0].transpose(1, 0, 2)  # (d2, r, aux)
+        e_list = list(g1 @ g1.conj().transpose(0, 2, 1))
+        f_list = list(g2 @ g2.conj().transpose(0, 2, 1))
         residual = float(np.abs(pair_traces(e_list, f_list) - implied).max())
         if kind == "psd":
             return FactorCertificate(kind, r, {"E": e_list, "F": f_list}, residual)
@@ -337,7 +329,48 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
 
 
 # ---------------------------------------------------------------------------
-# the two-way verification report
+# the producer table and the two-way verification report
+
+
+def _spectral_psd(m: np.ndarray, rel_tol: float):
+    """Spectral purification of diag_embed(m) and the psd certificate read off it."""
+    puri = local_purification_spectral(diag_embed(m), rel_tol)
+    return puri, decomposition_to_factorization("psd", puri)
+
+
+def _matrix_certificate(
+    kind: str,
+    m: np.ndarray,
+    *,
+    rel_tol: float = DEFAULT_RANK_TOL,
+    sign_budget: int = DEFAULT_SIGN_BUDGET,
+    restarts: int = 20,
+    iters: int = 4000,
+    seed: int = 0,
+):
+    """The canonical matrix-side certificate of one (canonical) kind for m.
+
+    Exact routes for minimal, symmetric, cpsdt and hadamard-root; the
+    smallest certificate the rank scans find for nonnegative and cp, None
+    when the cp scan finds none (``NecessaryConditionError`` propagates);
+    for psd, the certificate read off the spectral purification.  The
+    symmetric kinds need a symmetric m.
+    """
+    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
+        raise UsageError(f"kind {kind!r} needs a symmetric matrix")
+    if kind == "minimal":
+        return minimal_factorization(m, rel_tol)
+    if kind == "symmetric":
+        return symmetric_factorization(m, rel_tol)
+    if kind == "cpsdt":
+        return cpsdt_construct(m, sign_budget, rel_tol)
+    if kind == "hadamard-root":
+        return hadamard_root_certificate(m, sign_budget, rel_tol)
+    if kind == "nonnegative":
+        return scan_nonneg_certificate(m, restarts=restarts, iters=iters, seed=seed)
+    if kind == "cp":
+        return scan_cp_certificate(m, restarts=restarts, seed=seed)
+    return _spectral_psd(m, rel_tol)[1]
 
 
 def _interval_verdict(matrix_iv, state_iv) -> str:
@@ -367,11 +400,11 @@ def _search_verdict(cert: FactorCertificate, target: DiagBipartite, rank: int, o
 def verify_correspondence(
     kind: str,
     matrix,
-    sign_budget: int = 2**20,
+    sign_budget: int = DEFAULT_SIGN_BUDGET,
     restarts: int = 20,
     iters: int = 4000,
     seed: int = 0,
-    max_enum_rank: int = 16,
+    rel_tol: float = DEFAULT_RANK_TOL,
 ) -> dict:
     """Drive both converters for one kind and grade the rank relation.
 
@@ -380,8 +413,12 @@ def verify_correspondence(
     and are graded for overlap.  Transported certificates must reproduce
     sigma: search-origin ones (nonnegative, cp) within
     ``SEARCH_RESIDUAL_TOL``, the bar their search accepted them at, the
-    others within ``CERT_RESIDUAL_TOL``.  A budget overrun marks the kind "skipped"; any
-    inconsistency is a "violation".
+    others within ``CERT_RESIDUAL_TOL``.  The exact routes, the rank lower
+    bounds and the support the sign budget counts are taken at
+    ``rel_tol``; the nonnegative and cp scans take no tolerance.  A budget
+    overrun, a violated necessary condition or a search without a
+    certificate marks the kind "skipped"; any inconsistency is a
+    "violation".
     """
     kind = canonical_kind(kind)
     m = as_nonneg(matrix)
@@ -389,34 +426,61 @@ def verify_correspondence(
     sigma = diag_embed(m)
     entry: dict = {"kind": kind}
 
-    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
-        raise UsageError(f"kind {kind!r} needs a symmetric matrix")
-
     if kind == "hadamard-root":
         # the support sqrt_rank and q_sqrt_rank enumerate: the nonzero rule
-        nonzeros = int(np.count_nonzero(nonzero_mask(m.ravel())))
+        nonzeros = int(np.count_nonzero(nonzero_mask(m.ravel(), rel_tol)))
         if 2**nonzeros > sign_budget:
             entry.update(verdict="skipped", note=f"{nonzeros} nonzeros exceed the sign budget")
             return entry
         try:
-            q_rank, _ = q_sqrt_rank(sigma, max_enum_rank=max_enum_rank)
+            q_rank, _ = q_sqrt_rank(sigma, rel_tol=rel_tol)
         except UsageError as exc:
             entry.update(verdict="skipped", note=str(exc))
             return entry
-        s_rank, _ = sqrt_rank(m, sign_budget)
-        entry.update(
-            matrix_side=s_rank,
-            state_side=q_rank,
-            verdict="exact-match" if s_rank == q_rank else "violation",
-        )
+    else:
+        rank = numerical_rank(m, rel_tol)
+        osr = operator_schmidt_rank(sigma, rel_tol=rel_tol)
+
+    try:
+        if kind == "psd":
+            puri, cert = _spectral_psd(m, rel_tol)
+        else:
+            cert = _matrix_certificate(
+                kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, iters=iters, seed=seed
+            )
+    except NecessaryConditionError as exc:
+        entry.update(verdict="skipped", note=f"no {kind} factorization: {exc.condition}")
+        return entry
+    if cert is None:
+        entry.update(verdict="skipped", note="search exhausted without a certificate")
         return entry
 
-    rank = numerical_rank(m)
-    osr = operator_schmidt_rank(sigma)
+    if kind == "hadamard-root":
+        verdict = "exact-match" if cert.inner_dim == q_rank else "violation"
+        entry.update(matrix_side=cert.inner_dim, state_side=q_rank, verdict=verdict)
+        return entry
 
+    if kind in ("nonnegative", "cp"):
+        # transport the certificate across the bridge so the state-side
+        # upper bound is certificate-backed, not just transcribed
+        entry.update(_search_verdict(cert, target, rank, osr))
+        return entry
+
+    if kind in ("psd", "cpsdt"):
+        if kind == "cpsdt":
+            puri = factorization_to_decomposition(kind, cert, target).payload
+        # a size-r psd factorization has rank <= r^2
+        matrix_iv = [ceil(sqrt(rank)), cert.inner_dim]
+        state_iv = [ceil(sqrt(osr)), puri.osr_L]
+        verdict = _interval_verdict(matrix_iv, state_iv)
+        if puri.residual > CERT_RESIDUAL_TOL:
+            verdict = "violation"
+        entry.update(matrix_side=matrix_iv, state_side=state_iv, verdict=verdict)
+        return entry
+
+    dec = factorization_to_decomposition(kind, cert, target)
+    back = decomposition_to_factorization(kind, dec)
     if kind == "minimal":
-        dec = factorization_to_decomposition(kind, minimal_factorization(m), target)
-        back = decomposition_to_factorization(kind, dec)
         entry.update(
             matrix_side=rank,
             state_side=osr,
@@ -425,52 +489,7 @@ def verify_correspondence(
         )
         return entry
 
-    if kind == "symmetric":
-        cert = symmetric_factorization(m)
-        dec = factorization_to_decomposition(kind, cert, target)
-        back = decomposition_to_factorization(kind, dec)
-        ok = cert.inner_dim == rank == osr == dec.inner_dim == back.inner_dim and dec.residual <= CERT_RESIDUAL_TOL
-        entry.update(matrix_side=rank, state_side=osr, verdict="exact-match" if ok else "violation")
-        return entry
-
-    if kind == "nonnegative":
-        cert = scan_nonneg_certificate(m, restarts=restarts, iters=iters, seed=seed)
-        # transport the certificate across the bridge so the state-side
-        # upper bound is certificate-backed, not just transcribed
-        entry.update(_search_verdict(cert, target, rank, osr))
-        return entry
-
-    if kind == "psd":
-        puri = local_purification_spectral(sigma)
-        back = decomposition_to_factorization(kind, puri)
-        matrix_iv = [psd_rank_lower_bound(m), back.inner_dim]
-        state_iv = [ceil(sqrt(osr)), puri.osr_L]
-        verdict = _interval_verdict(matrix_iv, state_iv)
-        if puri.residual > CERT_RESIDUAL_TOL:
-            verdict = "violation"
-        entry.update(matrix_side=matrix_iv, state_side=state_iv, verdict=verdict)
-        return entry
-
-    if kind == "cp":
-        try:
-            found = scan_cp_certificate(m, restarts=restarts, seed=seed)
-        except NecessaryConditionError as exc:
-            entry.update(verdict="skipped", note=f"no cp factorization: {exc.condition}")
-            return entry
-        if found is None:
-            entry.update(verdict="skipped", note="search exhausted without a certificate")
-            return entry
-        entry.update(_search_verdict(found, target, rank, osr))
-        return entry
-
-    # cpsdt
-    cert = cpsdt_construct(m, sign_budget)
-    dec = factorization_to_decomposition(kind, cert, target)
-    puri: PurificationCertificate = dec.payload
-    matrix_iv = [psd_rank_lower_bound(m), cert.inner_dim]
-    state_iv = [ceil(sqrt(osr)), puri.osr_L]
-    verdict = _interval_verdict(matrix_iv, state_iv)
-    if dec.residual > CERT_RESIDUAL_TOL:
-        verdict = "violation"
-    entry.update(matrix_side=matrix_iv, state_side=state_iv, verdict=verdict)
+    # symmetric
+    ok = cert.inner_dim == rank == osr == dec.inner_dim == back.inner_dim and dec.residual <= CERT_RESIDUAL_TOL
+    entry.update(matrix_side=rank, state_side=osr, verdict="exact-match" if ok else "violation")
     return entry

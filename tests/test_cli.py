@@ -470,3 +470,39 @@ def test_factorize_tol_reaches_every_exact_route(tmp_path, capsys, kind):
         assert code == EXIT_OK
         inner[tol] = entry_named(doc, "certificate")["inner_dim"]
     assert inner == {"1e-10": 2, "0.2": 1}
+
+
+@pytest.mark.parametrize("kind", ["minimal", "symmetric", "cpsdt", "sqrt"])
+def test_convert_tol_reaches_every_exact_route(tmp_path, capsys, kind):
+    path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 1.0], [1.0, 1.2]])
+    argv = ["convert", path, "--kind", kind, "--direction", "to-state", "--tol", "0.2", "--json"]
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert entry_named(doc, "state_certificate")["inner_dim"] == 1
+
+
+@pytest.mark.parametrize("kind", ["minimal", "sqrt"])
+def test_convert_both_ranks_at_tol(tmp_path, capsys, kind):
+    path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 1.0], [1.0, 1.2]])
+    code, doc = run_json(capsys, ["convert", path, "--kind", kind, "--tol", "0.2", "--json"])
+    assert code == EXIT_OK
+    entry = entry_named(doc, "correspondence")
+    assert entry["matrix_side"] == entry["state_side"] == 1
+    assert entry["verdict"] == "exact-match"
+
+
+def test_convert_parses_a_json_matrix_once(tmp_path, capsys, monkeypatch):
+    path = write_json_matrix(tmp_path / "m.json", [[1.0, 2.0], [3.0, 4.0]])
+    calls = []
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    code = main(["convert", path, "--kind", "minimal", "--direction", "to-state", "--json"])
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert entry_named(json.loads(capsys.readouterr().out), "state_certificate")["inner_dim"] == 2

@@ -32,7 +32,7 @@ from mpdo_kit.nonneg_factorizations import (
     minimal_factorization,
     symmetric_factorization,
 )
-from mpdo_kit.tensor_core import PsdOperator, SiteSpec, UsageError, contract_train
+from mpdo_kit.tensor_core import PsdOperator, SiteSpec, UsageError, contract_train, psd_gram_factor
 
 
 def rand_cpsd(r, rng):
@@ -367,3 +367,88 @@ def test_vii_sign_budget_counts_only_nonzero_entries():
     m = np.array([[1.0, 1.0, 1e-14], [1.0, 1.0, 0.0]])
     entry = verify_correspondence("vii", m, sign_budget=2**4)
     assert (entry["matrix_side"], entry["state_side"], entry["verdict"]) == (1, 1, "exact-match")
+
+
+# ---------------------------------------------------------------------------
+# the bridge's vectorized kernels against their index-loop oracles
+
+
+def loop_diag_cores(left, right):
+    d1, r = left.shape
+    d2 = right.shape[1]
+    core1 = np.zeros((1, d1, d1, r), dtype=complex)
+    core2 = np.zeros((r, d2, d2, 1), dtype=complex)
+    for k in range(r):
+        core1[0, :, :, k] = np.diag(left[:, k])
+        core2[k, :, :, 0] = np.diag(right[k, :])
+    return core1, core2
+
+
+def loop_purification_cores(he, hf):
+    p, r, s_e = he.shape
+    q, _, s_f = hf.shape
+    core1 = np.zeros((1, p, p * s_e, r), dtype=complex)
+    core2 = np.zeros((r, q, q * s_f, 1), dtype=complex)
+    for k in range(r):
+        for i in range(p):
+            core1[0, i, i * s_e : (i + 1) * s_e, k] = he[i][k, :]
+        for j in range(q):
+            core2[k, j, j * s_f : (j + 1) * s_f, 0] = hf[j][k, :]
+    return core1, core2
+
+
+def loop_gram(cores, d, r):
+    return [
+        np.array([[np.sum(cores[k][i, :] * np.conj(cores[l][i, :])) for l in range(r)] for k in range(r)])
+        for i in range(d)
+    ]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_diag_cores_train_matches_the_index_loop(dtype):
+    rng = np.random.default_rng(20)
+    left = rng.normal(size=(3, 2)).astype(dtype)
+    right = rng.normal(size=(2, 4)).astype(dtype)
+    train = correspondence._diag_cores_train(left, right)
+    for got, want in zip(train.cores, loop_diag_cores(left, right)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_purification_train_matches_the_index_loop():
+    rng = np.random.default_rng(21)
+    e = [rand_cpsd(3, rng) for _ in range(2)]
+    f = [rand_cpsd(3, rng) for _ in range(4)]
+    he = np.array([psd_gram_factor(x)[0] for x in e])
+    hf = np.array([psd_gram_factor(x)[0] for x in f])
+    train = correspondence._purification_train(e, f)
+    for got, want in zip(train.cores, loop_purification_cores(he, hf)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["psd", "cpsdt"])
+def test_gram_matrices_match_the_index_loop(kind):
+    rng = np.random.default_rng(22)
+    e = [rand_cpsd(3, rng) for _ in range(4)]
+    f = e if kind == "cpsdt" else [rand_cpsd(3, rng) for _ in range(3)]
+    m = pair_traces(e, f)
+    payload = {"E": e} if kind == "cpsdt" else {"E": e, "F": f}
+    dec = factorization_to_decomposition(kind, FactorCertificate(kind, 3, payload, 0.0), DiagBipartite(m))
+    back = decomposition_to_factorization(kind, dec)
+    core1, core2 = dec.payload.train.cores
+    want_e = loop_gram([core1[0, :, :, k] for k in range(3)], core1.shape[1], 3)
+    np.testing.assert_allclose(back.payload["E"], want_e, rtol=1e-12, atol=0)
+    if kind == "psd":
+        want_f = loop_gram([core2[k, :, :, 0] for k in range(3)], core2.shape[1], 3)
+        np.testing.assert_allclose(back.payload["F"], want_f, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["minimal", "symmetric", "psd", "cpsdt", "hadamard-root"])
+def test_zero_matrix_crosses_the_bridge(kind):
+    # every exact route but psd gives inner dimension 0; the spectral
+    # purification of the zero operator is one zero column
+    m = np.zeros((2, 2))
+    cert = correspondence._matrix_certificate(kind, m)
+    dec = factorization_to_decomposition(kind, cert, DiagBipartite(m))
+    back = decomposition_to_factorization(kind, dec, sites=(2, 2))
+    assert cert.inner_dim == dec.inner_dim == back.inner_dim == (1 if kind == "psd" else 0)
+    assert verify_correspondence(kind, m)["verdict"] in ("exact-match", "intervals-consistent")

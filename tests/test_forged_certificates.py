@@ -84,3 +84,44 @@ def test_hadamard_root_rank_over_claim_is_rejected():
     cert = FactorCertificate("hadamard-root", 1, {"root": root, "signs": np.sign(root).astype(int)}, 0.0)
     with pytest.raises(ValueError, match="root has rank 2, certificate claims 1"):
         check_factor_certificate(root * root, cert)
+
+
+def test_minimal_factors_with_an_imaginary_product_are_rejected():
+    # the product [[1, 1j], [1, 1j]] has real part M: a real-part comparison accepts it
+    left = np.array([[1.0], [1.0]])
+    right = np.array([[1.0, 1j]])
+    m = np.array([[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal((left @ right).real, m)
+    cert = FactorCertificate("minimal", 1, {"left": left, "right": right}, 0.0)
+    with pytest.raises(ValueError, match="material imaginary part"):
+        check_factor_certificate(m, cert)
+
+
+def test_symmetric_factor_with_an_imaginary_product_is_rejected():
+    # A A^T = [[1, 1j], [1j, 0]]: real part diag(1, 0)
+    a = np.array([[1.0, 0.0], [1j, 1.0]])
+    m = np.diag([1.0, 0.0])
+    assert np.array_equal((a @ a.T).real, m)
+    cert = FactorCertificate("symmetric", 2, {"factor": a}, 0.0)
+    with pytest.raises(ValueError, match="material imaginary part"):
+        check_factor_certificate(m, cert)
+
+
+def test_complex_cp_factor_is_rejected():
+    # its real part alone rebuilds M
+    a = np.array([[1.0 + 1j], [1.0 - 1j]])
+    m = np.ones((2, 2))
+    assert np.array_equal(a.real @ a.real.T, m)
+    cert = FactorCertificate("cp", 1, {"factor": a}, 0.0)
+    with pytest.raises(ValueError, match="must be real"):
+        check_factor_certificate(m, cert)
+
+
+def test_negative_cp_factor_is_rejected():
+    # -a is a symmetric factor of the same M, but not a nonnegative one
+    a = -np.ones((2, 1))
+    m = np.ones((2, 2))
+    assert np.array_equal(a @ a.T, m)
+    cert = FactorCertificate("cp", 1, {"factor": a}, 0.0)
+    with pytest.raises(ValueError, match="not entrywise nonnegative"):
+        check_factor_certificate(m, cert)

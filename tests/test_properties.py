@@ -1,4 +1,4 @@
-"""Hypothesis properties of the square-root correspondence and the train sweep.
+"""Hypothesis properties of the correspondence, its round trips and the train sweep.
 
 Nonzero entries of the sparse matrices are drawn log-uniformly from
 [1e-16, 1e3], so a matrix can hold entries on both sides of the nonzero
@@ -10,7 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpdo_kit.correspondence import diag_embed
+from mpdo_kit.correspondence import (
+    DiagBipartite,
+    _matrix_certificate,
+    decomposition_to_factorization,
+    diag_embed,
+    factorization_to_decomposition,
+    verify_correspondence,
+)
 from mpdo_kit.decompositions import mpo_train_form, operator_schmidt_rank, q_sqrt_rank
 from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank
 from mpdo_kit.tensor_core import MpoTrain, contract_train, matricize, numerical_rank
@@ -56,6 +63,34 @@ def test_cpsdt_inner_dim_is_root_rank_and_rebuilds_m(m):
     cert = cpsdt_construct(m)
     assert cert.inner_dim == numerical_rank(cert.payload["root"])
     assert cert.residual <= 1e-8 * max(np.abs(m).max(), 1e-300)
+
+
+@st.composite
+def kind_and_matrix(draw):
+    """A kind with a small random matrix, symmetrized for the symmetric kinds.
+
+    Entries are uniform on [0, 1) from a drawn seed, with a drawn share of
+    them set to zero.
+    """
+    kind = draw(st.sampled_from(["minimal", "symmetric", "psd", "cpsdt", "hadamard-root"]))
+    p = draw(st.integers(1, 3))
+    q = p if kind in ("symmetric", "cpsdt") else draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(0.0, 1.0, (p, q)) * (rng.uniform(0.0, 1.0, (p, q)) >= draw(st.floats(0.0, 0.6)))
+    if kind in ("symmetric", "cpsdt"):
+        m = m + m.T
+    return kind, m
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind_and_matrix())
+def test_round_trip_keeps_the_inner_dim_and_verification_never_fails(case):
+    kind, m = case
+    cert = _matrix_certificate(kind, m)
+    dec = factorization_to_decomposition(kind, cert, DiagBipartite(m))
+    back = decomposition_to_factorization(kind, dec, sites=m.shape)
+    assert cert.inner_dim == dec.inner_dim == back.inner_dim
+    assert verify_correspondence(kind, m)["verdict"] != "violation"
 
 
 @st.composite
