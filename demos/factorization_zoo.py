@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """The six factorizations of a nonnegative matrix on worked examples.
 
-Exact routes (minimal rank, symmetric congruence, square-root enumeration,
-constructive cpsdt) report exact inner dimensions; the searches
+Exact routes (minimal rank, symmetric Takagi factorization, square-root
+enumeration, constructive cpsdt) report exact inner dimensions; the searches
 (nonnegative, psd, cp) report one-sided upper bounds backed by checkable
 certificates.
 """

@@ -250,16 +250,28 @@ def certificate_doc(matrix, cert: FactorCertificate) -> dict:
 
 
 def certificate_from_doc(doc: dict) -> tuple[np.ndarray, FactorCertificate]:
+    """The matrix and certificate of a ``factorize --json`` payload.
+
+    An array with no rows (inner dimension r = 0) encodes as ``[]``, which
+    carries no shape; it takes the shape that its key, r and the p x q
+    matrix imply.
+    """
+    matrix = decode_matrix(doc["matrix"]).real
+    (p, q), r = matrix.shape, int(doc["inner_dim"])
+    shapes = {"left": (p, r), "right": (r, q), "factor": (p, r), "E": (r, r), "F": (r, r), "root": (p, q)}
+
+    def decode(val, key):
+        return np.zeros(shapes[key]) if val == [] and 0 in shapes.get(key, ()) else decode_matrix(val)
+
     payload = {}
     for key, val in doc["payload"].items():
         if key in ("E", "F"):
-            payload[key] = [decode_matrix(v) for v in val]
+            payload[key] = [decode(v, key) for v in val]
         elif key == "signs":
             payload[key] = np.asarray(val, dtype=int)
         else:
-            payload[key] = decode_matrix(val)
-    cert = FactorCertificate(doc["kind"], int(doc["inner_dim"]), payload, float(doc["residual"]))
-    return decode_matrix(doc["matrix"]).real, cert
+            payload[key] = decode(val, key)
+    return matrix, FactorCertificate(doc["kind"], r, payload, float(doc["residual"]))
 
 
 class Report:
@@ -582,23 +594,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized procedures")
-        p.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance")
-        p.add_argument("--restarts", type=int, default=20)
-        p.add_argument(
-            "--iters",
+    # each subcommand registers only the options it reads
+    options = {
+        "--json": dict(action="store_true", help="emit the JSON report"),
+        "--seed": dict(type=int, default=0, help="seed for randomized procedures"),
+        "--tol": dict(type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance"),
+        "--restarts": dict(type=int, default=20),
+        "--iters": dict(
             type=int,
             default=4000,
             help="iteration cap per restart of the multiplicative-update (nonnegative) search",
-        )
-        p.add_argument("--budget", type=int, default=DEFAULT_SIGN_BUDGET, help="sign enumeration budget")
+        ),
+        "--budget": dict(type=int, default=DEFAULT_SIGN_BUDGET, help="sign enumeration budget"),
+    }
+
+    def add_options(p, *names):
+        for name in names:
+            p.add_argument(name, **options[name])
 
     p = sub.add_parser("analyze", help="rank and bound report for a dense operator")
     p.add_argument("path")
     p.add_argument("--sites", help="comma-separated site dimensions, e.g. 2,2")
-    common(p)
+    add_options(p, "--json", "--seed", "--tol", "--restarts", "--iters")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("factorize", help="factorize a nonnegative matrix")
@@ -611,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--r", type=int, help="inner dimension for the searches (default: the numerical rank at --tol)"
     )
-    common(p)
+    add_options(p, *options)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("convert", help="convert between matrix and operator certificates")
@@ -623,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
     )
     p.add_argument("--sites", help="site dimensions when the input is an operator")
-    common(p)
+    add_options(p, *options)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("experiment", help="canned studies: wstate | tgon | mixedw | bounds")
@@ -631,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="range of chain lengths, e.g. 3..10")
     p.add_argument("--t", help="range of polygon sizes, e.g. 3..50")
     p.add_argument("--count", type=int, default=50)
-    common(p)
+    add_options(p, "--json", "--seed")
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -80,7 +80,16 @@ ROMAN_KINDS = {
     "vii": "hadamard-root",
 }
 
+#: The kinds come in three factor shapes: a product M = left @ right
+#: (a train with diagonal cores), a Gram pairing M_ij = tr(E_i F_j^T) (a
+#: purification train), and the entrywise square root (a Hermitian root).
+#: A symmetric kind is its general kind with the single factor mirrored.
+PRODUCT_KINDS = ("minimal", "nonnegative", "symmetric", "cp")
+GRAM_KINDS = ("psd", "cpsdt")
 SYMMETRIC_KINDS = ("symmetric", "cp", "cpsdt")
+
+#: The product kinds with nonnegative factors, whose trains are separable.
+SEPARABLE_KINDS = ("nonnegative", "cp")
 
 #: Largest imaginary part, summed over both factors, that minimal factors
 #: read off a train may carry and still be returned as real arrays.
@@ -184,60 +193,57 @@ def _purification_train(e_list, f_list) -> MpoTrain:
     return MpoTrain((core1, core2))
 
 
-def _train_residual(train: MpoTrain, sigma: np.ndarray, purifies: bool) -> float:
-    dense = contract_train(train)
-    return relative_residual(dense @ dense.conj().T if purifies else dense, sigma)
+def _factor_sides(kind: str, payload: dict):
+    """The two factor sides of a product or Gram certificate's payload.
+
+    ``(left, right)`` for a product kind and ``(E, F)`` for a Gram kind; a
+    symmetric kind mirrors its single factor: right = left^T, F = E.
+    """
+    if kind in ("symmetric", "cp"):
+        a = np.asarray(payload["factor"])
+        return a, a.T
+    if kind in PRODUCT_KINDS:
+        return payload["left"], payload["right"]
+    return payload["E"], payload["E" if kind == "cpsdt" else "F"]
 
 
 def factorization_to_decomposition(
     kind: str, cert: FactorCertificate, target: DiagBipartite
 ) -> StateDecomposition:
-    """Turn a matrix-side certificate into the matching decomposition of sigma."""
+    """Turn a matrix-side certificate into the matching decomposition of sigma.
+
+    A product kind gives a train with diagonal cores (a separable
+    certificate when its factors are nonnegative), a Gram kind a
+    purification train, the square root a Hermitian root.
+    """
     kind = canonical_kind(kind)
     if cert.kind != kind:
         raise UsageError(f"certificate kind {cert.kind!r} does not match requested {kind!r}")
     m = target.matrix
     sigma = diag_embed(m).data
-    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
+    symmetric = kind in SYMMETRIC_KINDS
+    if symmetric and not is_symmetric(m):
         raise UsageError("symmetric kinds need a square symmetric matrix")
 
-    if kind in ("minimal", "nonnegative"):
-        train = _diag_cores_train(cert.payload["left"], cert.payload["right"])
-        residual = _train_residual(train, sigma, purifies=False)
-        if kind == "nonnegative":
-            payload = SeparableCertificate(train, cert.inner_dim, residual)
-        else:
-            payload = train
-        return StateDecomposition(kind, cert.inner_dim, payload, residual)
+    if kind == "hadamard-root":
+        # the diagonal Hermitian square root of sigma
+        root = np.asarray(cert.payload["root"], dtype=float)
+        tau = np.diag(root.ravel()).astype(complex)
+        return StateDecomposition(kind, cert.inner_dim, tau, relative_residual(tau @ tau, sigma))
 
-    if kind == "symmetric":
-        a = np.asarray(cert.payload["factor"])
-        train = _diag_cores_train(a, a.T)
-        residual = _train_residual(train, sigma, purifies=False)
-        return StateDecomposition(kind, cert.inner_dim, train, residual, site_symmetric=True)
-
-    if kind == "cp":
-        a = np.asarray(cert.payload["factor"])
-        train = _diag_cores_train(a, a.T)
-        residual = _train_residual(train, sigma, purifies=False)
-        payload = SeparableCertificate(train, cert.inner_dim, residual)
-        return StateDecomposition(kind, cert.inner_dim, payload, residual, site_symmetric=True)
-
-    if kind in ("psd", "cpsdt"):
-        e_list = cert.payload["E"]
-        f_list = cert.payload["F"] if kind == "psd" else cert.payload["E"]
-        train = _purification_train(e_list, f_list)
-        residual = _train_residual(train, sigma, purifies=True)
+    first, second = _factor_sides(kind, cert.payload)
+    if kind in PRODUCT_KINDS:
+        train = _diag_cores_train(first, second)
+        residual = relative_residual(contract_train(train), sigma)
+        payload = SeparableCertificate(train, cert.inner_dim, residual) if kind in SEPARABLE_KINDS else train
+    else:
+        train = _purification_train(first, second)
         dense = contract_train(train)
+        residual = relative_residual(dense @ dense.conj().T, sigma)
         # an inner dimension of 0 leaves L with no columns, and Schmidt rank 0
         osr_l = operator_schmidt_rank(dense, train.out_dims, in_dims=train.in_dims) if dense.size else 0
         payload = PurificationCertificate(train, osr_l, residual)
-        return StateDecomposition(kind, cert.inner_dim, payload, residual, site_symmetric=(kind == "cpsdt"))
-
-    # hadamard-root: the diagonal Hermitian square root of sigma
-    root = np.asarray(cert.payload["root"], dtype=float)
-    tau = np.diag(root.ravel()).astype(complex)
-    return StateDecomposition(kind, cert.inner_dim, tau, relative_residual(tau @ tau, sigma))
+    return StateDecomposition(kind, cert.inner_dim, payload, residual, site_symmetric=symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -260,39 +266,32 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
     purification certificate, dense root).  The rule per kind follows the
     constructive correspondence: diagonal matrix elements of the cores for
     the train kinds, Gram matrices of the factor slices for purifications,
-    the reshaped diagonal for the square root.  The recorded residual is
-    against the diagonal of the operator the decomposition itself
-    represents, which must be diagonal bipartite.
+    the reshaped diagonal for the square root.  A symmetric kind keeps the
+    first site's factor and mirrors it.  The recorded residual is that of
+    the returned payload against the diagonal of the operator the
+    decomposition itself represents, which must be diagonal bipartite.
     """
     kind = canonical_kind(kind)
     obj = decomposition.payload if isinstance(decomposition, StateDecomposition) else decomposition
 
-    if kind in ("minimal", "nonnegative", "symmetric", "cp"):
+    if kind in PRODUCT_KINDS:
         train = _two_site_train(obj)
         core1, core2 = train.cores
         r = core1.shape[3]
-        dense = contract_train(train)
-        implied = diag_extract(dense, (core1.shape[1], core2.shape[1]))
+        implied = diag_extract(contract_train(train), (core1.shape[1], core2.shape[1]))
         left = np.diagonal(core1[0], axis1=0, axis2=1).T.copy()
         right = np.diagonal(core2[..., 0], axis1=1, axis2=2).copy()
-        if kind == "minimal":
-            if np.abs(left.imag).max(initial=0.0) + np.abs(right.imag).max(initial=0.0) < REAL_TOL:
-                left, right = left.real, right.real
-            residual = float(np.abs((left @ right).real - implied).max())
-            return FactorCertificate(kind, r, {"left": left, "right": right}, residual)
-        if kind == "nonnegative":
-            left_r = np.clip(left.real, 0.0, None)
-            right_r = np.clip(right.real, 0.0, None)
-            residual = float(np.abs(left_r @ right_r - implied).max())
-            return FactorCertificate(kind, r, {"left": left_r, "right": right_r}, residual)
-        if kind == "symmetric":
-            residual = float(np.abs((left @ left.T).real - implied).max())
-            return FactorCertificate(kind, r, {"factor": left}, residual)
-        factor = np.clip(left.real, 0.0, None)
-        residual = float(np.abs(factor @ factor.T - implied).max())
-        return FactorCertificate(kind, r, {"factor": factor}, residual)
+        imag = np.abs(left.imag).max(initial=0.0) + np.abs(right.imag).max(initial=0.0)
+        if kind in SEPARABLE_KINDS:
+            left, right = np.clip(left.real, 0.0, None), np.clip(right.real, 0.0, None)
+        elif kind == "minimal" and imag < REAL_TOL:
+            left, right = left.real, right.real
+        payload = {"factor": left} if kind in SYMMETRIC_KINDS else {"left": left, "right": right}
+        first, second = _factor_sides(kind, payload)
+        residual = float(np.abs((first @ second).real - implied).max())
+        return FactorCertificate(kind, r, payload, residual)
 
-    if kind in ("psd", "cpsdt"):
+    if kind in GRAM_KINDS:
         train = _two_site_train(obj)
         core1, core2 = train.cores
         r = core1.shape[3]
@@ -304,10 +303,9 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         g2 = core2[..., 0].transpose(1, 0, 2)  # (d2, r, aux)
         e_list = list(g1 @ g1.conj().transpose(0, 2, 1))
         f_list = list(g2 @ g2.conj().transpose(0, 2, 1))
-        residual = float(np.abs(pair_traces(e_list, f_list) - implied).max())
-        if kind == "psd":
-            return FactorCertificate(kind, r, {"E": e_list, "F": f_list}, residual)
-        return FactorCertificate(kind, r, {"E": e_list}, residual)
+        payload = {"E": e_list} if kind in SYMMETRIC_KINDS else {"E": e_list, "F": f_list}
+        residual = float(np.abs(pair_traces(*_factor_sides(kind, payload)) - implied).max())
+        return FactorCertificate(kind, r, payload, residual)
 
     # hadamard-root: diagonal Hermitian root -> sign pattern and root matrix
     tau = np.asarray(obj)
@@ -460,13 +458,13 @@ def verify_correspondence(
         entry.update(matrix_side=cert.inner_dim, state_side=q_rank, verdict=verdict)
         return entry
 
-    if kind in ("nonnegative", "cp"):
+    if kind in SEPARABLE_KINDS:
         # transport the certificate across the bridge so the state-side
         # upper bound is certificate-backed, not just transcribed
         entry.update(_search_verdict(cert, target, rank, osr))
         return entry
 
-    if kind in ("psd", "cpsdt"):
+    if kind in GRAM_KINDS:
         if kind == "cpsdt":
             puri = factorization_to_decomposition(kind, cert, target).payload
         # a size-r psd factorization has rank <= r^2

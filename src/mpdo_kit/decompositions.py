@@ -16,7 +16,6 @@ import numpy as np
 
 from .tensor_core import (
     DEFAULT_RANK_TOL,
-    PSD_TOL,
     SCALE_FLOOR,
     SHIFT_TOL,
     MpoTrain,
@@ -44,6 +43,14 @@ CERT_RESIDUAL_TOL = 1e-8
 #: Default cap on the rank (hence 2^rank sign vectors) in the square-root
 #: rank enumeration.
 MAX_ENUM_RANK = 16
+
+#: Eigenvalues closer than this multiple of lambda_max share a cluster
+#: (``spectral_cluster_count``).
+CLUSTER_GAP_TOL = 1e-8
+
+#: Default distance, in the unit-rescaled transfer spectrum, within which an
+#: n-th root of unity counts as present (``periodicity_lower_bound``).
+PERIODICITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -206,16 +213,16 @@ def schmidt_rank_cap(out_dims, in_dims=None) -> int:
 # purifications
 
 
-def clipped_spectrum(rho: PsdOperator, rel_tol: float = DEFAULT_RANK_TOL, psd_tol: float = PSD_TOL):
+def clipped_spectrum(rho: PsdOperator, rel_tol: float = DEFAULT_RANK_TOL):
     """Eigenvalues of rho above ``rel_tol * lambda_max`` and their eigenvectors.
 
     One ``eigh``; negative round-off is clipped, and a materially negative
-    eigenvalue (below ``-psd_tol * lambda_max``) raises ``UsageError``.
+    eigenvalue (below ``-PSD_TOL * lambda_max``) raises ``UsageError``.
     Returns ``(lam, vec)`` with ``vec[:, i]`` the eigenvector of ``lam[i]``;
     ``lam.size`` is the numerical rank of rho.
     """
     w, v = np.linalg.eigh(rho.data)
-    w = clip_psd_spectrum(w, psd_tol)
+    w = clip_psd_spectrum(w)
     keep = nonzero_mask(w, rel_tol)
     return w[keep], v[:, keep]
 
@@ -223,7 +230,6 @@ def clipped_spectrum(rho: PsdOperator, rel_tol: float = DEFAULT_RANK_TOL, psd_to
 def local_purification_spectral(
     rho: PsdOperator,
     rel_tol: float = DEFAULT_RANK_TOL,
-    psd_tol: float = PSD_TOL,
     spectrum=None,
 ) -> PurificationCertificate:
     """Purification from the spectral decomposition of rho.
@@ -232,17 +238,18 @@ def local_purification_spectral(
     Schmidt rank squares to the rank of rho itself.  Otherwise L is the
     unique psd square root of rho, pairing each eigenvector with itself;
     that choice keeps product inputs at Schmidt rank one, which an arbitrary
-    orthonormal relabeling of the eigenbasis would destroy.  ``spectrum``
-    is :func:`clipped_spectrum` of rho at the same tolerances, for a caller
-    that already has it; by default it is computed here.
+    orthonormal relabeling of the eigenbasis would destroy.  The zero
+    operator gets a zero column whose every bond has dimension 0.
+    ``spectrum`` is :func:`clipped_spectrum` of rho at the same tolerance,
+    for a caller that already has it; by default it is computed here.
     """
-    lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol, psd_tol)
+    lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
     dims = rho.sites.dims
     n = len(dims)
     if lam.size == 0:
-        dense = np.zeros((rho.sites.total_dim, 1), dtype=complex)
-        train, _ = mpo_train_form(dense, dims, rel_tol, in_dims=(1,) * n)
-        return PurificationCertificate(train, 0, 0.0)
+        bonds = (1,) + (0,) * (n - 1) + (1,)
+        cores = tuple(np.zeros((bonds[k], d, 1, bonds[k + 1])) for k, d in enumerate(dims))
+        return PurificationCertificate(MpoTrain(cores), 0, 0.0)
     if lam.size == 1:
         dense = np.sqrt(lam[0]) * vec[:, :1]
         train, osr = mpo_train_form(dense, dims, rel_tol, in_dims=(1,) * n)
@@ -300,7 +307,6 @@ def q_sqrt_rank(
     rho: PsdOperator,
     max_enum_rank: int = MAX_ENUM_RANK,
     rel_tol: float = DEFAULT_RANK_TOL,
-    psd_tol: float = PSD_TOL,
     spectrum=None,
 ):
     """Minimal Schmidt rank over sign choices of the Hermitian square roots.
@@ -313,7 +319,7 @@ def q_sqrt_rank(
     their eigenbasis, which makes the enumeration exact there; in general
     the result upper-bounds the true minimum over all Hermitian roots.
     ``spectrum`` is :func:`clipped_spectrum` of rho at the same
-    tolerances, for a caller that already has it; only the non-diagonal
+    tolerance, for a caller that already has it; only the non-diagonal
     path reads it.  Returns ``(rank, SignVector)``.
     """
     dims = rho.sites.dims
@@ -321,11 +327,11 @@ def q_sqrt_rank(
     diagonal = is_diagonal(rho)
 
     if diagonal:
-        vals = clip_psd_spectrum(np.diagonal(rho.data).real, psd_tol)
+        vals = clip_psd_spectrum(np.diagonal(rho.data).real)
         keep = nonzero_mask(vals, rel_tol)
         lam = vals[keep]
     else:
-        lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol, psd_tol)
+        lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
 
     r = lam.size
     if r == 0:
@@ -361,13 +367,13 @@ def q_sqrt_rank(
     return rank, SignVector(signs)
 
 
-def spectral_cluster_count(rho: PsdOperator, gap_tol: float = 1e-8) -> int:
-    """Number of distinct eigenvalue clusters, grouping within ``gap_tol * lambda_max``."""
+def spectral_cluster_count(rho: PsdOperator) -> int:
+    """Number of distinct eigenvalue clusters, grouping within ``CLUSTER_GAP_TOL * lambda_max``."""
     w = np.sort(rho.eigenvalues())
     top = max_abs(w)
     clusters = 1
     for a, b in zip(w, w[1:]):
-        if b - a > gap_tol * top:
+        if b - a > CLUSTER_GAP_TOL * top:
             clusters += 1
     return clusters
 
@@ -376,10 +382,7 @@ def spectral_cluster_count(rho: PsdOperator, gap_tol: float = 1e-8) -> int:
 # translation-invariant forms
 
 
-def make_translation_invariant(
-    train: MpoTrain,
-    ti_tol: float = SHIFT_TOL,
-) -> TiSiteTensor:
+def make_translation_invariant(train: MpoTrain) -> TiSiteTensor:
     """Fold an open train for a shift-invariant operator into one cyclic tensor.
 
     Zero-pads every core to the largest bond D, places core l in cyclic
@@ -394,7 +397,7 @@ def make_translation_invariant(
         raise UsageError("translation invariance needs equal dimensions on every site")
     dense = contract_train(train)
     defect = cyclic_shift_defect(dense, out_dims, in_dims)
-    if defect > ti_tol:
+    if defect > SHIFT_TOL:
         raise UsageError(
             f"operator is not translation invariant (shift defect {defect:.3e})"
         )
@@ -420,7 +423,7 @@ def transfer_matrix(site: TiSiteTensor) -> np.ndarray:
     return np.ascontiguousarray(e.transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
-def periodicity_lower_bound(site: TiSiteTensor, n: int, tol: float = 1e-8):
+def periodicity_lower_bound(site: TiSiteTensor, n: int, tol: float = PERIODICITY_TOL):
     """Check the n-periodicity signature in the transfer spectrum.
 
     The spectrum is rescaled to unit spectral radius (the signature is scale

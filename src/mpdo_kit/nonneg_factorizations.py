@@ -1,13 +1,13 @@
 """The six factorizations of nonnegative matrices, searches and exact routes.
 
-Exact routes: the minimal (SVD) factorization, symmetric congruence
-diagonalization, square-root rank by sign enumeration, and the constructive
-cpsdt factorization through a symmetric Hadamard root.  Heuristic searches
-with independently checkable output: multiplicative updates (nonnegative),
-Gauss-Newton on Gram factors (psd), and projected gradient with a bounded
-least-squares polish (cp).  A failed search never certifies a lower bound;
-the only certified lower bounds here are rank-based or necessary-condition
-rejections.
+Exact routes: the minimal (SVD) factorization, the symmetric (Takagi)
+factorization by one eigendecomposition, square-root rank by sign
+enumeration, and the constructive cpsdt factorization through a symmetric
+Hadamard root.  Heuristic searches with independently checkable output:
+multiplicative updates (nonnegative), Gauss-Newton on Gram factors (psd),
+and projected gradient with a bounded least-squares polish (cp).  A failed
+search never certifies a lower bound; the only certified lower bounds here
+are rank-based or necessary-condition rejections.
 
 The searches use the rank bound to return early.  A search at inner
 dimension r can only produce a matrix X of rank <= k, with k = r for the
@@ -136,14 +136,15 @@ def minimal_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> FactorCe
 
 
 def symmetric_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> FactorCertificate:
-    """Complex factor A with M = A A^T and rank(M) columns.
+    """Complex factor A with M = A A^T and rank(M) columns (Takagi factorization).
 
-    Congruence elimination: symmetric row-and-column operations bring M to
-    diag(1,...,1,0,...,0) = P M P^T, then A = P^{-1}[:, :r].  Pivots prefer
-    the largest remaining diagonal entry; when the diagonal is negligible,
-    a row+column addition manufactures one from the largest off-diagonal
-    entry.  Negative or complex pivots make A complex through the square
-    root -- for symmetric input the rank always equals the matrix rank.
+    For M = X + iY (X, Y real symmetric) the real symmetric
+    K = [[X, Y], [Y, -X]] has eigenvalues +-sigma_i, the singular values of
+    M.  An eigenvector (u, v) of an eigenvalue sigma > 0 gives q = u + iv
+    with M conj(q) = sigma q, and these q are orthonormal, so
+    M = sum_k sigma_k q_k q_k^T.  A keeps the columns sqrt(sigma_k) q_k of
+    the r = rank(M) largest eigenvalues: one ``eigh`` covers real
+    indefinite and complex symmetric input alike.
     """
     m = _entries(matrix, dtype=None)
     if not is_symmetric(m):
@@ -151,45 +152,10 @@ def symmetric_factorization(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> Factor
     m = 0.5 * (m + m.T)
     d = m.shape[0]
     r = numerical_rank(m, rel_tol)
-
-    s = m.astype(complex).copy()
-    p = np.eye(d, dtype=complex)
-    for k in range(r):
-        sub = s[k:, k:]
-        sub_scale = np.abs(sub).max()
-        diag = np.abs(np.diagonal(sub))
-        if diag.max(initial=0.0) > 1e-2 * sub_scale:
-            j = k + int(np.argmax(diag))
-            if j != k:
-                s[[k, j], :] = s[[j, k], :]
-                s[:, [k, j]] = s[:, [j, k]]
-                p[[k, j], :] = p[[j, k], :]
-        else:
-            # zero diagonal block: bring the largest off-diagonal pair to
-            # (k, j) and add row/column j into k, giving s[k, k] = 2 s[k, j]
-            a, bcol = np.unravel_index(int(np.argmax(np.abs(sub))), sub.shape)
-            a += k
-            bcol += k
-            if a != k:
-                s[[k, a], :] = s[[a, k], :]
-                s[:, [k, a]] = s[:, [a, k]]
-                p[[k, a], :] = p[[a, k], :]
-                if bcol == k:
-                    bcol = a
-            s[k, :] += s[bcol, :]
-            s[:, k] += s[:, bcol]
-            p[k, :] += p[bcol, :]
-        piv = s[k, k]
-        factors = s[k + 1 :, k] / piv
-        s[k + 1 :, :] -= factors[:, None] * s[k, :]
-        s[:, k + 1 :] -= s[:, k][:, None] * factors[None, :]
-        p[k + 1 :, :] -= factors[:, None] * p[k, :]
-        sc = 1.0 / np.sqrt(complex(piv))
-        s[k, :] *= sc
-        s[:, k] *= sc
-        p[k, :] *= sc
-
-    a = np.linalg.solve(p, np.eye(d, dtype=complex)[:, :r])
+    x, y = m.real, m.imag
+    w, v = np.linalg.eigh(np.block([[x, y], [y, -x]]))
+    top = slice(2 * d - 1, 2 * d - 1 - r, -1)  # the r largest eigenvalues, largest first
+    a = (v[:d, top] + 1j * v[d:, top]) * np.sqrt(w[top])
     residual = float(np.abs(a @ a.T - m).max())
     return FactorCertificate("symmetric", r, {"factor": a}, residual)
 

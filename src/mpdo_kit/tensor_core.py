@@ -74,7 +74,7 @@ class PsdOperator:
     """Dense Hermitian operator on an ordered tensor product of sites.
 
     The matrix is symmetrized to ``(X + X^dag)/2`` on construction; a defect
-    larger than ``herm_tol`` (relative) triggers a warning, since it usually
+    larger than ``HERM_TOL`` (relative) triggers a warning, since it usually
     means the caller handed over something that was never meant to be
     Hermitian.  Positivity is *not* asserted on construction -- call
     :meth:`is_psd` / :meth:`assert_psd` where the algorithm needs it.
@@ -113,11 +113,11 @@ class PsdOperator:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.data)
 
-    def is_psd(self, psd_tol: float = PSD_TOL) -> bool:
-        return is_psd_spectrum(self.eigenvalues(), psd_tol)
+    def is_psd(self) -> bool:
+        return is_psd_spectrum(self.eigenvalues())
 
-    def assert_psd(self, psd_tol: float = PSD_TOL) -> None:
-        clip_psd_spectrum(self.eigenvalues(), psd_tol)
+    def assert_psd(self) -> None:
+        clip_psd_spectrum(self.eigenvalues())
 
 
 @dataclass(frozen=True)
@@ -243,15 +243,15 @@ def nonzero_mask(values, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return values > rel_tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def is_psd_spectrum(w, psd_tol: float = PSD_TOL) -> bool:
-    """True when no eigenvalue lies below ``-psd_tol * lambda_max``."""
-    return bool(np.min(w, initial=0.0) >= -psd_tol * np.max(w, initial=0.0))
+def is_psd_spectrum(w) -> bool:
+    """True when no eigenvalue lies below ``-PSD_TOL * lambda_max``."""
+    return bool(np.min(w, initial=0.0) >= -PSD_TOL * np.max(w, initial=0.0))
 
 
-def clip_psd_spectrum(w, psd_tol: float = PSD_TOL, what: str = "operator") -> np.ndarray:
+def clip_psd_spectrum(w, what: str = "operator") -> np.ndarray:
     """Eigenvalues with negative round-off clipped to 0; ``UsageError`` naming
     ``what`` when :func:`is_psd_spectrum` fails."""
-    if not is_psd_spectrum(w, psd_tol):
+    if not is_psd_spectrum(w):
         raise UsageError(f"{what} is materially non-psd (min eigenvalue {np.min(w):.3e})")
     return np.clip(w, 0.0, None)
 

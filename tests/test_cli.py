@@ -292,6 +292,21 @@ def test_convert_psd_certificate_roundtrip(tmp_path, capsys):
     assert entry_named(doc, "round_trip")["inner_dim"] == 2
 
 
+@pytest.mark.parametrize("kind", ["minimal", "symmetric", "cpsdt", "sqrt"])
+def test_convert_reads_a_certificate_of_inner_dim_zero(tmp_path, capsys, kind):
+    # the (0, q) and (0, 0) factors of the zero matrix encode as [], which
+    # carries no shape; the kind, inner dimension and matrix supply it
+    path = write_csv_matrix(tmp_path / "zero.csv", np.zeros((2, 2)))
+    code, doc = run_json(capsys, ["factorize", path, "--kind", kind, "--json"])
+    assert code == EXIT_OK
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(entry_named(doc, "certificate")["payload"]))
+    code, doc = run_json(capsys, ["convert", str(cert_path), "--kind", kind, "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "state_certificate")["inner_dim"] == 0
+    assert entry_named(doc, "round_trip")["inner_dim"] == 0
+
+
 def test_convert_symmetric_kind_rejects_asymmetric(tmp_path, capsys):
     path = write_csv_matrix(tmp_path / "m.csv", [[0, 1], [2, 0]])
     code = main(["convert", path, "--kind", "iv"])
@@ -413,6 +428,23 @@ def test_experiment_bounds(capsys):
 
 def test_experiment_unknown_name(capsys):
     assert main(["experiment", "nope"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "tgon", "--tol", "0.5"],
+        ["experiment", "tgon", "--restarts", "2"],
+        ["experiment", "tgon", "--iters", "5"],
+        ["experiment", "tgon", "--budget", "4"],
+        ["analyze", "op.json", "--budget", "4"],
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys, argv):
+    write_json_matrix(tmp_path / "op.json", np.eye(4))
+    argv = [str(tmp_path / a) if a == "op.json" else a for a in argv]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_modulo_timestamp(tmp_path, capsys):

@@ -209,6 +209,29 @@ def test_cpsdt_roundtrip_flip_witness():
         cp_factorization_search(m, 2)
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "cpsdt"])
+def test_symmetric_read_back_records_the_residual_of_its_mirrored_payload(kind):
+    # M = I @ M on a symmetric M: a decomposition whose two sites differ,
+    # read back as a symmetric kind, keeps the first site and mirrors it
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    general = "minimal" if kind == "symmetric" else "psd"
+    if kind == "symmetric":
+        cert = FactorCertificate(general, 2, {"left": np.eye(2), "right": m}, 0.0)
+    else:
+        e_list = [np.diag(row).astype(complex) for row in np.eye(2)]
+        f_list = [np.diag(col).astype(complex) for col in m.T]
+        cert = FactorCertificate(general, 2, {"E": e_list, "F": f_list}, 0.0)
+    dec = factorization_to_decomposition(general, cert, DiagBipartite(m))
+    back = decomposition_to_factorization(kind, dec)
+    if kind == "symmetric":
+        a = back.payload["factor"]
+        rebuilt = (a @ a.T).real
+    else:
+        rebuilt = pair_traces(back.payload["E"], back.payload["E"])
+    assert back.residual == pytest.approx(np.abs(rebuilt - m).max())
+    assert back.residual >= 1.0
+
+
 def test_hadamard_roundtrip():
     m = np.ones((2, 2))
     cert = hadamard_root_certificate(m)
@@ -444,11 +467,11 @@ def test_gram_matrices_match_the_index_loop(kind):
 
 @pytest.mark.parametrize("kind", ["minimal", "symmetric", "psd", "cpsdt", "hadamard-root"])
 def test_zero_matrix_crosses_the_bridge(kind):
-    # every exact route but psd gives inner dimension 0; the spectral
-    # purification of the zero operator is one zero column
+    # every route gives inner dimension 0; the spectral purification of the
+    # zero operator is one zero column with bonds of dimension 0
     m = np.zeros((2, 2))
     cert = correspondence._matrix_certificate(kind, m)
     dec = factorization_to_decomposition(kind, cert, DiagBipartite(m))
     back = decomposition_to_factorization(kind, dec, sites=(2, 2))
-    assert cert.inner_dim == dec.inner_dim == back.inner_dim == (1 if kind == "psd" else 0)
+    assert cert.inner_dim == dec.inner_dim == back.inner_dim == 0
     assert verify_correspondence(kind, m)["verdict"] in ("exact-match", "intervals-consistent")

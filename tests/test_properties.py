@@ -19,7 +19,7 @@ from mpdo_kit.correspondence import (
     verify_correspondence,
 )
 from mpdo_kit.decompositions import mpo_train_form, operator_schmidt_rank, q_sqrt_rank
-from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank
+from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank, symmetric_factorization
 from mpdo_kit.tensor_core import MpoTrain, contract_train, matricize, numerical_rank
 
 MAX_NONZEROS = 10
@@ -63,6 +63,36 @@ def test_cpsdt_inner_dim_is_root_rank_and_rebuilds_m(m):
     cert = cpsdt_construct(m)
     assert cert.inner_dim == numerical_rank(cert.payload["root"])
     assert cert.residual <= 1e-8 * max(np.abs(m).max(), 1e-300)
+
+
+@st.composite
+def symmetric_of_random_rank(draw):
+    """Real indefinite or complex symmetric d x d matrix of drawn rank k.
+
+    M = Q diag(s) Q^T with Q random orthogonal (real) or Gaussian (complex),
+    and s Gaussian or drawn from {+1, -1}; in the real case the latter
+    repeats the singular value 1 with both signs, as in diag(1, -1, 1)
+    turned by Q.
+    """
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(0, d))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if complex_:
+        q = rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))
+    else:
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :k]
+    s = rng.choice([-1.0, 1.0], k) if draw(st.booleans()) else rng.normal(size=k)
+    return (q * s) @ q.T
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(symmetric_of_random_rank())
+def test_takagi_factor_has_the_rank_and_rebuilds_m(m):
+    cert = symmetric_factorization(m)
+    a = cert.payload["factor"]
+    assert cert.inner_dim == numerical_rank(m)
+    assert np.abs(a @ a.T - m).max() <= 1e-10 * np.abs(m).max(initial=0.0)
 
 
 @st.composite
