@@ -387,7 +387,9 @@ def cmd_analyze(args) -> int:
     report.add("diagonal", value=diagonal)
     if diagonal and sites.n == 2:
         m = diag_extract(op)
-        cert = _matrix_certificate("nonnegative", m, restarts=args.restarts, iters=args.iters, seed=args.seed)
+        cert = _matrix_certificate(
+            "nonnegative", m, rel_tol=args.tol, restarts=args.restarts, iters=args.iters, seed=args.seed
+        )
         report.add(
             "sep_rank",
             interval=[osr, cert.inner_dim],
@@ -451,14 +453,14 @@ def cmd_convert(args) -> int:
 
     if data_offset is not None and "kind" in parsed and "payload" in parsed:
         matrix, cert = certificate_from_doc(parsed)
-        dec = factorization_to_decomposition(kind, cert, DiagBipartite(matrix))
+        dec = factorization_to_decomposition(kind, cert, DiagBipartite(matrix), args.tol)
         report.add(
             "state_certificate",
             inner_dim=dec.inner_dim,
             residual=dec.residual,
             site_symmetric=dec.site_symmetric,
         )
-        back = decomposition_to_factorization(kind, dec, sites=(matrix.shape[0], matrix.shape[1]))
+        back = decomposition_to_factorization(kind, dec, (matrix.shape[0], matrix.shape[1]), args.tol)
         report.add("round_trip", inner_dim=back.inner_dim, residual=back.residual)
         report.emit(args.json)
         return EXIT_OK
@@ -488,7 +490,7 @@ def cmd_convert(args) -> int:
         report.add("state_certificate", found=False)
         report.emit(args.json)
         return EXIT_NOT_FOUND
-    dec = factorization_to_decomposition(kind, cert, DiagBipartite(m))
+    dec = factorization_to_decomposition(kind, cert, DiagBipartite(m), args.tol)
     report.add(
         "state_certificate",
         inner_dim=dec.inner_dim,
@@ -496,7 +498,7 @@ def cmd_convert(args) -> int:
         site_symmetric=dec.site_symmetric,
     )
     if args.direction == "to-matrix":
-        back = decomposition_to_factorization(kind, dec, sites=(m.shape[0], m.shape[1]))
+        back = decomposition_to_factorization(kind, dec, (m.shape[0], m.shape[1]), args.tol)
         report.add("matrix_certificate", kind=back.kind, inner_dim=back.inner_dim, residual=back.residual)
     report.emit(args.json)
     return EXIT_OK

@@ -14,9 +14,14 @@ back, preserving the inner dimension:
   cpsdt          <-> site-symmetric purification
   hadamard-root  <-> diagonal Hermitian square root of sigma
 
-``verify_correspondence`` drives both converters and grades the rank
-relation: exact equality where both sides are exactly computable (minimal,
-symmetric, hadamard-root), interval consistency for the heuristic kinds.
+Every matrix-side certificate comes from one producer,
+``_matrix_certificate``; the psd one pairs the Gram matrices of a rank
+factorization of the entrywise root (``psd_construct``), so its
+purification is built from the matrix side like every other kind's.
+``verify_correspondence`` transports that certificate across once and
+grades the rank relation: exact equality where both sides are exactly
+computable (minimal, symmetric, hadamard-root), interval consistency for
+the others.
 """
 
 from __future__ import annotations
@@ -30,22 +35,22 @@ from .certificates import (
     FactorCertificate,
     NecessaryConditionError,
     as_nonneg,
-    pair_traces,
 )
 from .decompositions import (
     CERT_RESIDUAL_TOL,
     PurificationCertificate,
     SeparableCertificate,
-    local_purification_spectral,
     operator_schmidt_rank,
     q_sqrt_rank,
 )
 from .nonneg_factorizations import (
     DEFAULT_SIGN_BUDGET,
     SEARCH_RESIDUAL_TOL,
+    _gram_pairs,
     cpsdt_construct,
     hadamard_root_certificate,
     minimal_factorization,
+    psd_construct,
     scan_cp_certificate,
     scan_nonneg_certificate,
     symmetric_factorization,
@@ -174,14 +179,29 @@ def _diag_cores_train(left, right) -> MpoTrain:
     return MpoTrain((core1, core2))
 
 
-def _purification_train(e_list, f_list) -> MpoTrain:
+def _gram_vectors(mats, rel_tol: float) -> np.ndarray:
+    """``(count, r, s)`` Gram vectors of a psd tuple, h h^dag = X for each X.
+
+    Only the s trailing columns that carry weight are kept: those whose
+    eigenvalue some matrix of the tuple counts as nonzero (the nonzero rule
+    at ``rel_tol``, against that matrix's largest), and at least one.
+    """
+    h = np.array([psd_gram_factor(x)[0] for x in mats])  # eigenvalues ascending
+    weight = (np.abs(h) ** 2).sum(axis=1)  # (count, r): the eigenvalues
+    s = max(int(np.count_nonzero(nonzero_mask(weight, rel_tol).any(axis=0))), min(h.shape[2], 1))
+    return h[:, :, h.shape[2] - s :]
+
+
+def _purification_train(e_list, f_list, rel_tol: float = DEFAULT_RANK_TOL) -> MpoTrain:
     """Two-site factor train realizing M_ij = tr(E_i F_j^T) as L L^dag = sigma.
 
-    Site l carries an auxiliary leg of dimension d_l * r holding the Gram
-    vectors of its psd tuple; the bond enumerates the Gram columns.
+    Site l carries an auxiliary leg of dimension d_l * s holding the s
+    weighted Gram vectors of each matrix of its psd tuple (see
+    :func:`_gram_vectors`); the bond enumerates the r rows of the Gram
+    vectors.
     """
-    he = np.array([psd_gram_factor(e)[0] for e in e_list])  # (p, r, s_e)
-    hf = np.array([psd_gram_factor(f)[0] for f in f_list])  # (q, r, s_f)
+    he = _gram_vectors(e_list, rel_tol)  # (p, r, s_e)
+    hf = _gram_vectors(f_list, rel_tol)  # (q, r, s_f)
     p, r, s_e = he.shape
     q, _, s_f = hf.shape
     core1 = np.zeros((p, p, s_e, r), dtype=complex)
@@ -208,13 +228,15 @@ def _factor_sides(kind: str, payload: dict):
 
 
 def factorization_to_decomposition(
-    kind: str, cert: FactorCertificate, target: DiagBipartite
+    kind: str, cert: FactorCertificate, target: DiagBipartite, rel_tol: float = DEFAULT_RANK_TOL
 ) -> StateDecomposition:
     """Turn a matrix-side certificate into the matching decomposition of sigma.
 
     A product kind gives a train with diagonal cores (a separable
     certificate when its factors are nonnegative), a Gram kind a
-    purification train, the square root a Hermitian root.
+    purification train, the square root a Hermitian root.  A purification
+    keeps the Gram columns that carry weight and measures its Schmidt rank
+    ``osr_L``, both at ``rel_tol``.
     """
     kind = canonical_kind(kind)
     if cert.kind != kind:
@@ -237,11 +259,11 @@ def factorization_to_decomposition(
         residual = relative_residual(contract_train(train), sigma)
         payload = SeparableCertificate(train, cert.inner_dim, residual) if kind in SEPARABLE_KINDS else train
     else:
-        train = _purification_train(first, second)
+        train = _purification_train(first, second, rel_tol)
         dense = contract_train(train)
         residual = relative_residual(dense @ dense.conj().T, sigma)
         # an inner dimension of 0 leaves L with no columns, and Schmidt rank 0
-        osr_l = operator_schmidt_rank(dense, train.out_dims, in_dims=train.in_dims) if dense.size else 0
+        osr_l = operator_schmidt_rank(dense, train.out_dims, rel_tol, train.in_dims) if dense.size else 0
         payload = PurificationCertificate(train, osr_l, residual)
     return StateDecomposition(kind, cert.inner_dim, payload, residual, site_symmetric=symmetric)
 
@@ -259,17 +281,20 @@ def _two_site_train(obj) -> MpoTrain:
     return train
 
 
-def decomposition_to_factorization(kind: str, decomposition, sites=None) -> FactorCertificate:
+def decomposition_to_factorization(
+    kind: str, decomposition, sites=None, rel_tol: float = DEFAULT_RANK_TOL
+) -> FactorCertificate:
     """Read the matrix-side factorization off a decomposition of diagonal sigma.
 
     Accepts a StateDecomposition or the bare payload (train, separable or
     purification certificate, dense root).  The rule per kind follows the
     constructive correspondence: diagonal matrix elements of the cores for
     the train kinds, Gram matrices of the factor slices for purifications,
-    the reshaped diagonal for the square root.  A symmetric kind keeps the
-    first site's factor and mirrors it.  The recorded residual is that of
-    the returned payload against the diagonal of the operator the
-    decomposition itself represents, which must be diagonal bipartite.
+    the reshaped diagonal for the square root, whose rank is read at
+    ``rel_tol``.  A symmetric kind keeps the first site's factor and
+    mirrors it.  The recorded residual is that of the returned payload
+    against the diagonal of the operator the decomposition itself
+    represents, which must be diagonal bipartite.
     """
     kind = canonical_kind(kind)
     obj = decomposition.payload if isinstance(decomposition, StateDecomposition) else decomposition
@@ -300,11 +325,9 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         implied = diag_extract(dense @ dense.conj().T, (d1, d2))
         # (E_i)_kl = sum_a core1[0, i, a, k] conj(core1[0, i, a, l]), and F_j alike
         g1 = core1[0].transpose(0, 2, 1)  # (d1, r, aux)
-        g2 = core2[..., 0].transpose(1, 0, 2)  # (d2, r, aux)
-        e_list = list(g1 @ g1.conj().transpose(0, 2, 1))
-        f_list = list(g2 @ g2.conj().transpose(0, 2, 1))
+        g2 = g1 if kind in SYMMETRIC_KINDS else core2[..., 0].transpose(1, 0, 2)  # (d2, r, aux)
+        e_list, f_list, residual = _gram_pairs(g1, g2, implied)
         payload = {"E": e_list} if kind in SYMMETRIC_KINDS else {"E": e_list, "F": f_list}
-        residual = float(np.abs(pair_traces(*_factor_sides(kind, payload)) - implied).max())
         return FactorCertificate(kind, r, payload, residual)
 
     # hadamard-root: diagonal Hermitian root -> sign pattern and root matrix
@@ -322,18 +345,12 @@ def decomposition_to_factorization(kind: str, decomposition, sites=None) -> Fact
         raise UsageError("Hermitian root is not diagonal in the computational basis")
     root = np.diagonal(tau).real.reshape(dims)
     signs = np.sign(root).astype(int)
-    rank = numerical_rank(root)
+    rank = numerical_rank(root, rel_tol)
     return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # the producer table and the two-way verification report
-
-
-def _spectral_psd(m: np.ndarray, rel_tol: float):
-    """Spectral purification of diag_embed(m) and the psd certificate read off it."""
-    puri = local_purification_spectral(diag_embed(m), rel_tol)
-    return puri, decomposition_to_factorization("psd", puri)
 
 
 def _matrix_certificate(
@@ -348,16 +365,18 @@ def _matrix_certificate(
 ):
     """The canonical matrix-side certificate of one (canonical) kind for m.
 
-    Exact routes for minimal, symmetric, cpsdt and hadamard-root; the
-    smallest certificate the rank scans find for nonnegative and cp, None
-    when the cp scan finds none (``NecessaryConditionError`` propagates);
-    for psd, the certificate read off the spectral purification.  The
-    symmetric kinds need a symmetric m.
+    Exact routes for minimal, psd, symmetric, cpsdt and hadamard-root; the
+    smallest certificate the rank scans (starting at the rank at
+    ``rel_tol``) find for nonnegative and cp, None when the cp scan finds
+    none (``NecessaryConditionError`` propagates).  The symmetric kinds
+    need a symmetric m.
     """
     if kind in SYMMETRIC_KINDS and not is_symmetric(m):
         raise UsageError(f"kind {kind!r} needs a symmetric matrix")
     if kind == "minimal":
         return minimal_factorization(m, rel_tol)
+    if kind == "psd":
+        return psd_construct(m, rel_tol)
     if kind == "symmetric":
         return symmetric_factorization(m, rel_tol)
     if kind == "cpsdt":
@@ -365,10 +384,8 @@ def _matrix_certificate(
     if kind == "hadamard-root":
         return hadamard_root_certificate(m, sign_budget, rel_tol)
     if kind == "nonnegative":
-        return scan_nonneg_certificate(m, restarts=restarts, iters=iters, seed=seed)
-    if kind == "cp":
-        return scan_cp_certificate(m, restarts=restarts, seed=seed)
-    return _spectral_psd(m, rel_tol)[1]
+        return scan_nonneg_certificate(m, restarts=restarts, iters=iters, seed=seed, rel_tol=rel_tol)
+    return scan_cp_certificate(m, restarts=restarts, seed=seed, rel_tol=rel_tol)
 
 
 def _interval_verdict(matrix_iv, state_iv) -> str:
@@ -377,15 +394,13 @@ def _interval_verdict(matrix_iv, state_iv) -> str:
     return "intervals-consistent" if lo <= up else "violation"
 
 
-def _search_verdict(cert: FactorCertificate, target: DiagBipartite, rank: int, osr: int):
-    """Transport a search certificate and grade it at the bar it was accepted at.
+def _search_verdict(cert: FactorCertificate, dec: StateDecomposition, sigma, rank: int, osr: int):
+    """Grade a transported search certificate at the bar it was accepted at.
 
     The search accepted it at ``SEARCH_RESIDUAL_TOL`` of max|M| in max-abs
     residual, so the transported state is held to the same measure, not to
     the exact ``CERT_RESIDUAL_TOL``.
     """
-    dec = factorization_to_decomposition(cert.kind, cert, target)
-    sigma = diag_embed(target.matrix).data
     drift = np.abs(contract_train(dec.payload.train) - sigma).max() / max_abs(sigma)
     matrix_iv = [rank, cert.inner_dim]
     state_iv = [osr, dec.inner_dim]
@@ -406,17 +421,20 @@ def verify_correspondence(
 ) -> dict:
     """Drive both converters for one kind and grade the rank relation.
 
-    Exact kinds (minimal, symmetric, hadamard-root) must match integer for
-    integer; heuristic kinds report [lower, upper] intervals on both sides
-    and are graded for overlap.  Transported certificates must reproduce
-    sigma: search-origin ones (nonnegative, cp) within
-    ``SEARCH_RESIDUAL_TOL``, the bar their search accepted them at, the
-    others within ``CERT_RESIDUAL_TOL``.  The exact routes, the rank lower
-    bounds and the support the sign budget counts are taken at
-    ``rel_tol``; the nonnegative and cp scans take no tolerance.  A budget
-    overrun, a violated necessary condition or a search without a
-    certificate marks the kind "skipped"; any inconsistency is a
-    "violation".
+    The certificate comes from ``_matrix_certificate``, and every kind but
+    hadamard-root is transported to sigma once, by
+    ``factorization_to_decomposition``.  Exact kinds (minimal, symmetric,
+    hadamard-root) must match integer for integer; the others report
+    [lower, upper] intervals on both sides and are graded for overlap, the
+    state-side upper bound being the transported certificate's inner
+    dimension (nonnegative, cp) or Schmidt rank ``osr_L`` (psd, cpsdt).
+    Transported certificates must reproduce sigma: search-origin ones
+    (nonnegative, cp) within ``SEARCH_RESIDUAL_TOL``, the bar their search
+    accepted them at, the others within ``CERT_RESIDUAL_TOL``.  The
+    certificates, their transport, the rank lower bounds and the support
+    the sign budget counts are all taken at ``rel_tol``.  A budget overrun,
+    a violated necessary condition or a search without a certificate marks
+    the kind "skipped"; any inconsistency is a "violation".
     """
     kind = canonical_kind(kind)
     m = as_nonneg(matrix)
@@ -440,12 +458,9 @@ def verify_correspondence(
         osr = operator_schmidt_rank(sigma, rel_tol=rel_tol)
 
     try:
-        if kind == "psd":
-            puri, cert = _spectral_psd(m, rel_tol)
-        else:
-            cert = _matrix_certificate(
-                kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, iters=iters, seed=seed
-            )
+        cert = _matrix_certificate(
+            kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, iters=iters, seed=seed
+        )
     except NecessaryConditionError as exc:
         entry.update(verdict="skipped", note=f"no {kind} factorization: {exc.condition}")
         return entry
@@ -458,25 +473,22 @@ def verify_correspondence(
         entry.update(matrix_side=cert.inner_dim, state_side=q_rank, verdict=verdict)
         return entry
 
+    # the state-side upper bounds are backed by the transported certificate
+    dec = factorization_to_decomposition(kind, cert, target, rel_tol)
     if kind in SEPARABLE_KINDS:
-        # transport the certificate across the bridge so the state-side
-        # upper bound is certificate-backed, not just transcribed
-        entry.update(_search_verdict(cert, target, rank, osr))
+        entry.update(_search_verdict(cert, dec, sigma.data, rank, osr))
         return entry
 
     if kind in GRAM_KINDS:
-        if kind == "cpsdt":
-            puri = factorization_to_decomposition(kind, cert, target).payload
         # a size-r psd factorization has rank <= r^2
         matrix_iv = [ceil(sqrt(rank)), cert.inner_dim]
-        state_iv = [ceil(sqrt(osr)), puri.osr_L]
+        state_iv = [ceil(sqrt(osr)), dec.payload.osr_L]
         verdict = _interval_verdict(matrix_iv, state_iv)
-        if puri.residual > CERT_RESIDUAL_TOL:
+        if dec.residual > CERT_RESIDUAL_TOL:
             verdict = "violation"
         entry.update(matrix_side=matrix_iv, state_side=state_iv, verdict=verdict)
         return entry
 
-    dec = factorization_to_decomposition(kind, cert, target)
     back = decomposition_to_factorization(kind, dec)
     if kind == "minimal":
         entry.update(

@@ -66,9 +66,6 @@ class PurificationCertificate:
     osr_L: int
     residual: float
 
-    def dense_factor(self) -> np.ndarray:
-        return contract_train(self.train)
-
 
 @dataclass(frozen=True)
 class SeparableCertificate:

@@ -2,12 +2,14 @@
 
 Exact routes: the minimal (SVD) factorization, the symmetric (Takagi)
 factorization by one eigendecomposition, square-root rank by sign
-enumeration, and the constructive cpsdt factorization through a symmetric
+enumeration, and the constructive psd and cpsdt factorizations through a
 Hadamard root.  Heuristic searches with independently checkable output:
 multiplicative updates (nonnegative), Gauss-Newton on Gram factors (psd),
-and projected gradient with a bounded least-squares polish (cp).  A failed
-search never certifies a lower bound; the only certified lower bounds here
-are rank-based or necessary-condition rejections.
+and projected gradient with a bounded least-squares polish (cp).  Every
+psd and cpsdt certificate here pairs the Gram matrices of two factor
+sides (:func:`_gram_pairs`).  A failed search never certifies a lower
+bound; the only certified lower bounds here are rank-based or
+necessary-condition rejections.
 
 The searches use the rank bound to return early.  A search at inner
 dimension r can only produce a matrix X of rank <= k, with k = r for the
@@ -120,6 +122,28 @@ def _entries(matrix, dtype=float) -> np.ndarray:
     return np.asarray(matrix.entries if isinstance(matrix, NonnegMatrix) else matrix, dtype=dtype)
 
 
+def _gram_pairs(g, h, target):
+    """The psd tuples of two Gram factor sides and their residual against ``target``.
+
+    A ``(count, r, s)`` stack of Gram factors gives E_i = G_i G_i^dag; a
+    ``(count, r)`` array of Gram vectors gives the rank-one
+    E_i = g_i g_i^dag.  ``h is g`` mirrors the factor: F = E.  Returns
+    ``(E, F, max|tr(E_i F_j^T) - target_ij|)`` with E and F as lists.
+    """
+
+    def gram(x):
+        x = np.asarray(x)
+        if x.ndim == 2:
+            # np.outer's entrywise products; a matmul over an inner
+            # dimension of 1 would round them differently
+            return list(x[:, :, None] * x.conj()[:, None, :])
+        return list(x @ x.conj().transpose(0, 2, 1))
+
+    e = gram(g)
+    f = e if h is g else gram(h)
+    return e, f, float(np.abs(pair_traces(e, f) - target).max())
+
+
 # ---------------------------------------------------------------------------
 # exact routes
 
@@ -208,6 +232,25 @@ def hadamard_root_certificate(
     return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, residual)
 
 
+def psd_construct(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> FactorCertificate:
+    """Constructive psd factorization M_ij = tr(E_i F_j^T) from the entrywise root.
+
+    N is the all-positive root of M on the entries the nonzero rule keeps
+    (the support of :func:`sqrt_rank`) and 0 elsewhere.  A rank
+    factorization N = A B (:func:`minimal_factorization` at ``rel_tol``)
+    gives E_i = a_i a_i^dag and F_j = b_j b_j^dag from the rows of A and
+    the columns of B, and tr(E_i F_j^T) = (a_i . b_j)^2 = M_ij (Fawzi,
+    Gouveia, Parrilo, Robinson, Thomas, "Positive semidefinite rank", 2015).
+    The inner dimension is rank(N), the Schmidt rank of the psd square root
+    of ``diag_embed(M)``.
+    """
+    m = as_nonneg(matrix)
+    root = np.where(nonzero_mask(m.ravel(), rel_tol).reshape(m.shape), np.sqrt(m), 0.0)
+    factors = minimal_factorization(root, rel_tol)
+    e, f, residual = _gram_pairs(factors.payload["left"], factors.payload["right"].T, m)
+    return FactorCertificate("psd", factors.inner_dim, {"E": e, "F": f}, residual)
+
+
 def cpsdt_construct(
     matrix,
     sign_budget: int = DEFAULT_SIGN_BUDGET,
@@ -248,9 +291,7 @@ def cpsdt_construct(
 
     sym = symmetric_factorization(root, rel_tol)
     a = sym.payload["factor"]
-    e_list = [np.outer(a[i, :], a[i, :].conj()) for i in range(d)]
-    recon = pair_traces(e_list, e_list)
-    residual = float(np.abs(recon - m).max())
+    e_list, _, residual = _gram_pairs(a, a, m)
     return FactorCertificate("cpsdt", sym.inner_dim, {"E": e_list, "root": root}, residual)
 
 
@@ -355,17 +396,20 @@ def trivial_nonneg_certificate(matrix) -> FactorCertificate:
 
 
 def scan_nonneg_certificate(
-    matrix, restarts: int = 20, iters: int = 4000, seed: int = 0
+    matrix, restarts: int = 20, iters: int = 4000, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL
 ) -> FactorCertificate:
     """Smallest-inner-dimension nonnegative certificate the search can find.
 
-    Scans r upward from rank(M); the trivial M = M . I factorization closes
-    the scan at min(p, q), so a certificate always comes back.
+    Scans r upward from rank(M) at ``rel_tol``; the trivial M = M . I
+    factorization closes the scan at min(p, q), so a certificate always
+    comes back.  The zero matrix, of rank 0, gets the empty factorization.
     """
     m = as_nonneg(matrix)
     p, q = m.shape
-    lower = numerical_rank(m)
-    for r in range(max(lower, 1), min(p, q)):
+    lower = numerical_rank(m, rel_tol)
+    if lower == 0:
+        return FactorCertificate("nonnegative", 0, {"left": np.zeros((p, 0)), "right": np.zeros((0, q))}, 0.0)
+    for r in range(lower, min(p, q)):
         cert = nonneg_factorization_search(m, r, restarts, iters, seed)
         if cert is not None:
             return cert
@@ -381,10 +425,7 @@ def nonneg_rank_bounds(matrix, restarts: int = 20, iters: int = 4000, seed: int 
     some r proves nothing about r, so only successes move the upper bound.
     """
     m = as_nonneg(matrix)
-    lower = numerical_rank(m)
-    if lower == 0:
-        return 0, 0
-    return lower, scan_nonneg_certificate(m, restarts, iters, seed).inner_dim
+    return numerical_rank(m), scan_nonneg_certificate(m, restarts, iters, seed).inner_dim
 
 
 def psd_factorization_search(
@@ -411,8 +452,9 @@ def psd_factorization_search(
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
     if not m.any():
-        zeros = list(np.zeros((p + q, r, r), dtype=complex))
-        return FactorCertificate("psd", r, {"E": zeros[:p], "F": zeros[p:]}, 0.0)
+        zeros = np.zeros((p + q, r, r), dtype=complex)
+        e_list, f_list, residual = _gram_pairs(zeros[:p], zeros[p:], m)
+        return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
     target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r * r, target):
         return None
@@ -437,10 +479,7 @@ def psd_factorization_search(
             residual_vec, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=iters,
         )
-        g, h = unpack(sol.x)
-        e_list = [g[i] @ g[i].conj().T for i in range(p)]
-        f_list = [h[j] @ h[j].conj().T for j in range(q)]
-        residual = float(np.abs(pair_traces(e_list, f_list) - m).max())
+        e_list, f_list, residual = _gram_pairs(*unpack(sol.x), m)
         if residual <= target:
             return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
         return None
@@ -458,16 +497,19 @@ def psd_certificate_from_nonneg(cert: FactorCertificate) -> FactorCertificate:
     """Diagonal psd tuples from a nonnegative factorization, same inner dim.
 
     With E_i = diag(row i of the left factor) and F_j = diag(column j of
-    the right factor), tr(E_i F_j^T) recovers the product exactly, so every
-    nonnegative upper bound is also a psd upper bound.
+    the right factor), tr(E_i F_j^T) recovers the product, so every
+    nonnegative upper bound is also a psd upper bound.  The Gram factors
+    are diag(sqrt(row i)) and diag(sqrt(column j)); round-off below zero
+    in a factor is clipped first.
     """
     if cert.kind != "nonnegative":
         raise UsageError(f"expected a nonnegative certificate, got {cert.kind!r}")
     left = np.asarray(cert.payload["left"])
     right = np.asarray(cert.payload["right"])
-    e_list = [np.diag(left[i, :]).astype(complex) for i in range(left.shape[0])]
-    f_list = [np.diag(right[:, j]).astype(complex) for j in range(right.shape[1])]
-    residual = float(np.abs(pair_traces(e_list, f_list) - left @ right).max())
+    eye = np.eye(cert.inner_dim)
+    g = np.sqrt(np.clip(left, 0.0, None))[:, :, None] * eye
+    h = np.sqrt(np.clip(right.T, 0.0, None))[:, :, None] * eye
+    e_list, f_list, residual = _gram_pairs(g, h, left @ right)
     return FactorCertificate("psd", cert.inner_dim, {"E": e_list, "F": f_list}, max(residual, cert.residual))
 
 
@@ -550,15 +592,19 @@ def cp_factorization_search(
     return _first_success(polish, restarts)
 
 
-def scan_cp_certificate(matrix, restarts: int = 20, seed: int = 0):
+def scan_cp_certificate(matrix, restarts: int = 20, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL):
     """Smallest-inner-dimension cp certificate the search can find, or None.
 
-    Scans r upward from rank(M) to the side of M.  A violated necessary
-    condition raises ``NecessaryConditionError`` from the first search;
-    None means every search came up empty, which proves nothing.
+    Scans r upward from rank(M) at ``rel_tol`` to the side of M.  A
+    violated necessary condition raises ``NecessaryConditionError`` from
+    the first search; None means every search came up empty, which proves
+    nothing.  The square zero matrix, of rank 0, gets the empty factor.
     """
     m = _entries(matrix)
-    for r in range(max(numerical_rank(m), 1), m.shape[0] + 1):
+    lower = numerical_rank(m, rel_tol)
+    if lower == 0 and is_symmetric(m):
+        return FactorCertificate("cp", 0, {"factor": np.zeros((m.shape[0], 0))}, 0.0)
+    for r in range(max(lower, 1), m.shape[0] + 1):
         cert = cp_factorization_search(m, r, restarts=restarts, seed=seed)
         if cert is not None:
             return cert

@@ -102,10 +102,6 @@ class PsdOperator:
         sym.setflags(write=False)
         object.__setattr__(self, "data", sym)
 
-    @classmethod
-    def from_matrix(cls, matrix, dims) -> "PsdOperator":
-        return cls(SiteSpec(tuple(dims)), np.asarray(matrix, dtype=complex))
-
     @property
     def n(self) -> int:
         return self.sites.n

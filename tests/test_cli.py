@@ -504,13 +504,37 @@ def test_factorize_tol_reaches_every_exact_route(tmp_path, capsys, kind):
     assert inner == {"1e-10": 2, "0.2": 1}
 
 
-@pytest.mark.parametrize("kind", ["minimal", "symmetric", "cpsdt", "sqrt"])
+@pytest.mark.parametrize("kind", ["minimal", "psd", "symmetric", "cpsdt", "sqrt"])
 def test_convert_tol_reaches_every_exact_route(tmp_path, capsys, kind):
     path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 1.0], [1.0, 1.2]])
     argv = ["convert", path, "--kind", kind, "--direction", "to-state", "--tol", "0.2", "--json"]
     code, doc = run_json(capsys, argv)
     assert code == EXIT_OK
     assert entry_named(doc, "state_certificate")["inner_dim"] == 1
+
+
+def test_convert_to_matrix_reads_the_root_rank_at_tol(tmp_path, capsys):
+    path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 1.0], [1.0, 1.2]])
+    argv = ["convert", path, "--kind", "sqrt", "--direction", "to-matrix", "--tol", "0.2", "--json"]
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert entry_named(doc, "state_certificate")["inner_dim"] == 1
+    assert entry_named(doc, "matrix_certificate")["inner_dim"] == 1
+
+
+@pytest.mark.parametrize("kind", ["nonneg", "cp"])
+def test_convert_scans_start_at_the_rank_at_tol(tmp_path, capsys, kind):
+    # rank 3 at the default tolerance and rank 1 at 1e-6, where the r = 1
+    # search meets its bar: the perturbation is far below 1e-6 of max|M|
+    u = np.array([1.0, 2.0, 3.0])
+    path = write_csv_matrix(tmp_path / "m.csv", np.outer(u, u) + 1e-8 * np.eye(3))
+    inner = {}
+    for tol in ("1e-10", "1e-6"):
+        argv = ["convert", path, "--kind", kind, "--direction", "to-state", "--tol", tol, "--json"]
+        code, doc = run_json(capsys, argv)
+        assert code == EXIT_OK
+        inner[tol] = entry_named(doc, "state_certificate")["inner_dim"]
+    assert inner == {"1e-10": 3, "1e-6": 1}
 
 
 @pytest.mark.parametrize("kind", ["minimal", "sqrt"])

@@ -30,6 +30,7 @@ from mpdo_kit.nonneg_factorizations import (
     cpsdt_construct,
     hadamard_root_certificate,
     minimal_factorization,
+    psd_factorization_search,
     symmetric_factorization,
 )
 from mpdo_kit.tensor_core import PsdOperator, SiteSpec, UsageError, contract_train, psd_gram_factor
@@ -448,6 +449,23 @@ def test_purification_train_matches_the_index_loop():
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def test_purification_keeps_only_the_gram_columns_that_carry_weight():
+    # the psd and cpsdt constructions pair rank-one matrices: one Gram
+    # column each, so each site's auxiliary leg has its own dimension
+    m = np.random.default_rng(23).uniform(0.1, 1.0, (5, 5))
+    for kind, mat in (("psd", m), ("cpsdt", m + m.T)):
+        cert = correspondence._matrix_certificate(kind, mat)
+        core1, core2 = factorization_to_decomposition(kind, cert, DiagBipartite(mat)).payload.train.cores
+        assert core1.shape == (1, 5, 5, cert.inner_dim) and core2.shape == (cert.inner_dim, 5, 5, 1)
+    # all-zero tuples keep one column
+    zero = np.zeros((2, 3))
+    cert = psd_factorization_search(zero, 2)
+    dec = factorization_to_decomposition("psd", cert, DiagBipartite(zero))
+    core1, core2 = dec.payload.train.cores
+    assert core1.shape == (1, 2, 2, 2) and core2.shape == (2, 3, 3, 1)
+    assert dec.payload.osr_L == 0 and dec.residual == 0.0
+
+
 @pytest.mark.parametrize("kind", ["psd", "cpsdt"])
 def test_gram_matrices_match_the_index_loop(kind):
     rng = np.random.default_rng(22)
@@ -465,10 +483,11 @@ def test_gram_matrices_match_the_index_loop(kind):
         np.testing.assert_allclose(back.payload["F"], want_f, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("kind", ["minimal", "symmetric", "psd", "cpsdt", "hadamard-root"])
+@pytest.mark.parametrize("kind", ["minimal", "nonnegative", "psd", "symmetric", "cp", "cpsdt", "hadamard-root"])
 def test_zero_matrix_crosses_the_bridge(kind):
-    # every route gives inner dimension 0; the spectral purification of the
-    # zero operator is one zero column with bonds of dimension 0
+    # every route gives inner dimension 0: the zero matrix has rank 0, so
+    # the scans return the empty factorization and the Gram kinds a
+    # purification with no columns
     m = np.zeros((2, 2))
     cert = correspondence._matrix_certificate(kind, m)
     dec = factorization_to_decomposition(kind, cert, DiagBipartite(m))

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the correspondence, its round trips and the train sweep.
+"""Hypothesis properties of the correspondence, its round trips, the train sweep
+and the rank relations between a state and its purifications.
 
 Nonzero entries of the sparse matrices are drawn log-uniformly from
 [1e-16, 1e3], so a matrix can hold entries on both sides of the nonzero
@@ -7,9 +8,10 @@ runtime bounded and no example database is written.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mpdo_kit.certificates import check_factor_certificate
 from mpdo_kit.correspondence import (
     DiagBipartite,
     _matrix_certificate,
@@ -18,9 +20,27 @@ from mpdo_kit.correspondence import (
     factorization_to_decomposition,
     verify_correspondence,
 )
-from mpdo_kit.decompositions import mpo_train_form, operator_schmidt_rank, q_sqrt_rank
+from mpdo_kit.decompositions import (
+    CERT_RESIDUAL_TOL,
+    clipped_spectrum,
+    local_purification_spectral,
+    mpo_train_form,
+    operator_schmidt_rank,
+    q_sqrt_rank,
+)
 from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank, symmetric_factorization
-from mpdo_kit.tensor_core import MpoTrain, contract_train, matricize, numerical_rank
+from mpdo_kit.tensor_core import (
+    MpoTrain,
+    PsdOperator,
+    SiteSpec,
+    clip_psd_spectrum,
+    contract_train,
+    is_diagonal,
+    matricize,
+    nonzero_mask,
+    numerical_rank,
+    relative_residual,
+)
 
 MAX_NONZEROS = 10
 
@@ -162,3 +182,69 @@ def test_sweep_bonds_are_the_per_cut_rank_profile(case):
     assert operator_schmidt_rank(op, out_dims, in_dims=in_dims) == osr
     back = contract_train(train)
     assert np.linalg.norm(back - op) <= 1e-10 * np.linalg.norm(op)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sparse_nonneg())
+@example(np.diag([1.0, 1e-12]))  # an entry below the nonzero rule has no root
+def test_psd_certificate_has_the_spectral_purification_rank(m):
+    # the Gram pairs of the entrywise root's rank factorization against the
+    # purification read off the spectrum of diag_embed(M)
+    cert = _matrix_certificate("psd", m)
+    assert cert.inner_dim == local_purification_spectral(diag_embed(m)).osr_L
+    check_factor_certificate(m, cert)
+    dec = factorization_to_decomposition("psd", cert, DiagBipartite(m))
+    assert dec.residual <= CERT_RESIDUAL_TOL
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sparse_nonneg())
+def test_schmidt_rank_of_the_embedding_is_the_rank(m):
+    assert operator_schmidt_rank(diag_embed(m)) == numerical_rank(m)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(low_rank_operator())
+def test_schmidt_rank_is_at_most_the_square_of_the_purification_rank(case):
+    x, out_dims, _ = case
+    rho = PsdOperator(SiteSpec(out_dims), x @ x.conj().T)
+    puri = local_purification_spectral(rho)
+    assert operator_schmidt_rank(rho) <= puri.osr_L**2
+
+
+@st.composite
+def small_rank_operator(draw):
+    """Psd operator on 1-3 sites of dimension 1-3: diagonal with at most 8
+    nonzero entries, or X X^dag with X Gaussian of at most 5 columns."""
+    n = draw(st.integers(1, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    total = int(np.prod(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        diag = np.zeros(total)
+        cells = rng.choice(total, min(total, draw(st.integers(0, 8))), replace=False)
+        diag[cells] = rng.uniform(0.1, 2.0, cells.size)
+        return PsdOperator(SiteSpec(dims), np.diag(diag))
+    k = draw(st.integers(0, 5))
+    x = rng.normal(size=(total, k)) + 1j * rng.normal(size=(total, k))
+    return PsdOperator(SiteSpec(dims), x @ x.conj().T)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(small_rank_operator())
+def test_q_sqrt_signs_build_a_purification_of_that_schmidt_rank(rho):
+    # the Hermitian root tau with the returned signs has tau tau^dag = rho,
+    # so it is a purification: purification rank <= q_sqrt_rank
+    q_rank, signs = q_sqrt_rank(rho)
+    s = np.asarray(signs.signs, dtype=float)
+    if is_diagonal(rho):
+        vals = clip_psd_spectrum(np.diagonal(rho.data).real)
+        keep = nonzero_mask(vals)
+        diag = np.zeros(vals.size)
+        diag[keep] = s * np.sqrt(vals[keep])
+        tau = np.diag(diag)
+    else:
+        lam, vec = clipped_spectrum(rho)
+        tau = (vec * (s * np.sqrt(lam))) @ vec.conj().T
+    assert relative_residual(tau @ tau.conj().T, rho.data) <= CERT_RESIDUAL_TOL
+    assert operator_schmidt_rank(tau, rho.sites) == q_rank

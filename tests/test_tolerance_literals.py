@@ -1,6 +1,6 @@
 """Tooling guard: the shared tolerances stay named.
 
-A bare ``1e-8``, ``1e-10``, ``1e-12`` or ``1e-300`` in the package source, outside a
+A bare ``1e-6``, ``1e-8``, ``1e-10``, ``1e-12`` or ``1e-300`` in the package source, outside a
 ``NAME = value`` constant line, is a decision made next to the shared
 predicates instead of through them.  ``certificates.py`` is exempt: the
 independent checker keeps its own copies of the constants on purpose.
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mpdo_kit"
-GUARDED = {1e-8, 1e-10, 1e-12, 1e-300}
+GUARDED = {1e-6, 1e-8, 1e-10, 1e-12, 1e-300}
 EXEMPT = {"certificates.py"}
 CONSTANT_LINE = re.compile(r"^[A-Z][A-Z0-9_]*\s*=\s*[0-9.eE+-]+\s*(#.*)?$")
 
