@@ -9,10 +9,12 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from mpdo_kit.certificates import (
     FactorCertificate,
     NecessaryConditionError,
+    check_factor_certificate,
     pair_traces,
 )
 from mpdo_kit.correspondence import (
@@ -40,6 +42,7 @@ from mpdo_kit.nonneg_factorizations import (
     cp_factorization_search,
     cpsdt_construct,
     nonneg_factorization_search,
+    psd_factorization_search,
     slack_matrix_tgon,
     sqrt_rank,
 )
@@ -264,6 +267,21 @@ def test_criterion_9_planted_recovery():
             if cert is not None and cert.residual <= 1e-6 * np.abs(m).max():
                 wins += 1
         assert wins >= 19, f"cp planted recovery {wins}/20"
+
+
+@pytest.mark.parametrize("side, r", [(4, 2), (5, 2), (6, 2), (6, 3)])
+def test_criterion_9_psd_planted_recovery(side, r):
+    # M_ij = tr(E_i F_j^T) from random complex r x r psd E_i, F_j; every
+    # seed must give a certificate at the default restarts
+    with Timer(f"9 psd planted recovery {side}x{side} r={r}", 60.0):
+        for trial in range(10):
+            rng = np.random.default_rng([309, side, r, trial])
+            e = [rand_cpsd(r, rng) for _ in range(side)]
+            f = [rand_cpsd(r, rng) for _ in range(side)]
+            m = pair_traces(e, f)
+            cert = psd_factorization_search(m, r, seed=trial)
+            assert cert is not None, f"psd planted {side}x{side} r={r} seed {trial} not found"
+            check_factor_certificate(m, cert, residual_tol=1e-6)
 
 
 def test_criterion_10_mixed_w_suite():
