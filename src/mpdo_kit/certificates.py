@@ -146,9 +146,9 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
         if a.shape[1] != cert.inner_dim or b.shape[0] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factors")
         if kind == "nonnegative":
-            if any(np.iscomplexobj(x) and np.abs(x.imag).max() > 0 for x in (a, b)):
+            if any(np.iscomplexobj(x) and np.abs(x.imag).max(initial=0.0) > 0 for x in (a, b)):
                 raise ValueError("nonnegative factors must be real")
-            if a.real.min() < -CLIP_TOL or b.real.min() < -CLIP_TOL:
+            if a.real.min(initial=0.0) < -CLIP_TOL or b.real.min(initial=0.0) < -CLIP_TOL:
                 raise ValueError("factors are not entrywise nonnegative")
         recon = _real_product(a @ b, residual_tol, scale, "left @ right")
     elif kind == "psd":
@@ -162,9 +162,9 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
         recon = _real_product(a @ a.T, residual_tol, scale, "factor factor^T")
     elif kind == "cp":
         a = np.asarray(pay["factor"])
-        if np.iscomplexobj(a) and np.abs(a.imag).max() > 0:
+        if np.iscomplexobj(a) and np.abs(a.imag).max(initial=0.0) > 0:
             raise ValueError("cp factor must be real")
-        if a.min() < -CLIP_TOL:
+        if a.real.min(initial=0.0) < -CLIP_TOL:
             raise ValueError("cp factor is not entrywise nonnegative")
         if a.shape[1] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factor")

@@ -4,8 +4,9 @@ Exact routes: the minimal (SVD) factorization, the symmetric (Takagi)
 factorization by one eigendecomposition, square-root rank by sign
 enumeration, and the constructive psd and cpsdt factorizations through a
 Hadamard root.  Heuristic searches with independently checkable output:
-multiplicative updates (nonnegative), Gauss-Newton on Gram factors (psd),
-and projected gradient with a bounded least-squares polish (cp).  Every
+multiplicative updates (nonnegative), Levenberg-Marquardt on Gram factors
+(psd), and projected gradient with a projected Levenberg-Marquardt polish
+(cp); one batched numpy solver (:func:`least_squares`) serves both.  Every
 psd and cpsdt certificate here pairs the Gram matrices of two factor
 sides (:func:`_gram_pairs`).  A failed search never certifies a lower
 bound; the only certified lower bounds here are rank-based or
@@ -24,7 +25,7 @@ search returns None at once: the answer its restarts would have given.
 
 from __future__ import annotations
 
-from math import ceil, sqrt
+from math import ceil, prod, sqrt
 
 import numpy as np
 
@@ -61,16 +62,120 @@ DEFAULT_SIGN_BUDGET = 2**20
 #: a residual at the acceptance bar can carry.
 RANK_SCREEN_MARGIN = 2.0
 
+#: Levenberg-Marquardt damping, relative to max diag(J^T J): the start
+#: value (Madsen, Nielsen and Tingleff's tau), the floor that keeps each
+#: system positive definite, and the ceiling past which a restart has
+#: stalled.
+LM_TAU = 1e-3
+LM_LAMBDA_MIN = 1e-15
+LM_LAMBDA_MAX = 1e16
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call.
+#: Stand-in for max diag(J^T J) when the Jacobian vanishes.
+LM_CURVATURE_FLOOR = 1e-300
 
-    Importing scipy.optimize takes about half a second and 50 MB, and only
-    the psd search and the cp polish need it.
+#: A restart has converged once max|r| <= LM_CONVERGED * tol, and has gone
+#: flat once a step lowers ||r||^2 by less than LM_FTOL of its value.
+LM_CONVERGED = 1e-6
+LM_FTOL = 1e-15
+
+#: Levenberg-Marquardt steps of the cp polish per restart.
+CP_POLISH_ITERS = 200
+
+
+def least_squares(fun, x, iters: int, tol: float, nonneg: bool = False):
+    """Batched Levenberg-Marquardt over the restarts stacked as the rows of ``x``.
+
+    ``fun`` maps a ``(B, n)`` stack to its residuals ``(B, m)`` and their
+    Jacobian ``(B, m, n)``.  Each row takes the damped Gauss-Newton step
+    d = -(J^T J + lam I)^{-1} J^T r, solved as -J^T (J J^T + lam I)^{-1} r
+    when m < n (the same step from the smaller system).  ``nonneg`` keeps
+    x >= 0: entries at 0 whose gradient points outward are held for the
+    step, and the trial point is projected onto x >= 0 (projected LM:
+    Kanzow, Yamashita and Fukushima 2004).  The damping follows Nielsen's
+    rule per row (Madsen, Nielsen and Tingleff 2004, sec. 3.2): lam starts
+    at ``LM_TAU * max diag(J^T J)``; a trial point that lowers ||r|| is
+    taken and lam shrinks by max(1/3, 1 - (2 rho - 1)^3), rho being the
+    actual over the predicted decrease of ||r||^2; a rejected one leaves x
+    where it was and multiplies lam by nu, which doubles with each
+    rejection in a row.  lam never drops below
+    ``LM_LAMBDA_MIN * max diag(J^T J)``, which keeps every system positive
+    definite.
+
+    A row ends when it has converged (max|r| <= ``LM_CONVERGED * tol``),
+    gone flat (``LM_FTOL``), stalled (lam above ``LM_LAMBDA_MAX *
+    max diag(J^T J)``: no step that short moves x) or taken ``iters``
+    steps; it succeeds when max|r| <= ``tol`` then.  Each row gets the
+    BLAS and LAPACK calls a lone row would, so it follows its one-row path
+    bit for bit.  A row that succeeds is frozen there, and it and every
+    higher row leave the batch, since none of them can be the lowest-index
+    success; the loop ends when no lower row is left running.  Returns
+    ``(k, x_k)`` for the lowest row k that succeeds, or None.
     """
-    from scipy.optimize import least_squares as solve
+    x = np.asarray(x, dtype=float)
+    rows = np.arange(len(x))
+    res, jac = fun(x)
+    lam = LM_TAU * _curvature(jac)
+    nu = np.full(len(x), 2.0)
+    flat = np.zeros(len(x), dtype=bool)
+    won = None
+    for it in range(iters + 1):
+        worst = np.abs(res).max(axis=1, initial=0.0)
+        curvature = _curvature(jac)
+        live = ~flat & (worst > LM_CONVERGED * tol) & (lam <= LM_LAMBDA_MAX * curvature) & (it < iters)
+        hit = np.flatnonzero(~live & (worst <= tol))
+        if hit.size:
+            won = (int(rows[hit[0]]), x[hit[0]].copy())
+            live[hit[0] :] = False
+        if not live.all():
+            x, rows, res, jac = x[live], rows[live], res[live], jac[live]
+            lam, nu, curvature = lam[live], nu[live], curvature[live]
+        if not len(x):
+            break
+        lam = np.maximum(lam, LM_LAMBDA_MIN * curvature)
+        free = jac
+        if nonneg:
+            # entries at the bound whose gradient points out stay there
+            grad = (res[:, None, :] @ jac)[:, 0, :]
+            free = np.where(((x <= 0.0) & (grad > 0.0))[:, None, :], 0.0, jac)
+        jt = free.transpose(0, 2, 1)
+        m, n = jac.shape[1:]
+        if m < n:
+            system = free @ jt + lam[:, None, None] * np.eye(m)
+            step = -(jt @ np.linalg.solve(system, res[:, :, None]))[:, :, 0]
+        else:
+            system = jt @ free + lam[:, None, None] * np.eye(n)
+            step = -np.linalg.solve(system, jt @ res[:, :, None])[:, :, 0]
+        trial = x + step
+        if nonneg:
+            trial = np.maximum(trial, 0.0)
+            step = trial - x
+        res_t, jac_t = fun(trial)
+        # decrease of ||r||^2 / 2 that the linear model r + J d predicts
+        jd = (jac @ step[:, :, None])[:, :, 0]
+        predicted = -_dots(jd, res + 0.5 * jd)
+        cost = 0.5 * _dots(res, res)
+        actual = cost - 0.5 * _dots(res_t, res_t)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rho = np.where(predicted > 0, actual / predicted, -1.0)
+            shrink = np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
+        take = rho > 0
+        flat = take & (actual <= LM_FTOL * cost)
+        x = np.where(take[:, None], trial, x)
+        res = np.where(take[:, None], res_t, res)
+        jac = np.where(take[:, None, None], jac_t, jac)
+        lam = np.where(take, lam * shrink, lam * nu)
+        nu = np.where(take, 2.0, 2 * nu)
+    return won
 
-    return solve(*args, **kwargs)
+
+def _dots(u, v) -> np.ndarray:
+    """Row-wise dot products of two ``(B, m)`` stacks, one BLAS dot per row."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _curvature(jac) -> np.ndarray:
+    """max diag(J^T J) of each slice of a ``(B, m, n)`` Jacobian stack, floored above 0."""
+    return np.maximum((jac * jac).sum(axis=1).max(axis=1, initial=0.0), LM_CURVATURE_FLOOR)
 
 
 def _rank_floor_exceeds(m, k: int, target: float) -> bool:
@@ -90,21 +195,6 @@ def _rank_floor_exceeds(m, k: int, target: float) -> bool:
     return bool(np.linalg.norm(s[k:]) > RANK_SCREEN_MARGIN * sqrt(p * q) * target)
 
 
-def _first_success(worker, restarts: int):
-    """Run ``worker(idx)`` for idx = 0, 1, ... and return the first non-None result.
-
-    The serial restart loop: the psd search runs its ``least_squares``
-    restarts through it, and the cp search its per-restart polish.  The
-    nonneg search and the cp projected-gradient phase run their restarts
-    in lockstep instead (see :func:`nonneg_factorization_search`).
-    """
-    for idx in range(restarts):
-        res = worker(idx)
-        if res is not None:
-            return res
-    return None
-
-
 def _frobenius_norms(x) -> np.ndarray:
     """Frobenius norm of each slice of a ``(B, ...)`` stack.
 
@@ -113,7 +203,7 @@ def _frobenius_norms(x) -> np.ndarray:
     matrix.  A reduction over the stack would add in another order and
     could flip ties between equal norms.
     """
-    v = x.reshape(x.shape[0], 1, -1)
+    v = x.reshape(x.shape[0], 1, prod(x.shape[1:]))
     return np.sqrt((v @ v.transpose(0, 2, 1))[:, 0, 0])
 
 
@@ -437,15 +527,16 @@ def psd_factorization_search(
 ):
     """Search for complex psd tuples with M_ij = tr(E_i F_j^T).
 
-    Parametrizes E_i = G_i G_i^dag and F_j = H_j H_j^dag and runs bounded
-    Gauss-Newton least squares on the Gram factors (``iters`` caps the
-    residual evaluations per restart).  Feasibility of the output is
-    structural; acceptance is by reconstruction residual only.  The
-    restarts run one at a time, since a ``least_squares`` run cannot be
-    stacked, and the first success by index is returned.  Every candidate
-    has rank <= r^2, so when the singular-value tail of M beyond r^2 rules
-    that out (see the module docstring), None comes back without running
-    a restart.  The zero matrix gets the exact all-zero tuples.
+    Parametrizes E_i = G_i G_i^dag and F_j = H_j H_j^dag and runs the
+    batched Levenberg-Marquardt :func:`least_squares` on the Gram factors
+    (see :func:`_psd_residuals`), at most ``iters`` steps per restart.
+    Feasibility of the output is structural; acceptance is by
+    reconstruction residual only.  Restart ``idx`` starts from
+    ``default_rng([seed, idx])``; the restarts run in lockstep, and the
+    lowest-index success is returned.  Every candidate has rank <= r^2, so
+    when the singular-value tail of M beyond r^2 rules that out (see the
+    module docstring), None comes back without running a restart.  The
+    zero matrix gets the exact all-zero tuples.
     """
     m = as_nonneg(matrix)
     if r < 1:
@@ -458,33 +549,68 @@ def psd_factorization_search(
     target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r * r, target):
         return None
-    n_g = p * r * r
-    n_h = q * r * r
     scale = (m.mean() / max(r, 1)) ** 0.25 + 1e-3
-
-    def unpack(x):
-        g = (x[:n_g] + 1j * x[n_g : 2 * n_g]).reshape(p, r, r)
-        h = (x[2 * n_g : 2 * n_g + n_h] + 1j * x[2 * n_g + n_h :]).reshape(q, r, r)
-        return g, h
-
-    def residual_vec(x):
-        g, h = unpack(x)
-        traces = np.einsum("iac,ibc,jad,jbd->ij", g, g.conj(), h, h.conj()).real
-        return (traces - m).ravel()
-
-    def attempt(idx):
-        rng = np.random.default_rng([seed, idx])
-        x0 = rng.normal(size=2 * (n_g + n_h)) * scale
-        sol = least_squares(
-            residual_vec, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=iters,
-        )
-        e_list, f_list, residual = _gram_pairs(*unpack(sol.x), m)
-        if residual <= target:
-            return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
+    restarts = max(restarts, 0)
+    x0 = np.empty((restarts, 2 * (p + q) * r * r))
+    for idx in range(restarts):
+        x0[idx] = np.random.default_rng([seed, idx]).normal(size=x0.shape[1]) * scale
+    won = least_squares(_psd_residuals(m, r), x0, iters, target)
+    if won is None:
         return None
+    g, h = _psd_gram_factors(won[1][None], p, q, r)
+    # the certificate's residual, from E and F, rounds apart from the solver's
+    e_list, f_list, residual = _gram_pairs(g[0], h[0], m)
+    if residual <= target:
+        return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
+    return None
 
-    return _first_success(attempt, restarts)
+
+def _psd_gram_factors(x, p: int, q: int, r: int):
+    """Gram factors G ``(B, p, r, r)`` and H ``(B, q, r, r)`` packed in the rows
+    of ``x`` as [Re G, Im G, Re H, Im H]."""
+    n_g, n_h = p * r * r, q * r * r
+    g = (x[:, :n_g] + 1j * x[:, n_g : 2 * n_g]).reshape(-1, p, r, r)
+    h = (x[:, 2 * n_g : 2 * n_g + n_h] + 1j * x[:, 2 * n_g + n_h :]).reshape(-1, q, r, r)
+    return g, h
+
+
+def _psd_residuals(m, r: int):
+    """Residuals tr(E_i F_j^T) - M_ij of the psd search and their Jacobian.
+
+    With K_ij = G_i^T H_j, tr(E_i F_j^T) = ||K_ij||_F^2.  Its derivative is
+    2 Re W by Re G_i and -2 Im W by Im G_i, with W = H_j K_ij^dag; by H_j it
+    is the same with V = G_i conj(K_ij).  Row (i, j) of the Jacobian is
+    nonzero only in the blocks of G_i and H_j.  Every K_ij of a restart
+    comes from one product, of the stacked G_i^T with the side-by-side H_j,
+    and every W (V) of a given j (i) from one more.
+    """
+    p, q = m.shape
+    rr = r * r
+    eye_g = np.eye(p)[:, None, None, :, None]
+    eye_h = np.eye(q)[None, :, None, :, None]
+
+    def fun(x):
+        b = len(x)
+        g, h = _psd_gram_factors(x, p, q, r)
+        # k[:, i, c, j, d] = (G_i^T H_j)_cd
+        k = g.transpose(0, 1, 3, 2).reshape(b, p * r, r) @ h.transpose(0, 2, 1, 3).reshape(b, r, q * r)
+        k = k.reshape(b, p, r, q, r)
+        sq = (k.real**2 + k.imag**2).transpose(0, 1, 3, 2, 4).reshape(b, p, q, rr)
+        kc = k.conj()
+        # w[:, j, a, i, c] = (H_j K_ij^dag)_ac and v[:, i, a, j, d] = (G_i conj(K_ij))_ad
+        w = (h @ kc.transpose(0, 3, 4, 1, 2).reshape(b, q, r, p * r)).reshape(b, q, r, p, r)
+        v = (g @ kc.reshape(b, p, r, q * r)).reshape(b, p, r, q, r)
+
+        def block(d, eye):
+            parts = 2 * np.stack([d.real, -d.imag], axis=3).reshape(b, p, q, 2, 1, rr)
+            return (parts * eye).reshape(b, p * q, 2 * eye.shape[3] * rr)
+
+        jac = np.concatenate(
+            [block(w.transpose(0, 3, 1, 2, 4), eye_g), block(v.transpose(0, 1, 3, 2, 4), eye_h)], axis=2
+        )
+        return (sq.sum(axis=3) - m).reshape(b, p * q), jac
+
+    return fun
 
 
 def psd_rank_lower_bound(matrix) -> int:
@@ -524,15 +650,16 @@ def cp_factorization_search(
 
     Rejections (not symmetric, not entrywise nonnegative, not psd) raise
     NecessaryConditionError -- those are impossibility certificates, unlike
-    a search that merely comes up empty.  Each restart runs ``iters``
-    steps of projected gradient descent, all restarts in lockstep as one
-    ``(restarts, p, r)`` stack, then a bounded least-squares polish; the
-    polishes run one restart at a time in index order and stop at the
-    first success, so the lowest-index success wins.  After the necessary
-    conditions and the check on r, a singular-value tail of M beyond r
-    that rules out every rank-r product A A^T (see the module docstring)
-    returns None without running a restart.  The zero matrix gets the exact
-    factor A = 0.
+    a search that merely comes up empty.  Restart ``idx`` starts from
+    ``default_rng([seed, idx])`` and runs ``iters`` steps of projected
+    gradient descent, then at most ``CP_POLISH_ITERS`` steps of the
+    projected Levenberg-Marquardt :func:`least_squares` (see
+    :func:`_cp_residuals`), which keeps A >= 0 entrywise.  Both phases
+    run all restarts in lockstep, and the lowest-index success wins.
+    After the necessary conditions and the check on r, a singular-value
+    tail of M beyond r that rules out every rank-r product A A^T (see the
+    module docstring) returns None without running a restart.  The zero
+    matrix gets the exact factor A = 0.
     """
     raw = _entries(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
@@ -574,22 +701,33 @@ def cp_factorization_search(
         a = np.where(accept[:, None, None], trial, a)
         step = np.where(accept, step * 1.1, step * 0.5)
 
-    def polish(idx):
-        def flat_residual(x):
-            am = x.reshape(p, r)
-            return (am @ am.T - m).ravel()
-
-        sol = least_squares(
-            flat_residual, a[idx].ravel(), bounds=(0.0, np.inf), method="trf",
-            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=200,
-        )
-        factor = sol.x.reshape(p, r)
-        residual = float(np.abs(factor @ factor.T - m).max())
-        if residual <= target:
-            return FactorCertificate("cp", r, {"factor": factor}, residual)
+    polish = _cp_residuals(m, r)
+    won = least_squares(polish, a.reshape(restarts, p * r), CP_POLISH_ITERS, target, nonneg=True)
+    if won is None:
         return None
+    factor = won[1].reshape(p, r)
+    residual = float(np.abs(factor @ factor.T - m).max())
+    if residual <= target:
+        return FactorCertificate("cp", r, {"factor": factor}, residual)
+    return None
 
-    return _first_success(polish, restarts)
+
+def _cp_residuals(m, r: int):
+    """Residuals (A A^T - M)_kl of the cp polish and their Jacobian.
+
+    d(A A^T)_kl / dA_ic = delta_ki A_lc + delta_li A_kc.
+    """
+    p = m.shape[0]
+    eye_k = np.eye(p)[:, None, :, None]
+    eye_l = np.eye(p)[None, :, :, None]
+
+    def fun(x):
+        a = x.reshape(len(x), p, r)
+        res = (a @ a.transpose(0, 2, 1) - m).reshape(len(x), p * p)
+        jac = eye_k * a[:, None, :, None, :] + eye_l * a[:, :, None, None, :]
+        return res, jac.reshape(len(x), p * p, p * r)
+
+    return fun
 
 
 def scan_cp_certificate(matrix, restarts: int = 20, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL):

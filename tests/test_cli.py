@@ -460,17 +460,36 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
-def test_cli_start_up_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the first search that needs it
+def test_searches_and_conversions_load_no_scipy(tmp_path):
+    # the psd search, the cp search with its polish and the cp round trip
+    # run in a fresh interpreter; none of them may pull in any scipy module
     import mpdo_kit
 
-    code = "import sys, mpdo_kit.cli; mpdo_kit.cli.build_parser(); print('scipy.optimize' in sys.modules)"
+    rng = np.random.default_rng(31)
+    g = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+    e = g @ g.conj().transpose(0, 2, 1)
+    psd = write_csv_matrix(tmp_path / "psd.csv", np.einsum("iab,jab->ij", e[:4], e[4:]).real)
+    a = rng.uniform(0.2, 1.2, (5, 3))
+    cp = write_csv_matrix(tmp_path / "cp.csv", a @ a.T)
+    argvs = [
+        ["factorize", psd, "--kind", "psd", "--r", "2", "--json"],
+        ["factorize", cp, "--kind", "cp", "--r", "3", "--json"],
+        ["convert", cp, "--kind", "cp", "--direction", "both", "--json"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from mpdo_kit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')]))\n"
+    )
     src = str(Path(mpdo_kit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout) == [[EXIT_OK] * 3, []]
 
 
 def test_missing_file_is_usage_error(capsys):

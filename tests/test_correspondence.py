@@ -494,3 +494,18 @@ def test_zero_matrix_crosses_the_bridge(kind):
     back = decomposition_to_factorization(kind, dec, sites=(2, 2))
     assert cert.inner_dim == dec.inner_dim == back.inner_dim == 0
     assert verify_correspondence(kind, m)["verdict"] in ("exact-match", "intervals-consistent")
+
+
+ALL_KINDS = ("minimal", "nonnegative", "psd", "symmetric", "cp", "cpsdt", "hadamard-root")
+ZERO_CASES = [(kind, (3, 3)) for kind in ALL_KINDS]
+ZERO_CASES += [(kind, (2, 4)) for kind in ("minimal", "nonnegative", "psd", "hadamard-root")]
+
+
+@pytest.mark.parametrize("kind, shape", ZERO_CASES, ids=[f"{k}-{p}x{q}" for k, (p, q) in ZERO_CASES])
+def test_checker_accepts_the_zero_matrix_certificates(kind, shape):
+    # the nonnegative and cp factors have no columns: their sign tests
+    # reduce over an empty array
+    m = np.zeros(shape)
+    cert = correspondence._matrix_certificate(kind, m)
+    assert cert.inner_dim == 0
+    assert check_factor_certificate(m, cert)["max_abs_residual"] == 0.0

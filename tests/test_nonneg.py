@@ -461,3 +461,17 @@ def test_checker_ranks_a_hadamard_root_by_the_relative_rule():
 def test_minimal_rejects_an_out_of_range_tolerance():
     with pytest.raises(UsageError):
         minimal_factorization(np.ones((2, 2)), rel_tol=2.0)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_psd_and_cp_searches_recover_planted_matrices_at_any_scale(scale):
+    # the solver's damping and stopping rules are relative to M and its
+    # Jacobian, so tiny and huge matrices converge like unit ones
+    rng = np.random.default_rng([3, 5])
+    g = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+    e = g @ g.conj().transpose(0, 2, 1)
+    m = pair_traces(e[:5], e[5:]) * scale
+    check_factor_certificate(m, psd_factorization_search(m, 2, seed=3), residual_tol=1e-6)
+    a = rng.uniform(0.2, 1.2, (5, 3))
+    m = a @ a.T * scale
+    check_factor_certificate(m, cp_factorization_search(m, 3, seed=3), residual_tol=1e-6)

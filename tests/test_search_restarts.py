@@ -1,10 +1,11 @@
-"""Oracle tests for the lockstep restarts of the nonneg and cp searches.
+"""Oracle tests for the lockstep restarts of the nonneg, cp and psd searches.
 
 The references below are plain per-restart loops: restart ``idx`` runs
 alone from ``default_rng([seed, idx])`` and the first success by index
-wins.  The lockstep searches stack every restart into one batched
-iteration; their certificates must equal the references' bit for bit
-(or both be None).
+wins.  A lone restart's Levenberg-Marquardt run is the package solver
+called on a stack of one row.  The lockstep searches stack every restart
+into one batched iteration; their certificates must equal the references'
+bit for bit (or both be None).
 """
 
 from math import sqrt
@@ -13,17 +14,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
 
 from mpdo_kit import nonneg_factorizations
-from mpdo_kit.certificates import FactorCertificate
+from mpdo_kit.certificates import FactorCertificate, pair_traces
 from mpdo_kit.nonneg_factorizations import (
+    CP_POLISH_ITERS,
     MU_EPS,
     SEARCH_RESIDUAL_TOL,
+    _cp_residuals,
     _frobenius_norms,
+    _gram_pairs,
+    _psd_gram_factors,
+    _psd_residuals,
     _rank_floor_exceeds,
     cp_factorization_search,
+    least_squares,
     nonneg_factorization_search,
+    psd_factorization_search,
 )
 
 
@@ -64,18 +71,31 @@ def cp_restart(m, r, iters, seed, idx):
         else:
             step *= 0.5
 
-    def flat_residual(x):
-        am = x.reshape(p, r)
-        return (am @ am.T - m).ravel()
-
-    sol = least_squares(
-        flat_residual, a.ravel(), bounds=(0.0, np.inf), method="trf",
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=200,
-    )
-    a = sol.x.reshape(p, r)
+    won = least_squares(_cp_residuals(m, r), a.reshape(1, -1), CP_POLISH_ITERS, target, nonneg=True)
+    if won is None:
+        return None
+    assert won[0] == 0
+    a = won[1].reshape(p, r)
     residual = float(np.abs(a @ a.T - m).max())
     if residual <= target:
         return FactorCertificate("cp", r, {"factor": a}, residual)
+    return None
+
+
+def psd_restart(m, r, iters, seed, idx):
+    """One serial restart of the psd search: certificate or None."""
+    p, q = m.shape
+    target = SEARCH_RESIDUAL_TOL * np.abs(m).max()
+    scale = (m.mean() / r) ** 0.25 + 1e-3
+    x0 = np.random.default_rng([seed, idx]).normal(size=2 * (p + q) * r * r) * scale
+    won = least_squares(_psd_residuals(m, r), x0[None], iters, target)
+    if won is None:
+        return None
+    assert won[0] == 0
+    g, h = _psd_gram_factors(won[1][None], p, q, r)
+    e_list, f_list, residual = _gram_pairs(g[0], h[0], m)
+    if residual <= target:
+        return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
     return None
 
 
@@ -96,6 +116,10 @@ def reference_cp(m, r, restarts, iters, seed):
     return first_success(lambda idx: cp_restart(m, r, iters, seed, idx), restarts)
 
 
+def reference_psd(m, r, restarts, iters, seed):
+    return first_success(lambda idx: psd_restart(m, r, iters, seed, idx), restarts)
+
+
 def assert_same(got, want):
     if want is None:
         assert got is None
@@ -105,6 +129,8 @@ def assert_same(got, want):
     assert got.payload.keys() == want.payload.keys()
     for key in want.payload:
         assert np.array_equal(got.payload[key], want.payload[key])
+    if want.kind == "cp":
+        assert np.asarray(want.payload["factor"]).min() >= 0.0
 
 
 def planted_nonneg(case, p=5, q=5, r=2):
@@ -115,6 +141,13 @@ def planted_nonneg(case, p=5, q=5, r=2):
 def planted_cp(case, p=5, r=2):
     a = np.random.default_rng([case, 12]).uniform(0.0, 1.0, (p, r))
     return a @ a.T
+
+
+def planted_psd(case, p=4, q=4, r=2):
+    rng = np.random.default_rng([case, 14])
+    g = rng.normal(size=(p + q, r, r)) + 1j * rng.normal(size=(p + q, r, r))
+    e = g @ g.conj().transpose(0, 2, 1)
+    return pair_traces(e[:p], e[p:])
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +268,72 @@ def test_cp_infeasible_r(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# psd search
+
+
+def test_psd_single_restart():
+    m = planted_psd(0)
+    idx, want = reference_psd(m, 2, 1, 200, seed=0)
+    assert idx == 0
+    assert_same(psd_factorization_search(m, 2, restarts=1, iters=200, seed=0), want)
+
+
+def test_psd_lowest_index_wins_over_higher_indices_that_met_first():
+    # restart 0 needs more than 20 steps, restart 1 fewer: the batch must
+    # keep restart 0 running after restart 1 froze
+    m = planted_psd(1)
+    assert psd_restart(m, 2, 20, 0, 0) is None
+    assert psd_restart(m, 2, 20, 0, 1) is not None
+    idx, want = reference_psd(m, 2, 5, 200, seed=0)
+    assert idx == 0
+    assert_same(psd_factorization_search(m, 2, restarts=5, iters=200, seed=0), want)
+    # capped at 20 steps, restart 1 is the lowest success
+    idx, want = reference_psd(m, 2, 5, 20, seed=0)
+    assert idx == 1
+    assert_same(psd_factorization_search(m, 2, restarts=5, iters=20, seed=0), want)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 8])
+def test_psd_short_runs(iters):
+    m = planted_psd(2, p=3, q=5)
+    _, want = reference_psd(m, 2, 3, iters, seed=1)
+    assert_same(psd_factorization_search(m, 2, restarts=3, iters=iters, seed=1), want)
+
+
+def test_psd_infeasible_r(monkeypatch):
+    # rank 4 at r = 1: switched-off rank screen, as in the cp case
+    monkeypatch.setattr(nonneg_factorizations, "_rank_floor_exceeds", lambda m, k, target: False)
+    m = planted_psd(3)
+    _, want = reference_psd(m, 1, 4, 60, seed=0)
+    assert want is None
+    assert psd_factorization_search(m, 1, restarts=4, iters=60, seed=0) is None
+
+
+def test_psd_and_cp_no_restarts():
+    assert psd_factorization_search(planted_psd(0), 2, restarts=0) is None
+    assert cp_factorization_search(planted_cp(0), 2, restarts=0) is None
+
+
+# ---------------------------------------------------------------------------
+# the solver
+
+
+def test_stalled_row_leaves_the_batch_and_the_next_row_wins():
+    # x0 * x1 = 1: row 0 starts at the origin, where the Jacobian (x1, x0)
+    # vanishes and every step is rejected until the damping stalls it;
+    # row 1 converges, along its lone-row path
+    def fun(x):
+        return x[:, :1] * x[:, 1:] - 1.0, x[:, None, ::-1].copy()
+
+    x0 = np.array([[0.0, 0.0], [1.0, 2.0]])
+    k, x = least_squares(fun, x0, 100, 1e-9)
+    assert k == 1 and abs(x[0] * x[1] - 1.0) <= 1e-9
+    lone = least_squares(fun, x0[1:], 100, 1e-9)
+    assert lone[0] == 0 and np.array_equal(lone[1], x)
+    assert least_squares(fun, x0[:1], 100, 1e-9) is None
+
+
+# ---------------------------------------------------------------------------
 # property: random planted matrices
 
 
@@ -254,3 +353,6 @@ def test_lockstep_matches_serial_restarts(case, p, q, planted, r, seed):
     c = planted_cp(case, p, planted)
     _, want = reference_cp(c, r, 3, 60, seed)
     assert_same(cp_factorization_search(c, r, restarts=3, iters=60, seed=seed), want)
+    s = planted_psd(case, p, q, planted)
+    _, want = reference_psd(s, r, 3, 30, seed)
+    assert_same(psd_factorization_search(s, r, restarts=3, iters=30, seed=seed), want)
