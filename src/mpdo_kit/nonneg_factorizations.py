@@ -203,8 +203,8 @@ def _frobenius_norms(x) -> np.ndarray:
     matrix.  A reduction over the stack would add in another order and
     could flip ties between equal norms.
     """
-    v = x.reshape(x.shape[0], 1, prod(x.shape[1:]))
-    return np.sqrt((v @ v.transpose(0, 2, 1))[:, 0, 0])
+    v = x.reshape(x.shape[0], prod(x.shape[1:]))
+    return np.sqrt(_dots(v, v))
 
 
 def _entries(matrix, dtype=float) -> np.ndarray:
