@@ -387,9 +387,7 @@ def cmd_analyze(args) -> int:
     report.add("diagonal", value=diagonal)
     if diagonal and sites.n == 2:
         m = diag_extract(op)
-        cert = _matrix_certificate(
-            "nonnegative", m, rel_tol=args.tol, restarts=args.restarts, iters=args.iters, seed=args.seed
-        )
+        cert = _matrix_certificate("nonnegative", m, rel_tol=args.tol, restarts=args.restarts, seed=args.seed)
         report.add(
             "sep_rank",
             interval=[osr, cert.inner_dim],
@@ -420,7 +418,7 @@ def cmd_factorize(args) -> int:
     r = args.r if args.r is not None else max(numerical_rank(m, args.tol), 1)
 
     if kind == "nonnegative":
-        cert = nonneg_factorization_search(m, r, args.restarts, args.iters, args.seed)
+        cert = nonneg_factorization_search(m, r, args.restarts, seed=args.seed)
     elif kind == "psd":
         cert = psd_factorization_search(m, r, args.restarts, seed=args.seed)
     elif kind == "cp":
@@ -478,7 +476,7 @@ def cmd_convert(args) -> int:
             raise InputError("matrix input must be real; pass --sites for operator input")
         m = as_nonneg(matrix)
 
-    options = dict(sign_budget=args.budget, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    options = dict(sign_budget=args.budget, restarts=args.restarts, seed=args.seed)
     if args.direction == "both":
         entry = verify_correspondence(kind, m, rel_tol=args.tol, **options)
         report.add("correspondence", **{k: v for k, v in entry.items() if k != "kind"})
@@ -602,11 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0, help="seed for randomized procedures"),
         "--tol": dict(type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance"),
         "--restarts": dict(type=int, default=20),
-        "--iters": dict(
-            type=int,
-            default=4000,
-            help="iteration cap per restart of the multiplicative-update (nonnegative) search",
-        ),
         "--budget": dict(type=int, default=DEFAULT_SIGN_BUDGET, help="sign enumeration budget"),
     }
 
@@ -617,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="rank and bound report for a dense operator")
     p.add_argument("path")
     p.add_argument("--sites", help="comma-separated site dimensions, e.g. 2,2")
-    add_options(p, "--json", "--seed", "--tol", "--restarts", "--iters")
+    add_options(p, "--json", "--seed", "--tol", "--restarts")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("factorize", help="factorize a nonnegative matrix")

@@ -360,7 +360,6 @@ def _matrix_certificate(
     rel_tol: float = DEFAULT_RANK_TOL,
     sign_budget: int = DEFAULT_SIGN_BUDGET,
     restarts: int = 20,
-    iters: int = 4000,
     seed: int = 0,
 ):
     """The canonical matrix-side certificate of one (canonical) kind for m.
@@ -384,7 +383,7 @@ def _matrix_certificate(
     if kind == "hadamard-root":
         return hadamard_root_certificate(m, sign_budget, rel_tol)
     if kind == "nonnegative":
-        return scan_nonneg_certificate(m, restarts=restarts, iters=iters, seed=seed, rel_tol=rel_tol)
+        return scan_nonneg_certificate(m, restarts=restarts, seed=seed, rel_tol=rel_tol)
     return scan_cp_certificate(m, restarts=restarts, seed=seed, rel_tol=rel_tol)
 
 
@@ -415,7 +414,6 @@ def verify_correspondence(
     matrix,
     sign_budget: int = DEFAULT_SIGN_BUDGET,
     restarts: int = 20,
-    iters: int = 4000,
     seed: int = 0,
     rel_tol: float = DEFAULT_RANK_TOL,
 ) -> dict:
@@ -458,9 +456,7 @@ def verify_correspondence(
         osr = operator_schmidt_rank(sigma, rel_tol=rel_tol)
 
     try:
-        cert = _matrix_certificate(
-            kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, iters=iters, seed=seed
-        )
+        cert = _matrix_certificate(kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, seed=seed)
     except NecessaryConditionError as exc:
         entry.update(verdict="skipped", note=f"no {kind} factorization: {exc.condition}")
         return entry

@@ -3,14 +3,13 @@
 Exact routes: the minimal (SVD) factorization, the symmetric (Takagi)
 factorization by one eigendecomposition, square-root rank by sign
 enumeration, and the constructive psd and cpsdt factorizations through a
-Hadamard root.  Heuristic searches with independently checkable output:
-multiplicative updates (nonnegative), Levenberg-Marquardt on Gram factors
-(psd), and projected gradient with a projected Levenberg-Marquardt polish
-(cp); one batched numpy solver (:func:`least_squares`) serves both.  Every
-psd and cpsdt certificate here pairs the Gram matrices of two factor
-sides (:func:`_gram_pairs`).  A failed search never certifies a lower
-bound; the only certified lower bounds here are rank-based or
-necessary-condition rejections.
+Hadamard root.  Heuristic searches with independently checkable output, for
+the nonnegative, psd and cp factorizations, all on one batched numpy
+Levenberg-Marquardt solver (:func:`least_squares`), projected onto x >= 0
+for the nonnegative and cp factors.  Every psd and cpsdt certificate here
+pairs the Gram matrices of two factor sides (:func:`_gram_pairs`).  A
+failed search never certifies a lower bound; the only certified lower
+bounds here are rank-based or necessary-condition rejections.
 
 The searches use the rank bound to return early.  A search at inner
 dimension r can only produce a matrix X of rank <= k, with k = r for the
@@ -25,7 +24,7 @@ search returns None at once: the answer its restarts would have given.
 
 from __future__ import annotations
 
-from math import ceil, prod, sqrt
+from math import ceil, sqrt
 
 import numpy as np
 
@@ -51,9 +50,6 @@ from .tensor_core import (
 #: Acceptance bar for search residuals, relative to max|M|.
 SEARCH_RESIDUAL_TOL = 1e-6
 
-#: Denominator guard in multiplicative updates.
-MU_EPS = 1e-12
-
 #: Default enumeration budget for sign patterns (2^20 candidates).
 DEFAULT_SIGN_BUDGET = 2**20
 
@@ -78,8 +74,8 @@ LM_CURVATURE_FLOOR = 1e-300
 LM_CONVERGED = 1e-6
 LM_FTOL = 1e-15
 
-#: Levenberg-Marquardt steps of the cp polish per restart.
-CP_POLISH_ITERS = 200
+#: Levenberg-Marquardt steps per restart of the three searches.
+SEARCH_ITERS = 200
 
 
 def least_squares(fun, x, iters: int, tol: float, nonneg: bool = False):
@@ -193,18 +189,6 @@ def _rank_floor_exceeds(m, k: int, target: float) -> bool:
         return False
     s = np.linalg.svd(m, compute_uv=False)
     return bool(np.linalg.norm(s[k:]) > RANK_SCREEN_MARGIN * sqrt(p * q) * target)
-
-
-def _frobenius_norms(x) -> np.ndarray:
-    """Frobenius norm of each slice of a ``(B, ...)`` stack.
-
-    Bit-identical to ``np.linalg.norm`` of each slice: the square is one
-    ``v @ v`` dot per slice, the sum ``np.linalg.norm`` forms for a single
-    matrix.  A reduction over the stack would add in another order and
-    could flip ties between equal norms.
-    """
-    v = x.reshape(x.shape[0], prod(x.shape[1:]))
-    return np.sqrt(_dots(v, v))
 
 
 def _entries(matrix, dtype=float) -> np.ndarray:
@@ -408,72 +392,79 @@ def slack_matrix_tgon(t: int) -> NonnegMatrix:
 # heuristic searches
 
 
+def _seeded_starts(restarts: int, seed: int, n: int, draw) -> np.ndarray:
+    """The ``(restarts, n)`` stack of search starts: row ``idx`` is
+    ``draw(default_rng([seed, idx]), n)``, so each restart has its own stream."""
+    x0 = np.empty((max(restarts, 0), n))
+    for idx in range(len(x0)):
+        x0[idx] = draw(np.random.default_rng([seed, idx]), n)
+    return x0
+
+
 def nonneg_factorization_search(
     matrix,
     r: int,
     restarts: int = 50,
-    iters: int = 4000,
+    iters: int = SEARCH_ITERS,
     seed: int = 0,
 ):
-    """Multiplicative-update search for M = left @ right with nonneg factors.
+    """Search for M = left @ right with nonnegative factors.
 
-    Returns the first certificate (by restart index) whose max-abs residual
-    meets ``SEARCH_RESIDUAL_TOL * max|M|``, or None -- absence of a
-    certificate is a normal outcome and proves nothing.  When the
-    singular-value tail of M beyond r rules out every rank-r product (see
-    the module docstring), None comes back without running a restart.
-
-    Restart ``idx`` starts from its own stream ``default_rng([seed, idx])``
-    and runs the Lee-Seung updates for at most ``iters`` iterations,
-    testing its residual every 50th.  The restarts run in lockstep, stacked
-    as ``(restarts, p, r)`` and ``(restarts, r, q)`` arrays with one batched
-    update per iteration; each slice gets the BLAS calls a lone restart
-    would, so every restart follows its serial path bit for bit.  A restart
-    that meets the bar at a check is frozen there, and it and every higher
-    index leave the batch, since none of them can be the lowest-index
-    success; the loop ends when no lower index is left running.
+    Runs the projected Levenberg-Marquardt :func:`least_squares` on the
+    packed factors [vec W, vec H] (see :func:`_nonneg_residuals`), at most
+    ``iters`` steps per restart, keeping both factors >= 0 entrywise.
+    Restart ``idx`` starts from ``default_rng([seed, idx])``, and the
+    restarts run in lockstep.  Returns the first certificate (by restart
+    index) whose max-abs residual meets ``SEARCH_RESIDUAL_TOL * max|M|``,
+    or None -- absence of a certificate is a normal outcome and proves
+    nothing.  When the singular-value tail of M beyond r rules out every
+    rank-r product (see the module docstring), None comes back without
+    running a restart.  The zero matrix gets the exact zero factors.
     """
     m = as_nonneg(matrix)
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
+    if not m.any():
+        return FactorCertificate("nonnegative", r, {"left": np.zeros((p, r)), "right": np.zeros((r, q))}, 0.0)
     target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r, target):
         return None
-    scale = sqrt(max(m.mean(), MU_EPS) / r)
+    scale = sqrt(m.mean() / r)
+    x0 = _seeded_starts(restarts, seed, (p + q) * r, lambda rng, n: rng.uniform(0.1, 1.0, n) * scale)
+    won = least_squares(_nonneg_residuals(m, r), x0, iters, target, nonneg=True)
+    if won is None:
+        return None
+    w, h = _nonneg_factors(won[1][None], p, q, r)
+    residual = float(np.abs(w[0] @ h[0] - m).max())
+    if residual <= target:
+        return FactorCertificate("nonnegative", r, {"left": w[0], "right": h[0]}, residual)
+    return None
 
-    restarts = max(restarts, 0)
-    w = np.empty((restarts, p, r))
-    h = np.empty((restarts, r, q))
-    for idx in range(restarts):
-        rng = np.random.default_rng([seed, idx])
-        w[idx] = rng.uniform(0.1, 1.0, (p, r)) * scale
-        h[idx] = rng.uniform(0.1, 1.0, (r, q)) * scale
 
-    def certificate(k, residual):
-        return FactorCertificate("nonnegative", r, {"left": w[k].copy(), "right": h[k].copy()}, residual)
+def _nonneg_factors(x, p: int, q: int, r: int):
+    """Factors W ``(B, p, r)`` and H ``(B, r, q)`` packed in the rows of ``x`` as [vec W, vec H]."""
+    return x[:, : p * r].reshape(-1, p, r), x[:, p * r :].reshape(-1, r, q)
 
-    # restarts 0 .. len(w) - 1 are running (the batch only ever loses a
-    # tail, so slice k is restart k); ``won`` beats every higher index
-    won = None
-    for it in range(iters):
-        if not len(w):
-            break
-        w *= (m @ h.transpose(0, 2, 1)) / (w @ (h @ h.transpose(0, 2, 1)) + MU_EPS)
-        wt = w.transpose(0, 2, 1)
-        h *= (wt @ m) / ((wt @ w) @ h + MU_EPS)
-        if it % 50 == 49:
-            residual = np.abs(m - w @ h).max(axis=(1, 2))
-            hit = np.flatnonzero(residual <= target)
-            if hit.size:
-                k = int(hit[0])
-                won = certificate(k, float(residual[k]))
-                w, h = w[:k], h[:k]
-    residual = np.abs(m - w @ h).max(axis=(1, 2))
-    hit = np.flatnonzero(residual <= target)
-    if hit.size:
-        return certificate(int(hit[0]), float(residual[hit[0]]))
-    return won
+
+def _nonneg_residuals(m, r: int):
+    """Residuals (W H - M)_ij of the nonnegative search and their Jacobian.
+
+    d(W H)_ij / dW_kc = delta_ik H_cj and d(W H)_ij / dH_cl = W_ic delta_jl.
+    """
+    p, q = m.shape
+    eye_p = np.eye(p)[:, None, :, None]
+    eye_q = np.eye(q)[None, :, None, :]
+
+    def fun(x):
+        b = len(x)
+        w, h = _nonneg_factors(x, p, q, r)
+        res = (w @ h - m).reshape(b, p * q)
+        jac_w = (eye_p * h.transpose(0, 2, 1)[:, None, :, None, :]).reshape(b, p * q, p * r)
+        jac_h = (w[:, :, None, :, None] * eye_q).reshape(b, p * q, r * q)
+        return res, np.concatenate([jac_w, jac_h], axis=2)
+
+    return fun
 
 
 def trivial_nonneg_certificate(matrix) -> FactorCertificate:
@@ -486,7 +477,7 @@ def trivial_nonneg_certificate(matrix) -> FactorCertificate:
 
 
 def scan_nonneg_certificate(
-    matrix, restarts: int = 20, iters: int = 4000, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL
+    matrix, restarts: int = 20, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL
 ) -> FactorCertificate:
     """Smallest-inner-dimension nonnegative certificate the search can find.
 
@@ -500,13 +491,13 @@ def scan_nonneg_certificate(
     if lower == 0:
         return FactorCertificate("nonnegative", 0, {"left": np.zeros((p, 0)), "right": np.zeros((0, q))}, 0.0)
     for r in range(lower, min(p, q)):
-        cert = nonneg_factorization_search(m, r, restarts, iters, seed)
+        cert = nonneg_factorization_search(m, r, restarts, seed=seed)
         if cert is not None:
             return cert
     return trivial_nonneg_certificate(m)
 
 
-def nonneg_rank_bounds(matrix, restarts: int = 20, iters: int = 4000, seed: int = 0):
+def nonneg_rank_bounds(matrix, restarts: int = 20, seed: int = 0):
     """Certified interval [rank(M), r_upper] for the nonnegative rank.
 
     The lower bound is the plain rank (always valid since any nonnegative
@@ -515,14 +506,14 @@ def nonneg_rank_bounds(matrix, restarts: int = 20, iters: int = 4000, seed: int 
     some r proves nothing about r, so only successes move the upper bound.
     """
     m = as_nonneg(matrix)
-    return numerical_rank(m), scan_nonneg_certificate(m, restarts, iters, seed).inner_dim
+    return numerical_rank(m), scan_nonneg_certificate(m, restarts, seed).inner_dim
 
 
 def psd_factorization_search(
     matrix,
     r: int,
     restarts: int = 20,
-    iters: int = 200,
+    iters: int = SEARCH_ITERS,
     seed: int = 0,
 ):
     """Search for complex psd tuples with M_ij = tr(E_i F_j^T).
@@ -549,11 +540,8 @@ def psd_factorization_search(
     target = SEARCH_RESIDUAL_TOL * max_abs(m)
     if _rank_floor_exceeds(m, r * r, target):
         return None
-    scale = (m.mean() / max(r, 1)) ** 0.25 + 1e-3
-    restarts = max(restarts, 0)
-    x0 = np.empty((restarts, 2 * (p + q) * r * r))
-    for idx in range(restarts):
-        x0[idx] = np.random.default_rng([seed, idx]).normal(size=x0.shape[1]) * scale
+    scale = (m.mean() / r) ** 0.25 + 1e-3
+    x0 = _seeded_starts(restarts, seed, 2 * (p + q) * r * r, lambda rng, n: rng.normal(size=n) * scale)
     won = least_squares(_psd_residuals(m, r), x0, iters, target)
     if won is None:
         return None
@@ -643,7 +631,7 @@ def cp_factorization_search(
     matrix,
     r: int,
     restarts: int = 50,
-    iters: int = 400,
+    iters: int = SEARCH_ITERS,
     seed: int = 0,
 ):
     """Search for nonnegative A with M = A A^T after screening necessary conditions.
@@ -651,14 +639,13 @@ def cp_factorization_search(
     Rejections (not symmetric, not entrywise nonnegative, not psd) raise
     NecessaryConditionError -- those are impossibility certificates, unlike
     a search that merely comes up empty.  Restart ``idx`` starts from
-    ``default_rng([seed, idx])`` and runs ``iters`` steps of projected
-    gradient descent, then at most ``CP_POLISH_ITERS`` steps of the
+    ``default_rng([seed, idx])`` and runs at most ``iters`` steps of the
     projected Levenberg-Marquardt :func:`least_squares` (see
-    :func:`_cp_residuals`), which keeps A >= 0 entrywise.  Both phases
-    run all restarts in lockstep, and the lowest-index success wins.
-    After the necessary conditions and the check on r, a singular-value
-    tail of M beyond r that rules out every rank-r product A A^T (see the
-    module docstring) returns None without running a restart.  The zero
+    :func:`_cp_residuals`), which keeps A >= 0 entrywise; the restarts run
+    in lockstep, and the lowest-index success wins.  After the necessary
+    conditions and the check on r, a singular-value tail of M beyond r that
+    rules out every rank-r product A A^T (see the module docstring) returns
+    None without running a restart.  The zero
     matrix gets the exact factor A = 0.
     """
     raw = _entries(matrix)
@@ -683,26 +670,9 @@ def cp_factorization_search(
     if _rank_floor_exceeds(m, r, target):
         return None
 
-    # projected gradient, all restarts in lockstep: restart idx starts from
-    # default_rng([seed, idx]) with its own step, and each slice of the
-    # stack gets the BLAS calls a lone restart would
-    restarts = max(restarts, 0)
-    m_norm = np.linalg.norm(m, 2)
-    a = np.empty((restarts, p, r))
-    step = np.empty(restarts)
-    for idx in range(restarts):
-        rng = np.random.default_rng([seed, idx])
-        a[idx] = rng.uniform(0.1, 1.0, (p, r)) * (max(m.mean(), MU_EPS) / max(r, 1)) ** 0.25
-        step[idx] = 1.0 / (4 * (np.linalg.norm(a[idx].T @ a[idx], 2) + m_norm) + MU_EPS)
-    for _ in range(iters):
-        res = a @ a.transpose(0, 2, 1) - m
-        trial = np.maximum(a - step[:, None, None] * (4 * res @ a), 0.0)
-        accept = _frobenius_norms(trial @ trial.transpose(0, 2, 1) - m) <= _frobenius_norms(res)
-        a = np.where(accept[:, None, None], trial, a)
-        step = np.where(accept, step * 1.1, step * 0.5)
-
-    polish = _cp_residuals(m, r)
-    won = least_squares(polish, a.reshape(restarts, p * r), CP_POLISH_ITERS, target, nonneg=True)
+    scale = (m.mean() / r) ** 0.25
+    x0 = _seeded_starts(restarts, seed, p * r, lambda rng, n: rng.uniform(0.1, 1.0, n) * scale)
+    won = least_squares(_cp_residuals(m, r), x0, iters, target, nonneg=True)
     if won is None:
         return None
     factor = won[1].reshape(p, r)
@@ -713,7 +683,7 @@ def cp_factorization_search(
 
 
 def _cp_residuals(m, r: int):
-    """Residuals (A A^T - M)_kl of the cp polish and their Jacobian.
+    """Residuals (A A^T - M)_kl of the cp search and their Jacobian.
 
     d(A A^T)_kl / dA_ic = delta_ki A_lc + delta_li A_kc.
     """

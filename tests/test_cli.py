@@ -344,15 +344,15 @@ def test_convert_rejects_operator_analyze_calls_non_diagonal(tmp_path, capsys):
     ],
     ids=["analyze", "convert-to-state", "convert-both", "factorize"],
 )
-def test_iters_reaches_the_nonneg_search(tmp_path, capsys, monkeypatch, argv):
+def test_restarts_reaches_the_nonneg_search(tmp_path, capsys, monkeypatch, argv):
     from mpdo_kit import cli, nonneg_factorizations
 
     seen = []
     search = nonneg_factorizations.nonneg_factorization_search
 
-    def recording(matrix, r, restarts=50, iters=4000, seed=0):
-        seen.append(iters)
-        return search(matrix, r, restarts, iters, seed)
+    def recording(matrix, r, restarts=50, seed=0):
+        seen.append(restarts)
+        return search(matrix, r, restarts, seed=seed)
 
     monkeypatch.setattr(nonneg_factorizations, "nonneg_factorization_search", recording)
     monkeypatch.setattr(cli, "nonneg_factorization_search", recording)
@@ -361,17 +361,9 @@ def test_iters_reaches_the_nonneg_search(tmp_path, capsys, monkeypatch, argv):
     write_csv_matrix(tmp_path / "m.csv", m)
     write_json_matrix(tmp_path / "op.json", np.diag(m.ravel()))
     argv = [str(tmp_path / a) if a in ("m.csv", "op.json") else a for a in argv]
-    main(argv + ["--iters", "77", "--restarts", "2", "--json"])
+    main(argv + ["--restarts", "7", "--json"])
     capsys.readouterr()
-    assert seen and set(seen) == {77}
-
-
-def test_iters_help_names_the_multiplicative_update_search(capsys):
-    with pytest.raises(SystemExit):
-        from mpdo_kit.cli import build_parser
-
-        build_parser().parse_args(["factorize", "--help"])
-    assert "multiplicative-update" in capsys.readouterr().out
+    assert seen and set(seen) == {7}
 
 
 def test_convert_cp_to_state_rejects_a_non_psd_matrix(tmp_path, capsys):
@@ -436,13 +428,15 @@ def test_experiment_unknown_name(capsys):
         ["experiment", "tgon", "--tol", "0.5"],
         ["experiment", "tgon", "--restarts", "2"],
         ["experiment", "tgon", "--iters", "5"],
+        ["factorize", "m.csv", "--kind", "nonneg", "--iters", "5"],
         ["experiment", "tgon", "--budget", "4"],
         ["analyze", "op.json", "--budget", "4"],
     ],
 )
 def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys, argv):
     write_json_matrix(tmp_path / "op.json", np.eye(4))
-    argv = [str(tmp_path / a) if a == "op.json" else a for a in argv]
+    write_csv_matrix(tmp_path / "m.csv", np.eye(3))
+    argv = [str(tmp_path / a) if a in ("m.csv", "op.json") else a for a in argv]
     assert main(argv) == EXIT_USAGE
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -461,7 +455,7 @@ def test_reports_byte_identical_modulo_timestamp(tmp_path, capsys):
 
 
 def test_searches_and_conversions_load_no_scipy(tmp_path):
-    # the psd search, the cp search with its polish and the cp round trip
+    # the psd search, the cp search and the cp round trip
     # run in a fresh interpreter; none of them may pull in any scipy module
     import mpdo_kit
 

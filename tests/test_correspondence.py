@@ -305,7 +305,7 @@ def planted_nonneg(seed):
 
 
 def test_verify_nonneg_planted_graded_at_search_bar():
-    # the multiplicative-update certificate meets 1e-6 of max|M|, not the exact 1e-8
+    # the search certificate meets 1e-6 of max|M|, not the exact 1e-8
     for seed in (1, 2):
         entry = verify_correspondence("ii", planted_nonneg(seed), seed=seed)
         assert entry["verdict"] == "intervals-consistent", entry

@@ -20,6 +20,7 @@ from mpdo_kit.nonneg_factorizations import (
     psd_factorization_search,
     psd_rank_lower_bound,
     scan_cp_certificate,
+    scan_nonneg_certificate,
     slack_matrix_tgon,
     sqrt_rank,
     symmetric_factorization,
@@ -117,6 +118,16 @@ def test_nonneg_search_planted():
     cert = nonneg_factorization_search(a @ b, 3, restarts=50)
     assert cert is not None
     check_factor_certificate(a @ b, cert, residual_tol=2e-6)
+
+
+def test_scan_certifies_the_hexagon_at_nonnegative_rank_five():
+    # the regular hexagon's slack matrix has rank 3 and nonnegative rank 5
+    # (Vandaele, Gillis and Glineur, Linear Algebra Appl. 2017): the scan
+    # must get below the trivial certificate of inner dimension 6
+    m = slack_matrix_tgon(6).entries
+    cert = scan_nonneg_certificate(m)
+    assert cert.inner_dim == 5
+    check_factor_certificate(m, cert, residual_tol=1e-6)
 
 
 def test_nonneg_rank_bounds():
@@ -400,7 +411,7 @@ def test_rank_chain_on_random_corpus():
         m = rng.uniform(0, 1, (4, 4))
         rank = minimal_factorization(m).inner_dim
         psd_lower = psd_rank_lower_bound(m)
-        lower, upper = nonneg_rank_bounds(m, restarts=5, iters=1500)
+        lower, upper = nonneg_rank_bounds(m, restarts=5)
         assert lower == rank <= upper
         nn_cert = trivial_nonneg_certificate(m)
         psd_cert = psd_certificate_from_nonneg(nn_cert)
@@ -439,10 +450,11 @@ def test_checker_rejects_non_psd_payload():
         check_factor_certificate(pair_traces(bad, bad), cert)
 
 
-@pytest.mark.parametrize("search", [cp_factorization_search, psd_factorization_search])
+@pytest.mark.parametrize("search", [cp_factorization_search, psd_factorization_search, nonneg_factorization_search])
 def test_zero_matrix_gets_the_exact_zero_certificate(search):
+    # no restart runs: the certificate is built, not searched for
     m = np.zeros((3, 3))
-    cert = search(m, 1)
+    cert = search(m, 1, restarts=0)
     assert cert is not None
     assert cert.residual == 0.0
     check_factor_certificate(m, cert)
