@@ -23,7 +23,7 @@ from math import ceil, isqrt, sqrt
 import numpy as np
 
 from . import __version__
-from .certificates import FactorCertificate, NecessaryConditionError, as_nonneg
+from .certificates import KINDS, FactorCertificate, NecessaryConditionError, as_nonneg
 from .correspondence import (
     DiagBipartite,
     _matrix_certificate,
@@ -82,41 +82,6 @@ class InputError(UsageError):
 # ingestion and JSON helpers
 
 
-def _entry_to_complex(entry, offset_hint: int):
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2 and all(
-        isinstance(x, (int, float)) for x in entry
-    ):
-        return complex(entry[0], entry[1])
-    raise InputError(f"bad matrix entry near byte {offset_hint}: {entry!r}")
-
-
-def _json_entries(data, rows: int, cols: int, offset_hint: int) -> np.ndarray:
-    """``(rows, cols)`` array of JSON entries, plain numbers or ``[re, im]`` pairs.
-
-    All plain numbers give a real array and all pairs a complex one, each
-    converted in one ``np.array`` call.  Anything else (rows mixing the two
-    forms, strings, nulls, other lengths) goes entry by entry into a
-    complex array, which accepts the mix and rejects the rest.
-    """
-    try:
-        arr = np.array(data)
-    except ValueError:  # inhomogeneous nesting: numbers mixed with pairs
-        arr = None
-    if arr is not None and arr.dtype.kind in "biuf":
-        if arr.shape == (rows, cols):
-            return arr.astype(float, copy=False)
-        if arr.shape == (rows, cols, 2):
-            # C-ordered (re, im) float pairs are the complex128 layout
-            return arr.astype(float, copy=False).view(complex)[..., 0]
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        for j, entry in enumerate(row):
-            out[i, j] = _entry_to_complex(entry, offset_hint)
-    return out
-
-
 def _read_input(path: str):
     """Parse an input file once.
 
@@ -136,16 +101,23 @@ def _read_input(path: str):
     return doc, text.find("data")
 
 
+def _field(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"{where} is missing the {key!r} field")
+    return doc[key]
+
+
+def _count(doc: dict, key: str, where: str) -> int:
+    val = _field(doc, key, where)
+    if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+        raise InputError(f"{where} field {key!r} must be a nonnegative integer, got {val!r}")
+    return val
+
+
 def _json_matrix(doc, data_offset: int) -> np.ndarray:
     """The matrix of a parsed JSON matrix document."""
-    for key in ("rows", "cols", "data"):
-        if key not in doc:
-            raise InputError(f"JSON matrix is missing the {key!r} field")
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    data = doc["data"]
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise InputError(f"data shape does not match rows={rows} cols={cols}")
-    out = _json_entries(data, rows, cols, data_offset)
+    shape = _count(doc, "rows", "JSON matrix"), _count(doc, "cols", "JSON matrix")
+    out = decode_matrix(_field(doc, "data", "JSON matrix"), "data", shape, data_offset)
     if np.iscomplexobj(out) and np.abs(out.imag).max(initial=0.0) == 0.0:
         return out.real
     return out
@@ -186,92 +158,120 @@ def load_matrix(path: str) -> np.ndarray:
     return parsed if data_offset is None else _json_matrix(parsed, data_offset)
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays (complex as [re, im]) for JSON."""
-    if isinstance(obj, complex):
-        if obj.imag == 0.0:
-            return obj.real
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return jsonable(complex(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [jsonable(x) for x in obj.tolist()] if obj.ndim else jsonable(obj.item())
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(x) for x in obj]
-    return obj
+def decode_matrix(data, field: str, shape=None, offset: int | None = None) -> np.ndarray:
+    """The array of a JSON matrix, rows of numbers (real) or of [re, im] pairs (complex).
+
+    Each form converts in one ``np.array`` call; rows that mix the two go
+    entry by entry.  Anything else, or rows that are not of ``shape`` (when
+    given), raises ``InputError`` naming ``field`` and the input's byte ``offset``.
+    """
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise InputError(f"{field} must be a list of rows")
+    if shape is None:
+        shape = (len(data), len(data[0]) if data else 0)
+    rows, cols = shape
+    if len(data) != rows or any(len(row) != cols for row in data):
+        raise InputError(f"{field} shape does not match rows={rows} cols={cols}")
+    if 0 in shape:  # [] or rows of []: no entries to convert
+        return np.zeros(shape)
+    try:
+        arr = np.array(data)
+    except ValueError:  # inhomogeneous nesting: numbers mixed with pairs
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        if arr.shape == shape:
+            return arr.astype(float, copy=False)
+        if arr.shape == (rows, cols, 2):
+            # C-ordered (re, im) float pairs are the complex128 layout
+            return arr.astype(float, copy=False).view(complex)[..., 0]
+    where = field if offset is None else f"{field} near byte {offset}"
+    out = np.empty(shape, dtype=complex)
+    for i, row in enumerate(data):
+        for j, entry in enumerate(row):
+            pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
+            if not all(isinstance(x, (int, float)) for x in pair):
+                raise InputError(f"bad matrix entry in {where}: {entry!r}")
+            out[i, j] = complex(*pair)
+    return out
 
 
 def encode_matrix(mat) -> list:
-    """Nested-list encoding: floats for real arrays, uniform [re, im] pairs
-    for complex arrays (so the nesting depth disambiguates on decode)."""
+    """Nested lists of an array: numbers when it is real, [re, im] pairs when
+    it is complex, so that :func:`decode_matrix` restores the dtype."""
     mat = np.asarray(mat)
     if np.iscomplexobj(mat):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-    return [[float(x) for x in row] for row in mat]
+        mat = np.stack((mat.real, mat.imag), axis=-1)
+    return mat.tolist()
 
 
-def decode_matrix(x) -> np.ndarray:
-    depth = 0
-    probe = x
-    while isinstance(probe, list):
-        depth += 1
-        probe = probe[0] if probe else None
-    if depth == 3:
-        return np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in x]
-        )
-    if depth == 2:
-        return np.asarray(x, dtype=float)
-    raise InputError(f"bad matrix encoding (nesting depth {depth})")
+#: Payload matrices of each kind, field: (shape in p x q M and inner dimension r,
+#: dtype of a real or empty one); "E" and "F" hold one r x r matrix per row and
+#: column of M.  Empty matrices encode as [] and take their shape from here.
+_PAYLOAD_FIELDS = {
+    "minimal": {"left": ("pr", float), "right": ("rq", float)},
+    "nonnegative": {"left": ("pr", float), "right": ("rq", float)},
+    "psd": {"E": ("prr", float), "F": ("qrr", float)},
+    "symmetric": {"factor": ("pr", complex)},
+    "cp": {"factor": ("pr", float)},
+    "cpsdt": {"E": ("prr", complex), "root": ("pq", float)},
+    "hadamard-root": {"root": ("pq", float), "signs": ("pq", int)},
+}
 
 
 def certificate_doc(matrix, cert: FactorCertificate) -> dict:
-    payload = {}
-    for key, val in cert.payload.items():
-        if key in ("E", "F"):
-            payload[key] = [encode_matrix(v) for v in val]
-        elif key == "signs":
-            payload[key] = np.asarray(val, dtype=int).tolist()
-        else:
-            payload[key] = encode_matrix(val)
     return {
         "kind": cert.kind,
         "inner_dim": cert.inner_dim,
         "residual": cert.residual,
-        "payload": payload,
-        "matrix": encode_matrix(np.asarray(matrix)),
+        "payload": {key: encode_matrix(val) for key, val in cert.payload.items()},
+        "matrix": encode_matrix(matrix),
     }
 
 
 def certificate_from_doc(doc: dict) -> tuple[np.ndarray, FactorCertificate]:
     """The matrix and certificate of a ``factorize --json`` payload.
 
-    An array with no rows (inner dimension r = 0) encodes as ``[]``, which
-    carries no shape; it takes the shape that its key, r and the p x q
-    matrix imply.
+    A missing field, an unknown kind, or a matrix that does not fit the
+    kind, the inner dimension and the matrix raises ``InputError`` naming
+    the field.
     """
-    matrix = decode_matrix(doc["matrix"]).real
-    (p, q), r = matrix.shape, int(doc["inner_dim"])
-    shapes = {"left": (p, r), "right": (r, q), "factor": (p, r), "E": (r, r), "F": (r, r), "root": (p, q)}
+    where = "certificate document"
+    kind = _field(doc, "kind", where)
+    if kind not in KINDS:
+        raise InputError(f"{where} field 'kind' is not a certificate kind: {kind!r}")
+    r = _count(doc, "inner_dim", where)
+    residual = _field(doc, "residual", where)
+    if isinstance(residual, bool) or not isinstance(residual, (int, float)):
+        raise InputError(f"{where} field 'residual' must be a number, got {residual!r}")
+    payload = _field(doc, "payload", where)
+    matrix = decode_matrix(_field(doc, "matrix", where), "matrix").real
+    dims = dict(zip("pqr", (*matrix.shape, r)))
 
-    def decode(val, key):
-        return np.zeros(shapes[key]) if val == [] and 0 in shapes.get(key, ()) else decode_matrix(val)
+    def decode(val, field, shape, dtype):
+        if len(shape) == 3:
+            if not isinstance(val, list) or len(val) != shape[0]:
+                raise InputError(f"payload field {field!r} must be a list of {shape[0]} matrices")
+            return [decode(v, f"{field}[{i}]", shape[1:], dtype) for i, v in enumerate(val)]
+        arr = decode_matrix(val, f"payload field {field!r}", shape)
+        return arr if np.iscomplexobj(arr) else arr.astype(dtype, copy=False)
 
-    payload = {}
-    for key, val in doc["payload"].items():
-        if key in ("E", "F"):
-            payload[key] = [decode(v, key) for v in val]
-        elif key == "signs":
-            payload[key] = np.asarray(val, dtype=int)
-        else:
-            payload[key] = decode(val, key)
-    return matrix, FactorCertificate(doc["kind"], r, payload, float(doc["residual"]))
+    decoded = {
+        key: decode(_field(payload, key, f"{kind} payload"), key, tuple(dims[c] for c in spec), dtype)
+        for key, (spec, dtype) in _PAYLOAD_FIELDS[kind].items()
+    }
+    return matrix, FactorCertificate(kind, r, decoded, float(residual))
+
+
+def _json_default(obj):
+    """numpy values for ``json.dumps``: arrays as lists, complex numbers as
+    [re, im] pairs, or as their real part when the imaginary part is 0."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return obj.real if obj.imag == 0.0 else [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class Report:
@@ -295,7 +295,7 @@ class Report:
             "version": __version__,
             "command": self.command,
             "input": self.input,
-            "entries": jsonable(self.entries),
+            "entries": self.entries,
             "timestamp": {
                 "at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 "runtime_s": round(time.perf_counter() - self.t0, 6),
@@ -307,7 +307,7 @@ class Report:
 
     def emit(self, as_json: bool) -> None:
         if as_json:
-            print(json.dumps(self.document(), sort_keys=True, indent=2))
+            print(json.dumps(self.document(), sort_keys=True, indent=2, default=_json_default))
             return
         for entry in self.entries:
             parts = [f"{entry['name']}:"]
@@ -323,16 +323,21 @@ class Report:
             print(" ".join(parts))
 
 
-def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+def _ints(spec: str) -> list[int]:
+    """argparse type: comma-separated integers, e.g. 2,2,3."""
     return [int(x) for x in spec.split(",")]
 
 
-def _parse_sites(spec: str | None, side: int) -> SiteSpec:
-    if spec:
-        return SiteSpec(tuple(int(x) for x in spec.split(",")))
+def _int_range(spec: str) -> list[int]:
+    """argparse type: an inclusive range lo..hi, or comma-separated integers."""
+    lo, dots, hi = spec.partition("..")
+    return list(range(int(lo), int(hi) + 1)) if dots else _ints(spec)
+
+
+def _site_spec(dims: list[int] | None, side: int) -> SiteSpec:
+    """The sites of ``--sites``, or two equal sites inferred from the matrix side."""
+    if dims:
+        return SiteSpec(tuple(dims))
     root = isqrt(side)
     if root * root == side:
         return SiteSpec((root, root))
@@ -349,7 +354,7 @@ def cmd_analyze(args) -> int:
     matrix = load_matrix(args.path)
     if matrix.shape[0] != matrix.shape[1]:
         raise InputError(f"analyze needs a square operator, got {matrix.shape}")
-    sites = _parse_sites(args.sites, matrix.shape[0])
+    sites = _site_spec(args.sites, matrix.shape[0])
     op = PsdOperator(sites, matrix)
     report = Report("analyze", args.seed)
     report.input = {"path": args.path, "sites": list(sites.dims)}
@@ -449,7 +454,7 @@ def cmd_convert(args) -> int:
     report = Report("convert", args.seed)
     report.input = {"path": args.path, "kind": kind, "direction": args.direction}
 
-    if data_offset is not None and "kind" in parsed and "payload" in parsed:
+    if data_offset is not None and "payload" in parsed:
         matrix, cert = certificate_from_doc(parsed)
         dec = factorization_to_decomposition(kind, cert, DiagBipartite(matrix), args.tol)
         report.add(
@@ -467,7 +472,7 @@ def cmd_convert(args) -> int:
     del parsed  # a JSON document holds a Python object per entry; free it before the conversion
     if args.sites:
         # operator input: must be diagonal bipartite
-        sites = _parse_sites(args.sites, matrix.shape[0])
+        sites = _site_spec(args.sites, matrix.shape[0])
         if sites.n != 2:
             raise UsageError("conversion works on bipartite operators")
         m = diag_extract(PsdOperator(sites, matrix))
@@ -508,7 +513,7 @@ def cmd_experiment(args) -> int:
     rng = np.random.default_rng(args.seed)
 
     if args.name == "wstate":
-        for n in _parse_range(args.n or "3..10"):
+        for n in range(3, 11) if args.n is None else args.n:
             fam = w_state_generators(n)
             open_res = float(np.linalg.norm(contract_train(fam.open_train).ravel() - fam.vector))
             cyc_res = float(np.linalg.norm(contract_cyclic(fam.cyclic_site, n).ravel() - fam.vector))
@@ -522,7 +527,7 @@ def cmd_experiment(args) -> int:
                 ti_bond_lower_bound=bound,
             )
     elif args.name == "tgon":
-        for t in _parse_range(args.t or "3..50"):
+        for t in range(3, 51) if args.t is None else args.t:
             slack = slack_matrix_tgon(t)
             cert = minimal_factorization(slack.entries)
             zeros = int(np.count_nonzero(~nonzero_mask(slack.entries.ravel())))
@@ -533,7 +538,7 @@ def cmd_experiment(args) -> int:
                 zero_entries=zeros,
             )
     elif args.name == "mixedw":
-        for n in _parse_range(args.n or "2..6"):
+        for n in range(2, 7) if args.n is None else args.n:
             rho, cert = mixed_w_generator(n)
             train, _ = mpo_train_form(rho)
             site = make_translation_invariant(train)
@@ -609,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="rank and bound report for a dense operator")
     p.add_argument("path")
-    p.add_argument("--sites", help="comma-separated site dimensions, e.g. 2,2")
+    p.add_argument("--sites", type=_ints, help="comma-separated site dimensions, e.g. 2,2")
     add_options(p, "--json", "--seed", "--tol", "--restarts")
     p.set_defaults(func=cmd_analyze)
 
@@ -634,14 +639,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("to-state", "to-matrix", "both"),
         default="both",
     )
-    p.add_argument("--sites", help="site dimensions when the input is an operator")
+    p.add_argument("--sites", type=_ints, help="site dimensions when the input is an operator")
     add_options(p, *options)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("experiment", help="canned studies: wstate | tgon | mixedw | bounds")
     p.add_argument("name", choices=("wstate", "tgon", "mixedw", "bounds"))
-    p.add_argument("--n", help="range of chain lengths, e.g. 3..10")
-    p.add_argument("--t", help="range of polygon sizes, e.g. 3..50")
+    p.add_argument("--n", type=_int_range, help="range of chain lengths, e.g. 3..10")
+    p.add_argument("--t", type=_int_range, help="range of polygon sizes, e.g. 3..50")
     p.add_argument("--count", type=int, default=50)
     add_options(p, "--json", "--seed")
     p.set_defaults(func=cmd_experiment)

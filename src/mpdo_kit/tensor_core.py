@@ -185,14 +185,6 @@ class TiSiteTensor:
     def bond_dim(self) -> int:
         return self.tensor.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.tensor.shape[1]
-
-    @property
-    def in_dim(self) -> int:
-        return self.tensor.shape[2]
-
 
 # ---------------------------------------------------------------------------
 # shared numerical predicates: the producer modules decide "zero",

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,15 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mpdo_kit.certificates import KINDS
 from mpdo_kit.cli import (
     EXIT_NOT_FOUND,
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_USAGE,
     InputError,
+    Report,
+    certificate_doc,
+    certificate_from_doc,
     load_matrix,
     main,
 )
+from mpdo_kit.correspondence import _matrix_certificate
 from mpdo_kit.decompositions import w_state_generators
 
 
@@ -210,6 +216,120 @@ def test_analyze_malformed_csv_names_offset(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "byte 6" in err
+
+
+MINIMAL_CERT = {
+    "kind": "minimal",
+    "inner_dim": 1,
+    "residual": 0.0,
+    "payload": {"left": [[1.0], [2.0]], "right": [[1.0, 2.0]]},
+    "matrix": [[1.0, 2.0], [2.0, 4.0]],
+}
+
+
+def edited_cert(edit):
+    doc = json.loads(json.dumps(MINIMAL_CERT))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["analyze", "in.json"], {"rows": 1, "cols": 1, "data": 5}, "data"),
+        (["analyze", "in.json"], {"rows": 1, "cols": 1, "data": [5]}, "data"),
+        (["analyze", "in.json"], {"rows": "x", "cols": 2, "data": [[1, 2], [3, 4]]}, "'rows'"),
+        (["convert", "in.json", "--kind", "minimal"], edited_cert(lambda d: d.pop("matrix")), "'matrix'"),
+        (["convert", "in.json", "--kind", "minimal"], edited_cert(lambda d: d.update(kind="bogus")), "'kind'"),
+        (["convert", "in.json", "--kind", "minimal"], edited_cert(lambda d: d["payload"].pop("left")), "'left'"),
+        (
+            ["convert", "in.json", "--kind", "minimal"],
+            edited_cert(lambda d: d["payload"].update(left=[[1, [2, 3]], [1, [2, 3]]])),
+            "'left'",
+        ),
+        (["analyze", "eye4.csv", "--sites", "a,b"], None, "argument --sites"),
+        (["experiment", "wstate", "--n", "3..x"], None, "argument --n"),
+        (["experiment", "tgon", "--t", "5,,6"], None, "argument --t"),
+    ],
+    ids=[
+        "data-number", "data-row-number", "rows-string", "cert-no-matrix", "cert-bogus-kind",
+        "cert-no-left", "cert-row-misfit", "sites-letters", "n-bad-range", "t-empty-item",
+    ],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, doc, message):
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    write_csv_matrix(tmp_path / "eye4.csv", np.eye(4))
+    argv = [str(tmp_path / a) if a in ("in.json", "eye4.csv") else a for a in argv]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+def symmetric_cp_matrix():
+    a = np.random.default_rng(13).uniform(0.1, 1.0, (4, 3))
+    return a @ a.T
+
+
+@pytest.mark.parametrize("matrix", [symmetric_cp_matrix(), np.zeros((2, 2))], ids=["random", "zero"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_documents_round_trip_bit_for_bit(kind, matrix):
+    cert = _matrix_certificate(kind, matrix)
+    back_matrix, back = certificate_from_doc(json.loads(json.dumps(certificate_doc(matrix, cert))))
+    assert (back.kind, back.inner_dim, back.residual) == (cert.kind, cert.inner_dim, cert.residual)
+    assert back.payload.keys() == cert.payload.keys()
+    pairs = [(matrix, back_matrix)]
+    for key, val in cert.payload.items():
+        got = back.payload[key]
+        assert isinstance(got, list) == isinstance(val, list)
+        pairs += list(zip(val, got, strict=True)) if isinstance(val, list) else [(val, got)]
+    for want, got in pairs:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def jsonable(obj):
+    """The recursive walk that prepared report entries for ``json.dumps``
+    before the encoder hook; the oracle of the hook."""
+    if isinstance(obj, complex):
+        if obj.imag == 0.0:
+            return obj.real
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.complexfloating,)):
+        return jsonable(complex(obj))
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [jsonable(x) for x in obj.tolist()] if obj.ndim else jsonable(obj.item())
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(x) for x in obj]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        np.int64(-3), np.int32(7), np.uint8(255), np.float64(0.1), np.float32(0.3), np.float64(-0.0),
+        np.complex128(1.5 - 2j), np.complex64(0.5 + 0.25j), np.complex128(2.0), complex(3.0, -0.0),
+        complex(0.0, 1.0), np.array(4.5), np.array(1 + 0j), np.array(2j), np.array(7),
+        np.arange(6).reshape(2, 3), np.array([[1.0, 2 + 1j], [3j, -1.0]]), np.zeros((2, 0)),
+        (1, np.float64(2.5), (np.int64(3), [np.complex128(1j)])),
+        {"nested": [np.array([1.0, 2.0]), (np.float32(1.5),)], "plain": [1, 2.0, "s", None, True]},
+    ],
+)
+def test_report_hook_matches_the_recursive_walk(capsys, value):
+    report = Report("hook")
+    report.add("value", value=value)
+    report.emit(True)
+    doc = report.document()
+    doc["entries"] = jsonable(doc["entries"])
+    want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    timestamp = re.compile(r'"timestamp": \{.*?\n  \}', re.S)
+    assert timestamp.sub("", capsys.readouterr().out) == timestamp.sub("", want)
 
 
 # ---------------------------------------------------------------------------
