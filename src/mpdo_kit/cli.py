@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 import time
 from math import ceil, isqrt, sqrt
@@ -82,23 +83,100 @@ class InputError(UsageError):
 # ingestion and JSON helpers
 
 
+_JSON_START = re.compile(r"\s*\{")
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_JSON_DECODER = json.JSONDecoder()
+
+
 def _read_input(path: str):
     """Parse an input file once.
 
-    Returns ``(document, byte offset of "data")`` for JSON and
-    ``(matrix, None)`` for headerless CSV.
+    Returns the members of a JSON object document, its ``"data"`` already
+    an array, or the matrix of headerless CSV.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     text = raw.decode("utf-8", errors="replace")
-    del raw  # a JSON parse peaks at text plus document; the bytes need not add to it
-    if not text.lstrip().startswith("{"):
-        return _csv_matrix(text), None
+    del raw  # the parse holds the text; the bytes need not add to it
+    if not _JSON_START.match(text):
+        return _csv_matrix(text)
+    return _json_object(text)
+
+
+def _json_value(text: str, pos: int):
+    """The JSON value that starts at ``text[pos]`` and the offset just past it."""
     try:
-        doc = json.loads(text)
+        return _JSON_DECODER.raw_decode(text, pos)
     except json.JSONDecodeError as exc:
-        raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from exc
-    return doc, text.find("data")
+        raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from None
+
+
+def _json_token(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """The first character at or after ``pos`` past whitespace, which must be
+    one of ``chars``, and the offset just past it."""
+    pos = _JSON_SPACE.match(text, pos).end()
+    char = text[pos : pos + 1]
+    if not char or char not in chars:
+        expected = " or ".join(repr(c) for c in chars)
+        raise InputError(f"JSON parse error at byte {pos}: expecting {expected}")
+    return char, pos + 1
+
+
+class _JsonRows:
+    """The rows of the JSON array at ``text[pos:]``, decoded one at a time.
+
+    ``offset`` is the byte offset of the row last read (of the array before
+    the first); ``end`` is the offset just past the array once every row
+    has been read.
+    """
+
+    def __init__(self, text: str, pos: int):
+        self.text, self.offset, self.end = text, _JSON_SPACE.match(text, pos).end(), None
+        if not text.startswith("[", self.offset):
+            raise InputError(f"data must be a list of rows, at byte {self.offset}")
+
+    def __iter__(self):
+        text = self.text
+        pos = _JSON_SPACE.match(text, self.offset + 1).end()
+        if text.startswith("]", pos):
+            self.end = pos + 1
+            return
+        char = ","
+        while char == ",":
+            self.offset = pos = _JSON_SPACE.match(text, pos).end()
+            row, pos = _json_value(text, pos)
+            yield row
+            char, pos = _json_token(text, pos, ",]")
+        self.end = pos
+
+
+def _json_object(text: str) -> dict:
+    """The members of the JSON object that is all of ``text``.
+
+    Each member is decoded whole except ``"data"``, whose rows
+    :func:`decode_matrix` decodes one at a time into an array, so that at
+    most one row of Python objects is alive at any time.  As with
+    ``json.loads``, a repeated key keeps its last value.
+    """
+    doc = {}
+    _, pos = _json_token(text, 0, "{")
+    char, pos = _json_token(text, pos, '"}')
+    while char == '"':
+        key, pos = _json_value(text, pos - 1)
+        _, pos = _json_token(text, pos, ":")
+        if key == "data":
+            rows = _JsonRows(text, pos)
+            doc[key] = decode_matrix(rows, key)
+            pos = rows.end
+        else:
+            doc[key], pos = _json_value(text, _JSON_SPACE.match(text, pos).end())
+        char, pos = _json_token(text, pos, ",}")
+        if char == ",":
+            char, pos = _json_token(text, pos, '"')
+    pos = _JSON_SPACE.match(text, pos).end()
+    if pos < len(text):
+        raise InputError(f"JSON parse error at byte {pos}: extra data")
+    return doc
 
 
 def _field(doc: dict, key: str, where: str):
@@ -114,13 +192,20 @@ def _count(doc: dict, key: str, where: str) -> int:
     return val
 
 
-def _json_matrix(doc, data_offset: int) -> np.ndarray:
-    """The matrix of a parsed JSON matrix document."""
+def _real_valued(arr: np.ndarray) -> np.ndarray:
+    """``arr``, as its real part when it is complex with imaginary part 0."""
+    return arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr
+
+
+def _json_matrix(doc: dict) -> np.ndarray:
+    """The matrix of a JSON matrix document read by :func:`_read_input`."""
     shape = _count(doc, "rows", "JSON matrix"), _count(doc, "cols", "JSON matrix")
-    out = decode_matrix(_field(doc, "data", "JSON matrix"), "data", shape, data_offset)
-    if np.iscomplexobj(out) and np.abs(out.imag).max(initial=0.0) == 0.0:
-        return out.real
-    return out
+    if 0 in shape:
+        raise InputError(f"JSON matrix is empty: rows={shape[0]} cols={shape[1]}")
+    out = _field(doc, "data", "JSON matrix")
+    if out.shape != shape:
+        raise InputError(f"data shape does not match rows={shape[0]} cols={shape[1]}")
+    return _real_valued(out)
 
 
 def _csv_matrix(text: str) -> np.ndarray:
@@ -145,6 +230,8 @@ def _csv_matrix(text: str) -> np.ndarray:
                 width = len(row)
             elif len(row) != width:
                 raise InputError(f"ragged CSV row at byte {offset}")
+            if not np.isfinite(row).all():
+                raise InputError(f"non-finite entry in the CSV row at byte {offset}")
             values.append(row)
         offset += len(line)
     if not values:
@@ -154,45 +241,62 @@ def _csv_matrix(text: str) -> np.ndarray:
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a dense matrix from JSON or headerless CSV."""
-    parsed, data_offset = _read_input(path)
-    return parsed if data_offset is None else _json_matrix(parsed, data_offset)
+    parsed = _read_input(path)
+    return _json_matrix(parsed) if isinstance(parsed, dict) else parsed
 
 
-def decode_matrix(data, field: str, shape=None, offset: int | None = None) -> np.ndarray:
-    """The array of a JSON matrix, rows of numbers (real) or of [re, im] pairs (complex).
+def decode_matrix(rows, field: str, shape=None) -> np.ndarray:
+    """The array of a JSON matrix whose rows hold numbers (real) or [re, im]
+    pairs (complex).
 
-    Each form converts in one ``np.array`` call; rows that mix the two go
-    entry by entry.  Anything else, or rows that are not of ``shape`` (when
-    given), raises ``InputError`` naming ``field`` and the input's byte ``offset``.
+    ``rows`` is a parsed list of rows, or the rows of an input file as
+    :class:`_JsonRows` reads them.  Each row converts in one ``np.array``
+    call; a row that mixes numbers and pairs goes entry by entry.  The
+    result is complex when any row is.  A row that is not a list, a bad or
+    non-finite entry, or rows that are ragged or not of ``shape`` (when
+    given) raise ``InputError`` naming ``field``, the row and, for rows
+    read from a file, the row's byte offset.
     """
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+    stream = rows if isinstance(rows, _JsonRows) else None
+    if stream is None and not isinstance(rows, list):
         raise InputError(f"{field} must be a list of rows")
-    if shape is None:
-        shape = (len(data), len(data[0]) if data else 0)
-    rows, cols = shape
-    if len(data) != rows or any(len(row) != cols for row in data):
-        raise InputError(f"{field} shape does not match rows={rows} cols={cols}")
-    if 0 in shape:  # [] or rows of []: no entries to convert
-        return np.zeros(shape)
-    try:
-        arr = np.array(data)
-    except ValueError:  # inhomogeneous nesting: numbers mixed with pairs
-        arr = None
-    if arr is not None and arr.dtype.kind in "biuf":
-        if arr.shape == shape:
-            return arr.astype(float, copy=False)
-        if arr.shape == (rows, cols, 2):
+
+    def where(i):
+        return f"{field} row {i}" + ("" if stream is None else f" at byte {stream.offset}")
+
+    cols = None if shape is None else shape[1]
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InputError(f"{field} must be a list of rows, but {where(i)} is not a list")
+        if cols is None:
+            cols = len(row)
+        if len(row) != cols:
+            raise InputError(f"{field} shape does not match cols={cols} at {where(i)}")
+        try:
+            arr = np.array(row)
+        except ValueError:  # inhomogeneous nesting: numbers mixed with pairs
+            arr = None
+        if arr is not None and arr.dtype.kind in "biuf" and arr.shape in ((cols,), (cols, 2)):
+            arr = arr.astype(float, copy=False)
             # C-ordered (re, im) float pairs are the complex128 layout
-            return arr.astype(float, copy=False).view(complex)[..., 0]
-    where = field if offset is None else f"{field} near byte {offset}"
-    out = np.empty(shape, dtype=complex)
-    for i, row in enumerate(data):
-        for j, entry in enumerate(row):
-            pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
-            if not all(isinstance(x, (int, float)) for x in pair):
-                raise InputError(f"bad matrix entry in {where}: {entry!r}")
-            out[i, j] = complex(*pair)
-    return out
+            arr = arr if arr.ndim == 1 else arr.view(complex)[:, 0]
+        else:
+            arr = np.empty(cols, dtype=complex)
+            for j, entry in enumerate(row):
+                pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
+                if not all(isinstance(x, (int, float)) for x in pair):
+                    raise InputError(f"bad matrix entry in {where(i)}: {entry!r}")
+                try:
+                    arr[j] = complex(*pair)
+                except OverflowError:  # an integer beyond the float range
+                    raise InputError(f"non-finite entry in {where(i)}") from None
+        if not np.isfinite(arr).all():
+            raise InputError(f"non-finite entry in {where(i)}")
+        out.append(arr)
+    if shape is not None and len(out) != shape[0]:
+        raise InputError(f"{field} shape does not match rows={shape[0]} cols={cols}")
+    return np.stack(out) if out else np.zeros((0, cols or 0))
 
 
 def encode_matrix(mat) -> list:
@@ -231,9 +335,9 @@ def certificate_doc(matrix, cert: FactorCertificate) -> dict:
 def certificate_from_doc(doc: dict) -> tuple[np.ndarray, FactorCertificate]:
     """The matrix and certificate of a ``factorize --json`` payload.
 
-    A missing field, an unknown kind, or a matrix that does not fit the
-    kind, the inner dimension and the matrix raises ``InputError`` naming
-    the field.
+    A missing field, an unknown kind, a complex ``matrix``, or a matrix that
+    does not fit the kind, the inner dimension and the matrix raises
+    ``InputError`` naming the field.
     """
     where = "certificate document"
     kind = _field(doc, "kind", where)
@@ -244,7 +348,9 @@ def certificate_from_doc(doc: dict) -> tuple[np.ndarray, FactorCertificate]:
     if isinstance(residual, bool) or not isinstance(residual, (int, float)):
         raise InputError(f"{where} field 'residual' must be a number, got {residual!r}")
     payload = _field(doc, "payload", where)
-    matrix = decode_matrix(_field(doc, "matrix", where), "matrix").real
+    matrix = _real_valued(decode_matrix(_field(doc, "matrix", where), "matrix"))
+    if np.iscomplexobj(matrix):
+        raise InputError(f"{where} field 'matrix' must be real")
     dims = dict(zip("pqr", (*matrix.shape, r)))
 
     def decode(val, field, shape, dtype):
@@ -356,11 +462,13 @@ def cmd_analyze(args) -> int:
         raise InputError(f"analyze needs a square operator, got {matrix.shape}")
     sites = _site_spec(args.sites, matrix.shape[0])
     op = PsdOperator(sites, matrix)
+    del matrix  # op holds its symmetrized copy
     report = Report("analyze", args.seed)
     report.input = {"path": args.path, "sites": list(sites.dims)}
 
     train, osr = mpo_train_form(op, rel_tol=args.tol)
     report.add("osr", value=osr, certificate="train", residual=relative_residual(contract_train(train), op.data))
+    del train  # at full rank its cores hold as many entries as rho
 
     # one eigendecomposition for the purification, the rank gate and q_sqrt_rank
     spectrum = clipped_spectrum(op, args.tol)
@@ -450,11 +558,11 @@ def cmd_factorize(args) -> int:
 
 def cmd_convert(args) -> int:
     kind = canonical_kind(args.kind)
-    parsed, data_offset = _read_input(args.path)
+    parsed = _read_input(args.path)
     report = Report("convert", args.seed)
     report.input = {"path": args.path, "kind": kind, "direction": args.direction}
 
-    if data_offset is not None and "payload" in parsed:
+    if isinstance(parsed, dict) and "payload" in parsed:
         matrix, cert = certificate_from_doc(parsed)
         dec = factorization_to_decomposition(kind, cert, DiagBipartite(matrix), args.tol)
         report.add(
@@ -468,8 +576,7 @@ def cmd_convert(args) -> int:
         report.emit(args.json)
         return EXIT_OK
 
-    matrix = parsed if data_offset is None else _json_matrix(parsed, data_offset)
-    del parsed  # a JSON document holds a Python object per entry; free it before the conversion
+    matrix = _json_matrix(parsed) if isinstance(parsed, dict) else parsed
     if args.sites:
         # operator input: must be diagonal bipartite
         sites = _site_spec(args.sites, matrix.shape[0])

@@ -253,6 +253,7 @@ def local_purification_spectral(
     else:
         dense = (vec * np.sqrt(lam)) @ vec.conj().T
         train, osr = mpo_train_form(dense, dims, rel_tol, in_dims=dims)
+    del dense  # as large as rho; the contraction below makes its own
     got = contract_train(train)
     return PurificationCertificate(train, osr, relative_residual(got @ got.conj().T, rho.data))
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mpdo_kit import cli
 from mpdo_kit.certificates import KINDS
 from mpdo_kit.cli import (
     EXIT_NOT_FOUND,
@@ -264,6 +265,57 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, doc, message):
     err = capsys.readouterr().err
     assert "error:" in err and message in err
     assert "Traceback" not in err
+
+
+NAN_4X4_CSV = "1,0,0,0\n0,1,0,0\n0,0,nan,0\n0,0,0,1\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        ("m.csv", "1,inf\n2,3\n", ["factorize", "--kind", "minimal"], "the CSV row at byte 0"),
+        ("m.json", '{"rows": 1, "cols": 1, "data": [[NaN]]}', ["factorize", "--kind", "minimal"],
+         "data row 0 at byte 32"),
+        ("op.csv", NAN_4X4_CSV, ["analyze"], "the CSV row at byte 16"),
+    ],
+    ids=["csv-inf-factorize", "json-nan-factorize", "csv-nan-analyze"],
+)
+def test_non_finite_input_is_a_usage_error(tmp_path, capsys, name, text, argv, message):
+    (tmp_path / name).write_text(text)
+    assert main([argv[0], str(tmp_path / name), *argv[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: non-finite entry in {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 2)])
+@pytest.mark.parametrize(
+    "argv", [["factorize", "--kind", "minimal"], ["convert", "--kind", "minimal"], ["analyze"]],
+    ids=["factorize", "convert", "analyze"],
+)
+def test_empty_input_matrix_is_a_usage_error(tmp_path, capsys, argv, shape):
+    path = write_raw_json(tmp_path / "empty.json", [[]] * shape[0], *shape)
+    assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: JSON matrix is empty" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("im, code", [(1.0, EXIT_USAGE), (0.0, EXIT_OK)], ids=["complex", "real-valued"])
+def test_convert_refuses_a_complex_certificate_matrix(tmp_path, capsys, im, code):
+    path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 2.0], [2.0, 4.0]])
+    _, doc = run_json(capsys, ["factorize", path, "--kind", "minimal", "--json"])
+    cert = entry_named(doc, "certificate")["payload"]
+    cert["matrix"][0][0] = [cert["matrix"][0][0], im]
+    (tmp_path / "cert.json").write_text(json.dumps(cert))
+    assert main(["convert", str(tmp_path / "cert.json"), "--kind", "minimal"]) == code
+    err = capsys.readouterr().err
+    assert ("error: certificate document field 'matrix' must be real" in err) == (code == EXIT_USAGE)
+
+
+def test_convert_refuses_a_non_finite_certificate_entry(tmp_path, capsys):
+    doc = edited_cert(lambda d: d["payload"]["left"][1].__setitem__(0, float("nan")))
+    (tmp_path / "cert.json").write_text(json.dumps(doc))
+    assert main(["convert", str(tmp_path / "cert.json"), "--kind", "minimal"]) == EXIT_USAGE
+    assert "error: non-finite entry in payload field 'left' row 1" in capsys.readouterr().err
 
 
 def symmetric_cp_matrix():
@@ -683,13 +735,13 @@ def test_convert_both_ranks_at_tol(tmp_path, capsys, kind):
 def test_convert_parses_a_json_matrix_once(tmp_path, capsys, monkeypatch):
     path = write_json_matrix(tmp_path / "m.json", [[1.0, 2.0], [3.0, 4.0]])
     calls = []
-    loads = json.loads
+    read_input = cli._read_input
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return loads(*args, **kwargs)
+        return read_input(*args, **kwargs)
 
-    monkeypatch.setattr(json, "loads", counting)
+    monkeypatch.setattr(cli, "_read_input", counting)
     code = main(["convert", path, "--kind", "minimal", "--direction", "to-state", "--json"])
     monkeypatch.undo()
     assert code == EXIT_OK
