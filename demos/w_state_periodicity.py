@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """The W state: open-boundary bond 2, cyclic single-tensor bond 2n, and the
-transfer-matrix argument forcing any cyclic representation to bond >= sqrt(n).
+n-periodic signature in the transfer spectrum of that cyclic tensor.
 
 The cyclic tensor's transfer matrix, rescaled to unit spectral radius,
-carries every n-th root of unity in its spectrum because the state is
-n-periodic under the site shift; since the transfer matrix has side D^2,
-that needs D^2 >= n.
+carries every n-th root of unity in its spectrum.  That is a property of
+the block-cyclic tensor, which has it for every state it folds, not a
+bound on the state: the product state below has a bond-1 cyclic tensor.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from mpdo_kit import (
 )
 
 print(f"{'n':>3} {'open resid':>12} {'cyclic resid':>13} {'bond':>5} "
-      f"{'roots found':>12} {'bound':>6}")
+      f"{'roots found':>12} {'value':>6}")
 for n in range(3, 11):
     fam = w_state_generators(n)
     open_res = np.linalg.norm(contract_train(fam.open_train).ravel() - fam.vector)
@@ -38,9 +38,9 @@ angles = np.sort(np.round(np.angle(peripheral) / (2 * np.pi / 6), 6))
 print(f"  {len(peripheral)} peripheral eigenvalues at angles (units of 2 pi/6): {angles}")
 
 print()
-print("a product state is 1-periodic: no bound beyond the trivial one")
+print("the bond-1 cyclic tensor of a product state has no such signature")
 from mpdo_kit import TiSiteTensor
 
 site = TiSiteTensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
 holds, bound = periodicity_lower_bound(site, 3)
-print(f"  holds = {holds}, certified bound = {bound}")
+print(f"  holds = {holds}, value = {bound}")

@@ -239,6 +239,18 @@ def _csv_matrix(text: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _bounded(matrix: np.ndarray, what: str) -> np.ndarray:
+    """``matrix``, refused when its Frobenius norm overflows, as its SVD would."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(matrix)
+        if not np.isfinite(norm):  # the sum of squares overflows before the norm does
+            scale = np.abs(matrix).max()
+            norm = scale * np.linalg.norm(matrix / scale)
+    if not np.isfinite(norm):
+        raise InputError(f"{what} is too large: its Frobenius norm overflows")
+    return matrix
+
+
 def load_matrix(path: str) -> np.ndarray:
     """Read a dense matrix from JSON or headerless CSV."""
     parsed = _read_input(path)
@@ -335,9 +347,10 @@ def certificate_doc(matrix, cert: FactorCertificate) -> dict:
 def certificate_from_doc(doc: dict) -> tuple[np.ndarray, FactorCertificate]:
     """The matrix and certificate of a ``factorize --json`` payload.
 
-    A missing field, an unknown kind, a complex ``matrix``, or a matrix that
-    does not fit the kind, the inner dimension and the matrix raises
-    ``InputError`` naming the field.
+    A missing field, an unknown kind, a non-finite ``residual``, a complex
+    ``matrix`` or one whose norm overflows, or a matrix that does not fit
+    the kind, the inner dimension and the matrix raises ``InputError``
+    naming the field.
     """
     where = "certificate document"
     kind = _field(doc, "kind", where)
@@ -347,10 +360,13 @@ def certificate_from_doc(doc: dict) -> tuple[np.ndarray, FactorCertificate]:
     residual = _field(doc, "residual", where)
     if isinstance(residual, bool) or not isinstance(residual, (int, float)):
         raise InputError(f"{where} field 'residual' must be a number, got {residual!r}")
+    if not abs(residual) <= sys.float_info.max:
+        raise InputError(f"{where} field 'residual' must be finite, got {residual!r}")
     payload = _field(doc, "payload", where)
     matrix = _real_valued(decode_matrix(_field(doc, "matrix", where), "matrix"))
     if np.iscomplexobj(matrix):
         raise InputError(f"{where} field 'matrix' must be real")
+    _bounded(matrix, f"{where} field 'matrix'")
     dims = dict(zip("pqr", (*matrix.shape, r)))
 
     def decode(val, field, shape, dtype):
@@ -457,7 +473,7 @@ def _site_spec(dims: list[int] | None, side: int) -> SiteSpec:
 
 
 def cmd_analyze(args) -> int:
-    matrix = load_matrix(args.path)
+    matrix = _bounded(load_matrix(args.path), "input matrix")
     if matrix.shape[0] != matrix.shape[1]:
         raise InputError(f"analyze needs a square operator, got {matrix.shape}")
     sites = _site_spec(args.sites, matrix.shape[0])
@@ -520,7 +536,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    matrix = load_matrix(args.path)
+    matrix = _bounded(load_matrix(args.path), "input matrix")
     if np.iscomplexobj(matrix):
         raise InputError("factorize expects a real nonnegative matrix")
     kind = canonical_kind(args.kind)
@@ -576,7 +592,7 @@ def cmd_convert(args) -> int:
         report.emit(args.json)
         return EXIT_OK
 
-    matrix = _json_matrix(parsed) if isinstance(parsed, dict) else parsed
+    matrix = _bounded(_json_matrix(parsed) if isinstance(parsed, dict) else parsed, "input matrix")
     if args.sites:
         # operator input: must be diagonal bipartite
         sites = _site_spec(args.sites, matrix.shape[0])

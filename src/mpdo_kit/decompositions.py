@@ -4,7 +4,7 @@ Covers the open-boundary train form of an operator and its Schmidt rank
 across cuts, spectral and separable-based purifications, the Hermitian
 square-root rank by sign enumeration, the cyclic (translation-invariant)
 form obtained by padding an open train, the W-state family, and the
-transfer-matrix periodicity bound on cyclic bond dimensions.
+n-periodic signature in the transfer spectrum of a cyclic tensor.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .tensor_core import (
     TiSiteTensor,
     UsageError,
     _resolve_dims,
+    block_eigvals,
     clip_psd_spectrum,
     contract_train,
     cyclic_shift_defect,
@@ -422,17 +423,23 @@ def transfer_matrix(site: TiSiteTensor) -> np.ndarray:
 
 
 def periodicity_lower_bound(site: TiSiteTensor, n: int, tol: float = PERIODICITY_TOL):
-    """Check the n-periodicity signature in the transfer spectrum.
+    """Check the n-periodic signature in the transfer spectrum of ``site``.
 
     The spectrum is rescaled to unit spectral radius (the signature is scale
     covariant) and tested for containing every n-th root of unity within
-    ``tol``.  When it does, any cyclic single-tensor representation of the
-    same n-periodic state needs D^2 >= n, so the certified bond lower bound
-    ceil(sqrt(n)) is returned; otherwise the trivial bound 1.
+    ``tol``.  When it does, ``(True, ceil(sqrt(n)))`` is returned, else
+    ``(False, 1)``; the zero tensor gives ``(False, 1)``.
+
+    The value is a property of the given tensor, not a bound on the state
+    it represents: the block-cyclic fold of :func:`make_translation_invariant`
+    (and the W-state tensor of :func:`w_state_generators`) has this
+    spectrum for every input, while a product state such as sigma^(x)n has
+    the bond-1 cyclic tensor sigma.  The spectrum is taken block by block
+    (:func:`block_eigvals`), since the folds split into many small blocks.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    eigs = np.linalg.eigvals(transfer_matrix(site))
+    eigs = block_eigvals(transfer_matrix(site))
     radius = np.abs(eigs).max(initial=0.0)
     if radius == 0.0:
         return False, 1

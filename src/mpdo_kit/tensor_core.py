@@ -341,6 +341,41 @@ def stacked_numerical_rank(stack, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
     return np.count_nonzero(nonzero_mask(s, rel_tol), axis=-1)
 
 
+def block_eigvals(matrix) -> np.ndarray:
+    """The eigenvalues of a square matrix, taken block by block.
+
+    The blocks are the connected components of the exact-zero pattern read
+    as an undirected graph (i ~ j when ``A_ij != 0`` or ``A_ji != 0``).  A
+    symmetric permutation makes the matrix block diagonal, so the multiset
+    is that of ``np.linalg.eigvals(matrix)``, in another order and always
+    complex.  Components are labeled by min-label propagation with pointer
+    jumping over the nonzero entries; one ``eigvals`` call per distinct
+    block size takes a stack of the blocks.
+    """
+    a = np.asarray(matrix)
+    rows, cols = np.nonzero(a)
+    label = np.arange(a.shape[0])
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # grouped by counts, not by np.unique, whose first call alone added ~1.9 MB
+    # of resident memory to the peak of a process that goes on to analyze n = 9
+    count = np.bincount(label, minlength=label.size)
+    start = np.cumsum(count) - count
+    order = np.argsort(label, kind="stable")
+    parts = [np.zeros(0, dtype=complex)]
+    for size in sorted(set(count[count > 0].tolist())):
+        idx = order[start[np.flatnonzero(count == size), None] + np.arange(size)]
+        parts.append(np.linalg.eigvals(a[idx[:, :, None], idx[:, None, :]]).ravel())
+    return np.concatenate(parts)
+
+
 #: Matrix entries per stacked chunk of the sign enumeration (0.5 MB real,
 #: 1 MB complex), so its memory is bounded by a few chunks, not by the 2^k
 #: patterns.  Larger chunks run no faster at desk-scale sizes.

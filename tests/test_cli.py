@@ -248,13 +248,25 @@ def edited_cert(edit):
             edited_cert(lambda d: d["payload"].update(left=[[1, [2, 3]], [1, [2, 3]]])),
             "'left'",
         ),
+        *[
+            (["convert", "in.json", "--kind", "minimal"], edited_cert(lambda d, r=r: d.update(residual=r)),
+             "field 'residual' must be finite")
+            for r in (float("nan"), float("inf"), -float("inf"), 10**400)
+        ],
+        (
+            ["convert", "in.json", "--kind", "minimal"],
+            edited_cert(lambda d: d.update(matrix=[[1e308, 1e308], [1e308, 1e308]])),
+            "field 'matrix' is too large: its Frobenius norm overflows",
+        ),
         (["analyze", "eye4.csv", "--sites", "a,b"], None, "argument --sites"),
         (["experiment", "wstate", "--n", "3..x"], None, "argument --n"),
         (["experiment", "tgon", "--t", "5,,6"], None, "argument --t"),
     ],
     ids=[
         "data-number", "data-row-number", "rows-string", "cert-no-matrix", "cert-bogus-kind",
-        "cert-no-left", "cert-row-misfit", "sites-letters", "n-bad-range", "t-empty-item",
+        "cert-no-left", "cert-row-misfit", "cert-residual-nan", "cert-residual-inf",
+        "cert-residual-minus-inf", "cert-residual-huge-int", "cert-matrix-overflows",
+        "sites-letters", "n-bad-range", "t-empty-item",
     ],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, doc, message):
@@ -316,6 +328,30 @@ def test_convert_refuses_a_non_finite_certificate_entry(tmp_path, capsys):
     (tmp_path / "cert.json").write_text(json.dumps(doc))
     assert main(["convert", str(tmp_path / "cert.json"), "--kind", "minimal"]) == EXIT_USAGE
     assert "error: non-finite entry in payload field 'left' row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["factorize", "--kind", "minimal"], ["convert", "--kind", "minimal"], ["analyze"]],
+    ids=["factorize", "convert", "analyze"],
+)
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_input_whose_norm_overflows_is_a_usage_error(tmp_path, capsys, argv, suffix):
+    # every entry is finite, but the Frobenius norm (and the SVD) overflow
+    huge = np.full((2, 2), 1e308)
+    path = (write_json_matrix if suffix == "json" else write_csv_matrix)(tmp_path / f"m.{suffix}", huge)
+    assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: input matrix is too large: its Frobenius norm overflows" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e307])
+def test_input_whose_norm_is_finite_is_factorized(tmp_path, capsys, scale):
+    # the sum of squares overflows from ~1e154 on, but the norm itself does not
+    path = write_json_matrix(tmp_path / "m.json", [[scale, 0.0], [0.0, scale]])
+    code, doc = run_json(capsys, ["factorize", path, "--kind", "minimal", "--json"])
+    cert = entry_named(doc, "certificate")
+    assert code == EXIT_OK and (cert["inner_dim"], cert["residual"]) == (2, 0.0)
 
 
 def symmetric_cp_matrix():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdo_kit.decompositions import (
     MpoTrain,
@@ -22,6 +24,7 @@ from mpdo_kit.tensor_core import (
     SiteSpec,
     TiSiteTensor,
     UsageError,
+    block_eigvals,
     contract_cyclic,
     contract_train,
     cyclic_shift_defect,
@@ -459,6 +462,149 @@ def test_periodicity_mixed_w_diagonal_tensor():
     )
     holds, bound = periodicity_lower_bound(site, 4)
     assert holds and bound == 2
+
+
+# ---------------------------------------------------------------------------
+# the transfer spectrum block by block, against the whole matrix
+
+
+def unmatched(got, want, tol):
+    """Entries of ``want`` with no partner within ``tol`` in ``got``, pairing one to one
+    by nearest distance (``got`` and ``want`` must have the same length)."""
+    assert len(got) == len(want)
+    free = list(got)
+    missing = []
+    for w in sorted(want, key=abs, reverse=True):
+        k = int(np.argmin(np.abs(np.asarray(free) - w)))
+        if abs(free[k] - w) > tol:
+            missing.append(w)
+        free.pop(k)
+    return missing
+
+
+def full_periodicity(site, n, tol=1e-8):
+    """The periodicity test on the spectrum of the whole transfer matrix."""
+    eigs = np.linalg.eigvals(transfer_matrix(site))
+    radius = np.abs(eigs).max(initial=0.0)
+    if radius == 0.0:
+        return False, 1
+    scaled = eigs / radius
+    holds = all(np.abs(scaled - np.exp(2j * np.pi * k / n)).min() <= tol for k in range(n))
+    return bool(holds), (int(np.ceil(np.sqrt(n))) if holds else 1)
+
+
+def mixed_w_fold(n):
+    rho, _ = mixed_w_generator(n)
+    return make_translation_invariant(mpo_train_form(rho)[0])
+
+
+def dense_site(bond=3, seed=11):
+    rng = np.random.default_rng(seed)
+    shape = (bond, 2, 2, bond)
+    return TiSiteTensor(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+PERIODICITY_CASES = (
+    [(f"w-{n}", w_state_generators(n).cyclic_site, n) for n in range(2, 13)]
+    + [(f"mixedw-{n}", mixed_w_fold(n), n) for n in range(2, 9)]
+    + [
+        ("dense", dense_site(), 3),
+        ("product", TiSiteTensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1)), 3),
+        ("zero", TiSiteTensor(np.zeros((2, 2, 2, 2))), 3),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "site, n", [case[1:] for case in PERIODICITY_CASES], ids=[case[0] for case in PERIODICITY_CASES]
+)
+def test_block_transfer_spectrum_matches_the_whole_matrix(site, n):
+    e = transfer_matrix(site)
+    want = np.linalg.eigvals(e)
+    got = block_eigvals(e)
+    radius = np.abs(want).max(initial=0.0)
+    assert np.abs(got).max(initial=0.0) == pytest.approx(radius, rel=1e-12, abs=0.0)
+    # The folds are defective at 0 (nilpotent Jordan blocks), where eigvals of
+    # either form scatters the eigenvalue 0 by up to ~eps^(1/k): 1.6e-2 of the
+    # radius at W n = 12.  Every other eigenvalue has modulus >= 0.69 of the
+    # radius, so the spectra are compared pairwise above a cut in that gap and
+    # by count below it.
+    cut = 0.1 * radius
+    assert np.count_nonzero(np.abs(got) <= cut) == np.count_nonzero(np.abs(want) <= cut)
+    assert unmatched(got[np.abs(got) > cut], want[np.abs(want) > cut], 1e-10 * radius) == []
+    assert periodicity_lower_bound(site, n) == full_periodicity(site, n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_every_fold_has_the_periodic_signature(n):
+    # a property of the given tensor, not a bound on the state: the fold of
+    # a product state has it, while the bond-1 tensor sigma gives the same state
+    sigma = np.array([[0.7, 0.1], [0.1, 0.3]])
+    rho = kron_chain([sigma] * n)
+    site = make_translation_invariant(mpo_train_form(op_on_qubits(rho, n))[0])
+    assert periodicity_lower_bound(site, n) == (True, int(np.ceil(np.sqrt(n))))
+    bond_one = TiSiteTensor(sigma.reshape(1, 2, 2, 1))
+    assert np.linalg.norm(contract_cyclic(bond_one, n) - rho) <= 1e-12 * np.linalg.norm(rho)
+    assert periodicity_lower_bound(bond_one, n) == (False, 1)
+
+
+@pytest.mark.parametrize(
+    "site, largest, calls",
+    [(w_state_generators(10).cyclic_site, 20, 20), (mixed_w_fold(8), 29, 3), (dense_site(), 9, 1)],
+    ids=["w-10", "mixedw-8", "dense"],
+)
+def test_block_eigvals_stacks_one_call_per_block_size(monkeypatch, site, largest, calls):
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    got = block_eigvals(transfer_matrix(site))
+    assert len(shapes) == calls and max(s[-1] for s in shapes) == largest
+    assert sum(s[0] * s[1] for s in shapes) == got.size == site.bond_dim**2
+
+
+@st.composite
+def permuted_block_diagonal(draw):
+    """A complex block-diagonal matrix under a random symmetric permutation.
+
+    Blocks are dense, all zero (isolated zero rows and columns; a 1 x 1 zero
+    block at size 1), or dense but for one zero row or column.
+    """
+    blocks = draw(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.sampled_from(["dense", "zero", "zero-row", "zero-col"])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    side = sum(size for size, _ in blocks)
+    a = np.zeros((side, side), dtype=complex)
+    at = 0
+    for size, kind in blocks:
+        blk = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        if kind == "zero":
+            blk[:] = 0.0
+        elif kind == "zero-row":
+            blk[rng.integers(size)] = 0.0
+        elif kind == "zero-col":
+            blk[:, rng.integers(size)] = 0.0
+        a[at : at + size, at : at + size] = blk
+        at += size
+    perm = rng.permutation(side)
+    return a[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(permuted_block_diagonal())
+def test_block_eigvals_is_the_spectrum_of_the_whole_matrix(a):
+    want = np.linalg.eigvals(a)
+    got = block_eigvals(a)
+    assert unmatched(got, want, 1e-9 * max(np.linalg.norm(a, 2), 1.0)) == []
 
 
 # ---------------------------------------------------------------------------
