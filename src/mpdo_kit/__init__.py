@@ -35,7 +35,6 @@ from .decompositions import (
     purification_from_separable,
     q_sqrt_rank,
     schmidt_rank_cap,
-    spectral_cluster_count,
     transfer_matrix,
     w_state_generators,
 )
@@ -68,7 +67,6 @@ from .tensor_core import (
     matricize,
     numerical_rank,
     svd_split,
-    unmatricize,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

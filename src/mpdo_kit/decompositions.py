@@ -45,10 +45,6 @@ CERT_RESIDUAL_TOL = 1e-8
 #: rank enumeration.
 MAX_ENUM_RANK = 16
 
-#: Eigenvalues closer than this multiple of lambda_max share a cluster
-#: (``spectral_cluster_count``).
-CLUSTER_GAP_TOL = 1e-8
-
 #: Default distance, in the unit-rescaled transfer spectrum, within which an
 #: n-th root of unity counts as present (``periodicity_lower_bound``).
 PERIODICITY_TOL = 1e-8
@@ -145,10 +141,12 @@ def mpo_train_form(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=No
     """Left-canonical sweep of rank-revealing splits into an open train.
 
     At each cut the remainder is split by :func:`svd_split`: the core keeps
-    the orthonormal left singular vectors and the singular values are
-    carried right into the next remainder.  The cores to the left of a cut
-    then form an isometry, so the matrix split there has the singular
-    values of the operator's own matricization at that cut: each bond is
+    its left factor, which has orthonormal columns (the kept left singular
+    vectors, or an identity or QR factor at a cut proven full rank), and
+    the right factor, which has the remainder's singular values, is carried
+    into the next remainder.  The cores to the left of a cut then form an
+    isometry, so the matrix split there has the singular values of the
+    operator's own matricization at that cut: each bond is
     the numerical rank at its cut, ``train.bond_dims`` is the per-cut rank
     profile (a zero rank keeps a zero bond of dimension 1), and the
     returned ``osr`` is its maximum.  Works for rectangular operators and
@@ -364,17 +362,6 @@ def q_sqrt_rank(
 
         rank, signs = min_rank_sign_pattern(r, build, total * total, rel_tol)
     return rank, SignVector(signs)
-
-
-def spectral_cluster_count(rho: PsdOperator) -> int:
-    """Number of distinct eigenvalue clusters, grouping within ``CLUSTER_GAP_TOL * lambda_max``."""
-    w = np.sort(rho.eigenvalues())
-    top = max_abs(w)
-    clusters = 1
-    for a, b in zip(w, w[1:]):
-        if b - a > CLUSTER_GAP_TOL * top:
-            clusters += 1
-    return clusters
 
 
 # ---------------------------------------------------------------------------

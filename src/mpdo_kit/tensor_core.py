@@ -218,6 +218,11 @@ def is_diagonal(rho) -> bool:
     return relative_residual(np.diag(np.diagonal(data)), data) <= DIAG_TOL
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    if not 0.0 < rel_tol < 1.0:
+        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
+
+
 def nonzero_mask(values, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """The nonzero rule: values above ``rel_tol`` times the largest, along the last axis.
 
@@ -225,8 +230,7 @@ def nonzero_mask(values, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     a spectrum or of a raveled matrix.  Nothing is nonzero when the largest
     value is <= 0.
     """
-    if not 0.0 < rel_tol < 1.0:
-        raise UsageError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    _check_rel_tol(rel_tol)
     values = np.asarray(values)
     return values > rel_tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
@@ -295,8 +299,7 @@ def matricize(op, cut: int, out_dims=None, in_dims=None) -> np.ndarray:
 
     Rows are indexed by (out, in) indices of the left block, columns by the
     right block, each row-major with out indices before in indices.  The
-    reshape is a pure index permutation; :func:`unmatricize` inverts it
-    bit-exactly.
+    reshape is a pure index permutation of the operator's entries.
     """
     data, out_dims, in_dims = _resolve_dims(op, out_dims, in_dims)
     n = len(out_dims)
@@ -307,27 +310,6 @@ def matricize(op, cut: int, out_dims=None, in_dims=None) -> np.ndarray:
     right = list(range(cut, n)) + [n + k for k in range(cut, n)]
     rows = prod(out_dims[:cut]) * prod(in_dims[:cut])
     return t.transpose(left + right).reshape(rows, -1)
-
-
-def unmatricize(matrix, cut: int, out_dims, in_dims=None) -> np.ndarray:
-    """Inverse of :func:`matricize`; returns the dense operator."""
-    out_dims = tuple(int(d) for d in out_dims)
-    in_dims = out_dims if in_dims is None else tuple(int(d) for d in in_dims)
-    n = len(out_dims)
-    if not 1 <= cut < n:
-        raise UsageError(f"cut must be in [1, {n - 1}], got {cut}")
-    matrix = np.asarray(matrix)
-    shape = out_dims[:cut] + in_dims[:cut] + out_dims[cut:] + in_dims[cut:]
-    t = matrix.reshape(shape)
-    # forward permutation used by matricize; argsort inverts it
-    forward = (
-        list(range(cut))
-        + [n + k for k in range(cut)]
-        + list(range(cut, n))
-        + [n + k for k in range(cut, n)]
-    )
-    inv = np.argsort(forward)
-    return t.transpose(inv).reshape(prod(out_dims), prod(in_dims))
 
 
 def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -423,17 +405,95 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     return best_rank, tuple(best_signs.tolist())
 
 
+#: Splits of fewer matrix entries than this go straight to the SVD in
+#: :func:`svd_split`, without the full-rank screen.  On a 2-vCPU Xeon VM a
+#: screen that fails (a rank-deficient split) adds 65-80% to the SVD split
+#: of 64 or fewer entries and 12-31% at 4096; one that passes saves 28-85%
+#: of the split at 4096 entries and more above.  The `experiment bounds`
+#: sweep makes ~1,500 splits of 16 to 64 entries, almost all rank-deficient.
+SCREEN_MIN_ENTRIES = 4096
+
+#: Multiple of ``(k + m + 2) * eps * tr(G)`` in the shift of the full-rank
+#: screen: it covers the rounding of the Gram product and of its Cholesky
+#: factorization with room to spare (:func:`_full_rank_screen`).
+SCREEN_ROUNDOFF = 8
+
+
+def _full_rank_screen(matrix, rel_tol: float) -> bool:
+    """True only when every singular value of ``matrix`` is at least
+    ``2 * rel_tol`` times the largest, in exact arithmetic.
+
+    G is the small Gram matrix, ``A A^dag`` (m x m, inner length k = cols)
+    for a wide A and ``A^dag A`` (m = cols, k = rows) for a tall one; its
+    eigenvalues are the squared singular values.  The screen asks for a
+    Cholesky factorization of ``G - tau I`` with
+
+        tau = (4 rel_tol^2 + SCREEN_ROUNDOFF (k + m + 2) eps) tr(G),
+
+    tr(G) read off the computed Gram matrix.  The error bound: each entry of
+    the computed Gram matrix is a complex inner product of length k, so it
+    is within about ``2 sqrt(2) (k + 1) eps/2`` of its exact value relative
+    to ``|a_i| |a_j|`` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.1 and 3.6), which puts the whole Gram
+    matrix within that multiple of tr(G) in norm.  A Cholesky factorization
+    that runs to completion on an m x m matrix H factors H + dH exactly,
+    with ``|dH| <= gamma |R^dag| |R|`` entrywise (Higham, theorem 10.3), so
+    ``||dH|| <= 2 sqrt(2) (m + 1) eps/2 tr(H)`` in norm for complex entries.
+    The shift of the diagonal and the computed trace round by at most
+    ``(k + m) eps/2`` relative.  SCREEN_ROUNDOFF = 8 covers the sum of these
+    terms with fivefold room.  Asking ``tr(G) >= tiny / eps`` keeps the
+    absolute rounding of subnormal products below ``eps tr(G)``, and an
+    overflow or a NaN fails that trace test.
+
+    So success gives ``lambda_min(G) >= 4 rel_tol^2 tr(G) >= 4 rel_tol^2
+    sigma_max^2``, i.e. ``sigma_min >= 2 rel_tol sigma_max``.  The SVD's own
+    singular values are within a small multiple of ``eps sigma_max`` of the
+    exact ones, far less than ``rel_tol sigma_max`` here (tau alone asks for
+    ``sigma_min / sigma_max`` above about ``sqrt(8 (k + m) eps)``), so the
+    nonzero rule on them would keep every one: the rank is ``min(rows,
+    cols)``.  Cholesky stops at the first pivot that is not positive, so a
+    rank-deficient matrix fails after about its rank's worth of columns.
+    """
+    rows, cols = matrix.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # fails the trace test below
+        gram = matrix @ matrix.conj().T if rows <= cols else matrix.conj().T @ matrix
+    size = gram.shape[0]
+    trace = float(np.trace(gram).real)
+    eps = np.finfo(float).eps
+    if not np.finfo(float).tiny / eps <= trace < np.inf:
+        return False
+    tau = (4.0 * rel_tol**2 + SCREEN_ROUNDOFF * (max(rows, cols) + size + 2) * eps) * trace
+    gram.flat[:: size + 1] -= tau
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     """One rank-revealing split ``matrix ~ left @ right``.
 
-    ``left`` holds the kept left singular vectors, so it has orthonormal
-    columns, and ``right`` carries the singular values (``S @ Vh``); the
-    singular values of ``right`` are those of ``matrix``.  The inner
-    dimension equals :func:`numerical_rank`; the zero matrix yields empty
-    factors.
+    ``left`` has orthonormal columns, and ``right`` has the singular values
+    of ``matrix``; the inner dimension equals :func:`numerical_rank`, and
+    the zero matrix yields empty factors.
+
+    A split of at least ``SCREEN_MIN_ENTRIES`` entries that
+    :func:`_full_rank_screen` proves full rank needs no SVD: a wide matrix
+    (rows <= cols) splits as ``(I, matrix, rows)``, with ``right`` the
+    complex matrix itself, not a copy, and a tall one as its reduced QR
+    factorization ``(Q, R, cols)``.  Every other matrix is split by the SVD:
+    ``left`` holds the kept left singular vectors and ``right`` is ``S @ Vh``.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape[0] < matrix.shape[1]:
+    _check_rel_tol(rel_tol)
+    rows, cols = matrix.shape
+    if rows * cols >= SCREEN_MIN_ENTRIES and _full_rank_screen(matrix, rel_tol):
+        if rows <= cols:
+            return np.eye(rows, dtype=complex), matrix, rows
+        q, r = np.linalg.qr(matrix)
+        return q, r, cols
+    if rows < cols:
         # LAPACK's wide path runs 2-3x slower than its tall path on the
         # transpose (a 256 x 1024 split: 0.17 s against 0.08 s, 2-vCPU Xeon);
         # matrix.T = A S B^dag gives matrix = conj(B) S A^T

@@ -1,7 +1,12 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from mpdo_kit.decompositions import transfer_matrix
+from mpdo_kit import tensor_core
+from mpdo_kit.decompositions import mixed_w_generator, mpo_train_form, transfer_matrix
 from mpdo_kit.tensor_core import (
     MpoTrain,
     PsdOperator,
@@ -21,7 +26,6 @@ from mpdo_kit.tensor_core import (
     psd_gram_factor,
     relative_residual,
     svd_split,
-    unmatricize,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -84,12 +88,21 @@ def test_matricize_product_operator_rank_one():
         assert numerical_rank(matricize(op, cut, out_dims=(2, 2, 2))) == 1
 
 
+def unmatricize(matrix, cut, out_dims, in_dims):
+    # oracle: undo matricize's permutation (left out, left in, right out,
+    # right in) by its inverse, argsort
+    n = len(out_dims)
+    matrix = np.asarray(matrix).reshape(out_dims[:cut] + in_dims[:cut] + out_dims[cut:] + in_dims[cut:])
+    forward = list(range(cut)) + [n + k for k in range(cut)] + list(range(cut, n)) + [n + k for k in range(cut, n)]
+    return matrix.transpose(np.argsort(forward)).reshape(prod(out_dims), prod(in_dims))
+
+
 def test_matricize_roundtrip_bit_exact():
     rng = np.random.default_rng(2)
     rho = rand_psd(8, rng)
     for cut in (1, 2):
         m = matricize(rho, cut, out_dims=(2, 2, 2))
-        assert np.array_equal(unmatricize(m, cut, (2, 2, 2)), rho)
+        assert np.array_equal(unmatricize(m, cut, (2, 2, 2), (2, 2, 2)), rho)
 
 
 def test_matricize_rectangular_roundtrip():
@@ -149,6 +162,116 @@ def test_svd_split_identity_full_rank():
 def test_svd_split_zero():
     left, right, r = svd_split(np.zeros((3, 5)))
     assert r == 0 and left.shape == (3, 0) and right.shape == (0, 5)
+
+
+def test_svd_split_rejects_a_bad_rel_tol_before_the_screen():
+    # a well-conditioned split the screen would certify at any rel_tol
+    with pytest.raises(UsageError):
+        svd_split(np.eye(64, 128), rel_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the full-rank screen of svd_split
+
+
+@st.composite
+def planted_spectrum(draw):
+    """A matrix of planted singular values, up to 64 x 256 either way round,
+    with its rel_tol: a smallest singular value at 0.1x to 10x rel_tol of
+    the largest, exact zeros, or zero rows, real or complex."""
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 256))
+    rel_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    kind = draw(st.sampled_from(["generic", "edge", "zeros", "zero_rows"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    is_complex = draw(st.booleans())
+
+    def isometry(dim, k):
+        x = rng.standard_normal((dim, k)) + (1j * rng.standard_normal((dim, k)) if is_complex else 0)
+        return np.linalg.qr(x)[0]
+
+    k = min(rows, cols)
+    s = rng.uniform(0.1, 1.0, k)
+    s[0] = 1.0
+    if kind == "edge" and k > 1:
+        s[-1] = rel_tol * draw(st.floats(-1.0, 1.0).map(lambda e: 10.0**e))
+    elif kind == "zeros" and k > 1:
+        s[k - draw(st.integers(1, k - 1)):] = 0.0
+    a = (isometry(rows, k) * s) @ isometry(cols, k).conj().T
+    if kind == "zero_rows":
+        a[rng.choice(rows, draw(st.integers(1, rows)), replace=False)] = 0.0
+    return (a.T if draw(st.booleans()) else a), rel_tol
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(planted_spectrum())
+@example((np.ones((1, 1)), 1e-10))
+@example((np.diag([1.0, 2e-10]), 1e-10))
+def test_full_rank_screen_is_sound(monkeypatch, case):
+    a, rel_tol = case
+    monkeypatch.setattr(tensor_core, "SCREEN_MIN_ENTRIES", 0)
+    if not tensor_core._full_rank_screen(np.asarray(a, dtype=complex), rel_tol):
+        return
+    k = min(a.shape)
+    assert numerical_rank(a, rel_tol) == k
+    left, right, r = svd_split(a, rel_tol)
+    assert r == k
+    assert np.linalg.norm(left.conj().T @ left - np.eye(k)) <= 1e-12
+    assert np.linalg.norm(left @ right - a) <= 1e-12 * np.linalg.norm(a)
+    s = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(np.linalg.svd(right, compute_uv=False) - s).max() <= 1e-12 * s[0]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-6, 1e-3])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 256), (64, 64), (256, 16)])
+def test_full_rank_screen_certifies_a_well_conditioned_matrix(rel_tol, shape):
+    rng = np.random.default_rng(shape)
+    q = np.linalg.qr(rng.standard_normal((max(shape), min(shape))))[0]
+    a = q * np.linspace(1.0, 0.5, min(shape))
+    a = a if shape[0] >= shape[1] else a.T
+    assert tensor_core._full_rank_screen(np.asarray(a, dtype=complex), rel_tol)
+
+
+def test_full_rank_screen_refuses_the_zero_and_non_finite_matrices():
+    for a in (np.zeros((64, 64)), np.full((64, 64), np.nan), np.full((64, 64), 1e300)):
+        assert not tensor_core._full_rank_screen(np.asarray(a, dtype=complex), 1e-10)
+
+
+def test_full_rank_sweep_takes_an_svd_only_below_the_floor(monkeypatch):
+    # a random 7-qubit operator has full rank at every cut
+    rng = np.random.default_rng(7)
+    op = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    train, osr = mpo_train_form(op, (2,) * 7)
+    assert train.bond_dims == tuple(min(4**cut, 4 ** (7 - cut)) for cut in range(1, 7))
+    assert osr == 64
+    assert relative_residual(contract_train(train), op) <= 1e-12
+    # only the 64 x 4 last split lies below the floor
+    assert shapes == [(64, 4)]
+    shapes.clear()
+    monkeypatch.setattr(tensor_core, "SCREEN_MIN_ENTRIES", 0)
+    train, _ = mpo_train_form(op, (2,) * 7)
+    assert shapes == []
+    assert relative_residual(contract_train(train), op) <= 1e-12
+
+
+def test_rank_deficient_sweep_keeps_the_svd_ranks():
+    # every cut of the mixed W operator is rank-deficient, so the screen fails
+    rho, _ = mixed_w_generator(8)
+    train, _ = mpo_train_form(rho)
+    oracle = []
+    for cut in range(1, 8):
+        s = np.linalg.svd(matricize(rho, cut), compute_uv=False)
+        oracle.append(int(np.count_nonzero(s > 1e-10 * s[0])))
+    assert train.bond_dims == tuple(oracle)
+    assert all(r < min(4**cut, 4 ** (8 - cut)) for cut, r in enumerate(oracle, 1))
 
 
 # ---------------------------------------------------------------------------
