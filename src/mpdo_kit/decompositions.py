@@ -309,12 +309,17 @@ def q_sqrt_rank(
     """Minimal Schmidt rank over sign choices of the Hermitian square roots.
 
     Enumerates the spectral sign vectors (lexicographic, +1 first; first
-    minimizer wins) with the first sign pinned to +1, since a global flip
-    preserves every Schmidt rank, so 2^(rank-1) vectors are ranked, in
-    chunks of bounded memory; refuses when the rank exceeds
-    ``max_enum_rank``.  Diagonal operators keep the computational basis as
-    their eigenbasis, which makes the enumeration exact there; in general
-    the result upper-bounds the true minimum over all Hermitian roots.
+    minimizer wins) in chunks of bounded memory, ranking one vector per
+    orbit of a group of sign flips that preserve every Schmidt rank (see
+    :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern`); refuses when the
+    rank exceeds ``max_enum_rank``.  In general the group is the global
+    flip, and 2^(rank-1) vectors are ranked.  On a diagonal operator it is
+    the per-site flip group: negating the roots where one site is at one
+    level flips rows or columns at every cut.  Its span pins p of the
+    signs, 1 <= p <= 1 + sum(d_s - 1), and 2^(rank-p) vectors are ranked.
+    Diagonal operators keep the computational basis as their eigenbasis,
+    which makes the enumeration exact there; in general the result
+    upper-bounds the true minimum over all Hermitian roots.
     ``spectrum`` is :func:`clipped_spectrum` of rho at the same
     tolerance, for a caller that already has it; only the non-diagonal
     path reads it.  Returns ``(rank, SignVector)``.
@@ -349,7 +354,10 @@ def q_sqrt_rank(
             full[:, keep] = signs * roots
             return [full.reshape(len(signs), prod(dims[:cut]), -1) for cut in cuts]
 
-        rank, signs = min_rank_sign_pattern(r, build, total, rel_tol)
+        # a sign set by one site's level flips rows or columns at every cut
+        pos = np.unravel_index(np.flatnonzero(keep), dims)
+        flips = [pos[s] == a for s in range(n) for a in range(dims[s])]
+        rank, signs = min_rank_sign_pattern(r, build, total, rel_tol, flips)
     else:
         def build(signs):
             taus = (vec * (signs * roots)[:, None, :]) @ vec.conj().T

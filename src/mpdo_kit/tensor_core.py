@@ -364,7 +364,38 @@ def block_eigvals(matrix) -> np.ndarray:
 ENUM_CHUNK_ENTRIES = 2**16
 
 
-def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL):
+def _flip_pivots(k: int, flips) -> np.ndarray:
+    """Boolean mask of the pivot columns of the reduced row echelon form,
+    over GF(2), of the all-ones vector and the 0/1 vectors ``flips``, each
+    of length k.
+
+    Plain masks and row operations only: a first ``np.isin`` or
+    ``np.setdiff1d`` call (both sort through ``np.unique``) pages in ~1 MB
+    of resident memory.
+    """
+    rows = [np.ones(k, dtype=bool)]
+    for flip in flips:
+        flip = np.asarray(flip)
+        if flip.shape != (k,) or not ((flip == 0) | (flip == 1)).all():
+            raise UsageError(f"a flip must be a 0/1 vector of length {k}, got {flip.tolist()}")
+        rows.append(flip.astype(bool))
+    gens = np.array(rows)
+    pivots = np.zeros(k, dtype=bool)
+    r = 0
+    for col in range(k):
+        hit = r + np.flatnonzero(gens[r:, col])
+        if hit.size == 0:
+            continue
+        gens[[r, hit[0]]] = gens[[hit[0], r]]
+        clear = gens[:, col].copy()
+        clear[r] = False
+        gens[clear] ^= gens[r]
+        pivots[col] = True
+        r += 1
+    return pivots
+
+
+def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, flips=()):
     """First sign pattern minimizing the numerical rank of a signed candidate.
 
     Patterns s in {+1, -1}^k are walked in lexicographic order, +1 before
@@ -378,21 +409,31 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     candidate can beat.  Returns ``(rank, signs)`` with ``signs`` a tuple
     of k ints.
 
-    The first sign is pinned to +1.  The candidate must be linear in the
-    signs, so the global flip -s gives the negated candidate, of the same
-    rank.  In lexicographic order every pattern starting with +1 precedes
-    every pattern starting with -1, so the first minimizer (and the first
-    pattern reaching rank <= 1) starts with +1: pinning halves the work and
-    returns the same pattern as the full walk.
+    Only one pattern per orbit of a flip group is ranked.  ``flips`` are
+    0/1 vectors of length k, and flipping the signs where one is 1 must
+    keep the candidate's rank; the all-ones vector (the global flip -s,
+    which negates a candidate linear in the signs) is always added.  Over
+    GF(2), the span's reduced row echelon form pins each pivot column to
+    +1, and the free columns are walked in binary order, most significant
+    first: 2^(k - pivots) patterns.  Each orbit holds exactly one pinned
+    pattern, since row i alone has a 1 at pivot i, and it is the orbit's
+    lexicographic minimum, because adding a set S of rows sets the
+    smallest pivot in S to -1 and leaves every earlier sign alone.  An
+    orbit shares one rank, so the full walk's first minimizer and its
+    first pattern of rank <= 1 are pinned, and the pinned walk returns the
+    same pattern.  With no ``flips`` only the first sign is pinned, which
+    halves the walk.
     """
-    total = 2 ** (k - 1) if k > 0 else 1
+    free = np.flatnonzero(~_flip_pivots(k, flips))
+    total = 2**free.size
     chunk = max(1, ENUM_CHUNK_ENTRIES // max(entries, 1))
-    shifts = np.arange(k - 1, -1, -1)
+    shifts = np.arange(free.size - 1, -1, -1)
     best_rank = None
     best_signs = None
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        signs = 1 - 2 * ((idx[:, None] >> shifts) & 1)
+        signs = np.ones((idx.size, k), dtype=int)
+        signs[:, free] = 1 - 2 * ((idx[:, None] >> shifts) & 1)
         ranks = np.max([stacked_numerical_rank(stack, rel_tol) for stack in build(signs)], axis=0)
         done = np.flatnonzero(ranks <= 1)
         if done.size:

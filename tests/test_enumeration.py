@@ -3,10 +3,12 @@
 The reference below is the plain per-pattern loop: every pattern of
 {+1, -1}^k in ``itertools.product`` order, no pinned sign, one
 ``numerical_rank`` per candidate, first minimizer kept, stop at rank <= 1.
-The engine pins the first sign and ranks stacked chunks; rank and pattern
-must still match exactly.
+The engine ranks stacked chunks and only one pattern per orbit of a flip
+group: the global flip everywhere, and the per-site flips on the diagonal
+path of ``q_sqrt_rank``.  Rank and pattern must still match exactly.
 """
 
+import functools
 import itertools
 from math import prod
 
@@ -175,8 +177,66 @@ def test_engine_stops_after_the_chunk_reaching_rank_one(monkeypatch, chunk):
 
 
 def test_engine_k0_ranks_the_single_empty_pattern():
-    rank, signs = min_rank_sign_pattern(0, lambda s: (np.zeros((len(s), 2, 2)),), entries=4)
-    assert (rank, signs) == (0, ())
+    for flips in ((), [np.zeros(0, dtype=int)]):
+        rank, signs = min_rank_sign_pattern(0, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, flips=flips)
+        assert (rank, signs) == (0, ())
+
+
+# ---------------------------------------------------------------------------
+# orbit pinning
+
+
+def walked_patterns(k, flips=()):
+    """Every pattern the engine ranks, in order: all candidates have rank 2,
+    so the walk never stops early."""
+    seen = []
+
+    def build(signs):
+        seen.extend(map(tuple, signs.tolist()))
+        return (np.tile(np.eye(2), (len(signs), 1, 1)),)
+
+    assert min_rank_sign_pattern(k, build, entries=4, flips=flips)[0] == 2
+    return seen
+
+
+def as_bits(k, patterns):
+    """Patterns as ints, first sign most significant, -1 a set bit: int order is the walk order."""
+    signs = np.array(patterns, dtype=int).reshape(len(patterns), k)
+    return [int(b) for b in ((1 - signs) // 2) @ (1 << np.arange(k - 1, -1, -1))]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pinned_walk_meets_each_coset_once_at_its_lex_minimum(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 9))
+    gens = rng.integers(0, 2, size=(int(rng.integers(0, 6)), k))
+    span = {0}
+    for g in as_bits(k, 1 - 2 * np.vstack([np.ones((1, k), dtype=int), gens])):
+        span |= {s ^ g for s in span}
+    minima = {min(v ^ s for s in span) for v in range(2**k)}
+    walked = as_bits(k, walked_patterns(k, gens))
+    assert walked == sorted(set(walked))
+    assert set(walked) == minima
+    assert len(walked) == 2**k // len(span)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_no_flips_walks_the_global_flip_half(k):
+    assert walked_patterns(k) == [(1,) + p for p in itertools.product((1, -1), repeat=k - 1)]
+
+
+def test_redundant_and_zero_flips_change_nothing():
+    rng = np.random.default_rng(7)
+    gens = rng.integers(0, 2, size=(3, 8))
+    extra = [np.zeros(8, dtype=int), gens[0] ^ gens[1], np.ones(8, dtype=int), gens[2]]
+    assert walked_patterns(8, list(gens) + extra) == walked_patterns(8, gens)
+    assert walked_patterns(8, [np.zeros(8, dtype=int), np.ones(8, dtype=int)]) == walked_patterns(8)
+
+
+@pytest.mark.parametrize("flip", [[1, 0], [1, 0, 1, 1], [[1, 0, 1]], [0, 2, 1], [1, -1, 0]])
+def test_malformed_flips_are_refused(flip):
+    with pytest.raises(UsageError):
+        min_rank_sign_pattern(3, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, flips=[flip])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +332,31 @@ def diagonal_cases():
         k = int(rng.integers(2, 9))
         values[rng.choice(values.size, k, replace=False)] = rng.uniform(0.25, 4.0, k)
         cases[f"random{t}"] = (values, dims)
+    # supports where the per-site flips pin several signs
+    rng = np.random.default_rng(5)
+    for dims, k in [((2,) * 6, 10), ((2,) * 7, 11), ((2,) * 8, 12), ((3, 2, 3), 9), ((4, 4), 8)]:
+        values = np.zeros(prod(dims))
+        values[rng.choice(values.size, k, replace=False)] = rng.uniform(0.25, 4.0, k)
+        cases[f"k{k}-{'x'.join(map(str, dims))}"] = (values, dims)
+    # site 1 sits at level 0 on the whole support: its flip is the global flip
+    one_level = np.zeros((2, 2, 2, 2))
+    one_level[:, 0] = rng.uniform(0.25, 4.0, (2, 2, 2))
+    cases["one-level"] = (one_level.ravel(), (2, 2, 2, 2))
+    # sites (0, 1) and (2, 3) each in {00, 01} or each in {10, 11}: two blocks at the middle cut
+    two_blocks = np.zeros((4, 4))
+    two_blocks[:2, :2] = rng.uniform(0.25, 4.0, (2, 2))
+    two_blocks[2:, 2:] = rng.uniform(0.25, 4.0, (2, 2))
+    cases["two-blocks"] = (two_blocks.ravel(), (2, 2, 2, 2))
+    tied = np.zeros(64)
+    tied[rng.choice(64, 10, replace=False)] = 1.0
+    cases["tied-k10"] = (tied, (2,) * 6)
     return cases
+
+
+@functools.cache
+def diagonal_reference(name):
+    values, dims = diagonal_cases()[name]
+    return reference_q_sqrt_diagonal(values, dims)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +365,23 @@ def diagonal_cases():
 def test_q_sqrt_diagonal_matches_reference(chunk_entries, name, case):
     values, dims = case
     rank, signs = q_sqrt_rank(PsdOperator(SiteSpec(dims), np.diag(values)))
-    assert (rank, signs.signs) == reference_q_sqrt_diagonal(values, dims)
+    assert (rank, signs.signs) == diagonal_reference(name)
+
+
+def test_q_sqrt_diagonal_walks_one_pattern_per_site_flip_orbit(monkeypatch):
+    # the full 16-entry support of 4 qubits: the global and the 4 site flips
+    # pin 5 signs, so 2^11 of the 2^16 patterns are ranked (3 cuts each)
+    ranked = []
+
+    def counting(stack, rel_tol):
+        ranked.append(len(stack))
+        return stacked_numerical_rank(stack, rel_tol)
+
+    monkeypatch.setattr(tensor_core, "stacked_numerical_rank", counting)
+    values = np.random.default_rng(6).uniform(0.25, 4.0, 16)
+    rank, _ = q_sqrt_rank(PsdOperator(SiteSpec((2, 2, 2, 2)), np.diag(values)))
+    assert rank == 4
+    assert sum(ranked) == 3 * 2**11
 
 
 def dense_cases():

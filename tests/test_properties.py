@@ -7,6 +7,8 @@ rule's cutoff (1e-10 of its largest entry); fixed ``max_examples`` keep the
 runtime bounded and no example database is written.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -248,3 +250,36 @@ def test_q_sqrt_signs_build_a_purification_of_that_schmidt_rank(rho):
         tau = (vec * (s * np.sqrt(lam))) @ vec.conj().T
     assert relative_residual(tau @ tau.conj().T, rho.data) <= CERT_RESIDUAL_TOL
     assert operator_schmidt_rank(tau, rho.sites) == q_rank
+
+
+@st.composite
+def sparse_diagonal(draw):
+    """Diagonal of an operator on 2-4 sites of dimension 1-3, with at most 10
+    nonzero entries; some are tied at 1 and some may fall below the cutoff."""
+    n = draw(st.integers(2, 4))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    total = int(np.prod(dims))
+    cells = draw(st.sets(st.integers(0, total - 1), max_size=MAX_NONZEROS))
+    values = np.zeros(total)
+    for c in cells:
+        values[c] = draw(st.one_of(entry, st.just(1.0)))
+    return values, dims
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sparse_diagonal())
+def test_diagonal_q_sqrt_rank_is_the_first_minimizer_of_the_full_walk(case):
+    # the oracle ranks every pattern of itertools.product, nothing pinned
+    values, dims = case
+    keep = nonzero_mask(values)
+    best = None
+    for signs in itertools.product((1, -1), repeat=int(keep.sum())):
+        full = np.zeros(values.size)
+        full[keep] = np.array(signs) * np.sqrt(values[keep])
+        rank = max(numerical_rank(full.reshape(int(np.prod(dims[:cut])), -1)) for cut in range(1, len(dims)))
+        if best is None or rank < best[0]:
+            best = (rank, signs)
+            if rank <= 1:
+                break
+    rank, signs = q_sqrt_rank(PsdOperator(SiteSpec(dims), np.diag(values)))
+    assert (rank, signs.signs) == best
