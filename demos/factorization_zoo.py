@@ -7,6 +7,8 @@ enumeration, constructive cpsdt) report exact inner dimensions; the searches
 certificates.
 """
 
+from math import ceil, sqrt
+
 import numpy as np
 
 from mpdo_kit import (
@@ -14,9 +16,10 @@ from mpdo_kit import (
     cp_factorization_search,
     cpsdt_construct,
     minimal_factorization,
-    nonneg_rank_bounds,
+    nonneg_factorization_search,
+    numerical_rank,
     psd_factorization_search,
-    psd_rank_lower_bound,
+    scan_nonneg_certificate,
     slack_matrix_tgon,
     sqrt_rank,
     symmetric_factorization,
@@ -44,24 +47,23 @@ except NecessaryConditionError as exc:
 print()
 print("=== nonnegative rank gap on the 4-cycle pattern ===")
 circ = np.array([[1.0, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
-lower, upper = nonneg_rank_bounds(circ)
-print(f"rank = {lower}, nonnegative search first succeeds at r = {upper}")
+print(f"rank = {numerical_rank(circ)}, nonnegative search first succeeds at"
+      f" r = {scan_nonneg_certificate(circ).inner_dim}")
 
 print()
 print("=== polygon slack matrices: rank stays 3, psd side must grow ===")
 print(f"{'t':>4} {'rank':>5} {'psd lower':>10}")
 for t in (3, 8, 16, 32, 50):
     slack = slack_matrix_tgon(t).entries
-    cert = minimal_factorization(slack)
-    print(f"{t:>4} {cert.inner_dim:>5} {psd_rank_lower_bound(slack):>10}")
+    rank = numerical_rank(slack)
+    # a size-r psd factorization's trace pairing has rank <= r^2
+    print(f"{t:>4} {rank:>5} {ceil(sqrt(rank)):>10}")
 
 print()
 print("=== planted searches recover their instances ===")
 rng = np.random.default_rng(7)
 a = rng.uniform(0.2, 1.2, (6, 3))
 b = rng.uniform(0.2, 1.2, (3, 6))
-from mpdo_kit import nonneg_factorization_search
-
 cert = nonneg_factorization_search(a @ b, 3)
 print(f"nonnegative at planted r=3: found = {cert is not None},"
       f" residual = {cert.residual:.1e}")
@@ -71,7 +73,6 @@ cert = cp_factorization_search(a @ a.T, 3)
 print(f"cp at planted r=3:          found = {cert is not None},"
       f" residual = {cert.residual:.1e}")
 
-e = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 cert = psd_factorization_search(np.eye(2), 2)
 print(f"psd for I2 at r=2:          found = {cert is not None},"
       f" residual = {cert.residual:.1e}")

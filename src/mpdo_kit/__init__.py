@@ -44,10 +44,8 @@ from .nonneg_factorizations import (
     hadamard_root_certificate,
     minimal_factorization,
     nonneg_factorization_search,
-    nonneg_rank_bounds,
     psd_certificate_from_nonneg,
     psd_factorization_search,
-    psd_rank_lower_bound,
     scan_nonneg_certificate,
     slack_matrix_tgon,
     sqrt_rank,

@@ -51,6 +51,9 @@ class NonnegMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"expected a matrix, got ndim {m.ndim}")
+        if not np.isfinite(m).all():
+            # NaN would slip past the sign test below
+            raise ValueError("matrix has non-finite entries")
         if m.min(initial=0.0) < -CLIP_TOL:
             raise NecessaryConditionError(
                 "entrywise nonnegative", f"min entry {m.min():.3e}"

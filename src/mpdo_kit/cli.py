@@ -49,6 +49,7 @@ from .decompositions import (
 )
 from .nonneg_factorizations import (
     DEFAULT_SIGN_BUDGET,
+    SEARCH_RESTARTS,
     cp_factorization_search,
     minimal_factorization,
     nonneg_factorization_search,
@@ -450,6 +451,14 @@ def _ints(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",")]
 
 
+def _nonneg_int(spec: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(spec)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _int_range(spec: str) -> list[int]:
     """argparse type: an inclusive range lo..hi, or comma-separated integers."""
     lo, dots, hi = spec.partition("..")
@@ -546,12 +555,14 @@ def cmd_factorize(args) -> int:
 
     r = args.r if args.r is not None else max(numerical_rank(m, args.tol), 1)
 
-    if kind == "nonnegative":
-        cert = nonneg_factorization_search(m, r, args.restarts, seed=args.seed)
-    elif kind == "psd":
-        cert = psd_factorization_search(m, r, args.restarts, seed=args.seed)
-    elif kind == "cp":
-        cert = cp_factorization_search(m, r, args.restarts, seed=args.seed)
+    # built per call, so that a rebinding of these module names is seen
+    searches = {
+        "nonnegative": nonneg_factorization_search,
+        "psd": psd_factorization_search,
+        "cp": cp_factorization_search,
+    }
+    if kind in searches:
+        cert = searches[kind](m, r, args.restarts, seed=args.seed)
     else:
         cert = _matrix_certificate(kind, m, rel_tol=args.tol, sign_budget=args.budget)
 
@@ -727,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json": dict(action="store_true", help="emit the JSON report"),
         "--seed": dict(type=int, default=0, help="seed for randomized procedures"),
         "--tol": dict(type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance"),
-        "--restarts": dict(type=int, default=20),
+        "--restarts": dict(type=_nonneg_int, default=SEARCH_RESTARTS),
         "--budget": dict(type=int, default=DEFAULT_SIGN_BUDGET, help="sign enumeration budget"),
     }
 
@@ -770,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("wstate", "tgon", "mixedw", "bounds"))
     p.add_argument("--n", type=_int_range, help="range of chain lengths, e.g. 3..10")
     p.add_argument("--t", type=_int_range, help="range of polygon sizes, e.g. 3..50")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_nonneg_int, default=50)
     add_options(p, "--json", "--seed")
     p.set_defaults(func=cmd_experiment)
     return parser

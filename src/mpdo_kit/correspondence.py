@@ -46,6 +46,7 @@ from .decompositions import (
 from .nonneg_factorizations import (
     DEFAULT_SIGN_BUDGET,
     SEARCH_RESIDUAL_TOL,
+    SEARCH_RESTARTS,
     _gram_pairs,
     cpsdt_construct,
     hadamard_root_certificate,
@@ -359,7 +360,7 @@ def _matrix_certificate(
     *,
     rel_tol: float = DEFAULT_RANK_TOL,
     sign_budget: int = DEFAULT_SIGN_BUDGET,
-    restarts: int = 20,
+    restarts: int = SEARCH_RESTARTS,
     seed: int = 0,
 ):
     """The canonical matrix-side certificate of one (canonical) kind for m.
@@ -413,7 +414,7 @@ def verify_correspondence(
     kind: str,
     matrix,
     sign_budget: int = DEFAULT_SIGN_BUDGET,
-    restarts: int = 20,
+    restarts: int = SEARCH_RESTARTS,
     seed: int = 0,
     rel_tol: float = DEFAULT_RANK_TOL,
 ) -> dict:

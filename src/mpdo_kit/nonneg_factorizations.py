@@ -4,14 +4,16 @@ Exact routes: the minimal (SVD) factorization, the symmetric (Takagi)
 factorization by one eigendecomposition, square-root rank by sign
 enumeration, and the constructive psd and cpsdt factorizations through a
 Hadamard root.  Heuristic searches with independently checkable output, for
-the nonnegative, psd and cp factorizations, all on one batched numpy
+the nonnegative, psd and cp factorizations: each states its unknowns, start
+draw, residuals and certificate, and one restart protocol
+(:func:`_restart_search`) runs them on one batched numpy
 Levenberg-Marquardt solver (:func:`least_squares`), projected onto x >= 0
 for the nonnegative and cp factors.  Every psd and cpsdt certificate here
 pairs the Gram matrices of two factor sides (:func:`_gram_pairs`).  A
 failed search never certifies a lower bound; the only certified lower
 bounds here are rank-based or necessary-condition rejections.
 
-The searches use the rank bound to return early.  A search at inner
+The protocol uses the rank bound to return early.  A search at inner
 dimension r can only produce a matrix X of rank <= k, with k = r for the
 nonnegative and cp searches and k = r^2 for the psd search (the trace
 pairing of r x r Hermitian matrices is a bilinear form of rank <= r^2).
@@ -24,7 +26,7 @@ search returns None at once: the answer its restarts would have given.
 
 from __future__ import annotations
 
-from math import ceil, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -74,8 +76,10 @@ LM_CURVATURE_FLOOR = 1e-300
 LM_CONVERGED = 1e-6
 LM_FTOL = 1e-15
 
-#: Levenberg-Marquardt steps per restart of the three searches.
+#: Levenberg-Marquardt steps per restart, and restarts per search, of the
+#: three searches.
 SEARCH_ITERS = 200
+SEARCH_RESTARTS = 20
 
 
 def least_squares(fun, x, iters: int, tol: float, nonneg: bool = False):
@@ -392,54 +396,62 @@ def slack_matrix_tgon(t: int) -> NonnegMatrix:
 # heuristic searches
 
 
-def _seeded_starts(restarts: int, seed: int, n: int, draw) -> np.ndarray:
-    """The ``(restarts, n)`` stack of search starts: row ``idx`` is
-    ``draw(default_rng([seed, idx]), n)``, so each restart has its own stream."""
+def _restart_search(
+    m, rank_cap: int, n: int, draw, fun, certify, restarts: int, iters: int, seed: int, nonneg: bool = False
+):
+    """The restart protocol of the three searches: a certificate, or None (which proves nothing).
+
+    The zero matrix gets ``certify(np.zeros(n))``, its exact zero factors.
+    Otherwise the bar is ``SEARCH_RESIDUAL_TOL * max|M|``, and the rank
+    screen (module docstring) answers None up front when no candidate of
+    rank <= ``rank_cap`` can meet it.  Restart ``idx`` starts from
+    ``draw(default_rng([seed, idx]), n)``; all run in lockstep through
+    :func:`least_squares` on ``fun``, and the lowest-index success is
+    certified and must meet the bar again by its certificate's residual.
+    """
+    if not m.any():
+        return certify(np.zeros(n))
+    target = SEARCH_RESIDUAL_TOL * max_abs(m)
+    if _rank_floor_exceeds(m, rank_cap, target):
+        return None
     x0 = np.empty((max(restarts, 0), n))
     for idx in range(len(x0)):
         x0[idx] = draw(np.random.default_rng([seed, idx]), n)
-    return x0
+    won = least_squares(fun, x0, iters, target, nonneg)
+    if won is None:
+        return None
+    cert = certify(won[1])
+    return cert if cert.residual <= target else None
 
 
 def nonneg_factorization_search(
     matrix,
     r: int,
-    restarts: int = 50,
+    restarts: int = SEARCH_RESTARTS,
     iters: int = SEARCH_ITERS,
     seed: int = 0,
 ):
-    """Search for M = left @ right with nonnegative factors.
+    """Search for M = left @ right with nonnegative factors at inner dimension r.
 
-    Runs the projected Levenberg-Marquardt :func:`least_squares` on the
-    packed factors [vec W, vec H] (see :func:`_nonneg_residuals`), at most
-    ``iters`` steps per restart, keeping both factors >= 0 entrywise.
-    Restart ``idx`` starts from ``default_rng([seed, idx])``, and the
-    restarts run in lockstep.  Returns the first certificate (by restart
-    index) whose max-abs residual meets ``SEARCH_RESIDUAL_TOL * max|M|``,
-    or None -- absence of a certificate is a normal outcome and proves
-    nothing.  When the singular-value tail of M beyond r rules out every
-    rank-r product (see the module docstring), None comes back without
-    running a restart.  The zero matrix gets the exact zero factors.
+    The unknowns are the packed factors [vec W, vec H] (see
+    :func:`_nonneg_residuals`), kept >= 0; :func:`_restart_search` runs the
+    restarts.
     """
     m = as_nonneg(matrix)
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
-    if not m.any():
-        return FactorCertificate("nonnegative", r, {"left": np.zeros((p, r)), "right": np.zeros((r, q))}, 0.0)
-    target = SEARCH_RESIDUAL_TOL * max_abs(m)
-    if _rank_floor_exceeds(m, r, target):
-        return None
     scale = sqrt(m.mean() / r)
-    x0 = _seeded_starts(restarts, seed, (p + q) * r, lambda rng, n: rng.uniform(0.1, 1.0, n) * scale)
-    won = least_squares(_nonneg_residuals(m, r), x0, iters, target, nonneg=True)
-    if won is None:
-        return None
-    w, h = _nonneg_factors(won[1][None], p, q, r)
-    residual = float(np.abs(w[0] @ h[0] - m).max())
-    if residual <= target:
+
+    def certify(x):
+        w, h = _nonneg_factors(x[None], p, q, r)
+        residual = float(np.abs(w[0] @ h[0] - m).max())
         return FactorCertificate("nonnegative", r, {"left": w[0], "right": h[0]}, residual)
-    return None
+
+    return _restart_search(
+        m, r, (p + q) * r, lambda rng, n: rng.uniform(0.1, 1.0, n) * scale,
+        _nonneg_residuals(m, r), certify, restarts, iters, seed, nonneg=True,
+    )
 
 
 def _nonneg_factors(x, p: int, q: int, r: int):
@@ -477,7 +489,7 @@ def trivial_nonneg_certificate(matrix) -> FactorCertificate:
 
 
 def scan_nonneg_certificate(
-    matrix, restarts: int = 20, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL
+    matrix, restarts: int = SEARCH_RESTARTS, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL
 ) -> FactorCertificate:
     """Smallest-inner-dimension nonnegative certificate the search can find.
 
@@ -497,60 +509,35 @@ def scan_nonneg_certificate(
     return trivial_nonneg_certificate(m)
 
 
-def nonneg_rank_bounds(matrix, restarts: int = 20, seed: int = 0):
-    """Certified interval [rank(M), r_upper] for the nonnegative rank.
-
-    The lower bound is the plain rank (always valid since any nonnegative
-    factorization is a factorization); the upper bound is the inner
-    dimension of the best certificate the scan finds.  A failed search at
-    some r proves nothing about r, so only successes move the upper bound.
-    """
-    m = as_nonneg(matrix)
-    return numerical_rank(m), scan_nonneg_certificate(m, restarts, seed).inner_dim
-
-
 def psd_factorization_search(
     matrix,
     r: int,
-    restarts: int = 20,
+    restarts: int = SEARCH_RESTARTS,
     iters: int = SEARCH_ITERS,
     seed: int = 0,
 ):
-    """Search for complex psd tuples with M_ij = tr(E_i F_j^T).
+    """Search for complex psd tuples with M_ij = tr(E_i F_j^T) at inner dimension r.
 
-    Parametrizes E_i = G_i G_i^dag and F_j = H_j H_j^dag and runs the
-    batched Levenberg-Marquardt :func:`least_squares` on the Gram factors
-    (see :func:`_psd_residuals`), at most ``iters`` steps per restart.
-    Feasibility of the output is structural; acceptance is by
-    reconstruction residual only.  Restart ``idx`` starts from
-    ``default_rng([seed, idx])``; the restarts run in lockstep, and the
-    lowest-index success is returned.  Every candidate has rank <= r^2, so
-    when the singular-value tail of M beyond r^2 rules that out (see the
-    module docstring), None comes back without running a restart.  The
-    zero matrix gets the exact all-zero tuples.
+    E_i = G_i G_i^dag and F_j = H_j H_j^dag are psd by construction; the
+    unknowns are the Gram factors (see :func:`_psd_residuals`), and
+    :func:`_restart_search` runs the restarts, screening at rank r^2.
     """
     m = as_nonneg(matrix)
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
     p, q = m.shape
-    if not m.any():
-        zeros = np.zeros((p + q, r, r), dtype=complex)
-        e_list, f_list, residual = _gram_pairs(zeros[:p], zeros[p:], m)
-        return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
-    target = SEARCH_RESIDUAL_TOL * max_abs(m)
-    if _rank_floor_exceeds(m, r * r, target):
-        return None
     scale = (m.mean() / r) ** 0.25 + 1e-3
-    x0 = _seeded_starts(restarts, seed, 2 * (p + q) * r * r, lambda rng, n: rng.normal(size=n) * scale)
-    won = least_squares(_psd_residuals(m, r), x0, iters, target)
-    if won is None:
-        return None
-    g, h = _psd_gram_factors(won[1][None], p, q, r)
-    # the certificate's residual, from E and F, rounds apart from the solver's
-    e_list, f_list, residual = _gram_pairs(g[0], h[0], m)
-    if residual <= target:
+
+    def certify(x):
+        g, h = _psd_gram_factors(x[None], p, q, r)
+        # the certificate's residual, from E and F, rounds apart from the solver's
+        e_list, f_list, residual = _gram_pairs(g[0], h[0], m)
         return FactorCertificate("psd", r, {"E": e_list, "F": f_list}, residual)
-    return None
+
+    return _restart_search(
+        m, r * r, 2 * (p + q) * r * r, lambda rng, n: rng.normal(size=n) * scale,
+        _psd_residuals(m, r), certify, restarts, iters, seed,
+    )
 
 
 def _psd_gram_factors(x, p: int, q: int, r: int):
@@ -601,12 +588,6 @@ def _psd_residuals(m, r: int):
     return fun
 
 
-def psd_rank_lower_bound(matrix) -> int:
-    """ceil(sqrt(rank M)): valid for any size-r complex psd factorization,
-    since the trace pairing is a rank <= r^2 bilinear form."""
-    return ceil(sqrt(numerical_rank(_entries(matrix))))
-
-
 def psd_certificate_from_nonneg(cert: FactorCertificate) -> FactorCertificate:
     """Diagonal psd tuples from a nonnegative factorization, same inner dim.
 
@@ -630,7 +611,7 @@ def psd_certificate_from_nonneg(cert: FactorCertificate) -> FactorCertificate:
 def cp_factorization_search(
     matrix,
     r: int,
-    restarts: int = 50,
+    restarts: int = SEARCH_RESTARTS,
     iters: int = SEARCH_ITERS,
     seed: int = 0,
 ):
@@ -638,15 +619,9 @@ def cp_factorization_search(
 
     Rejections (not symmetric, not entrywise nonnegative, not psd) raise
     NecessaryConditionError -- those are impossibility certificates, unlike
-    a search that merely comes up empty.  Restart ``idx`` starts from
-    ``default_rng([seed, idx])`` and runs at most ``iters`` steps of the
-    projected Levenberg-Marquardt :func:`least_squares` (see
-    :func:`_cp_residuals`), which keeps A >= 0 entrywise; the restarts run
-    in lockstep, and the lowest-index success wins.  After the necessary
-    conditions and the check on r, a singular-value tail of M beyond r that
-    rules out every rank-r product A A^T (see the module docstring) returns
-    None without running a restart.  The zero
-    matrix gets the exact factor A = 0.
+    a search that merely comes up empty.  The unknown is A (see
+    :func:`_cp_residuals`), kept >= 0; :func:`_restart_search` runs the
+    restarts.
     """
     raw = _entries(matrix)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
@@ -662,24 +637,17 @@ def cp_factorization_search(
         raise NecessaryConditionError("not psd", f"min eigenvalue {w.min():.3e}")
     if r < 1:
         raise UsageError(f"inner dimension must be >= 1, got {r}")
-
     p = m.shape[0]
-    if not m.any():
-        return FactorCertificate("cp", r, {"factor": np.zeros((p, r))}, 0.0)
-    target = SEARCH_RESIDUAL_TOL * max_abs(m)
-    if _rank_floor_exceeds(m, r, target):
-        return None
-
     scale = (m.mean() / r) ** 0.25
-    x0 = _seeded_starts(restarts, seed, p * r, lambda rng, n: rng.uniform(0.1, 1.0, n) * scale)
-    won = least_squares(_cp_residuals(m, r), x0, iters, target, nonneg=True)
-    if won is None:
-        return None
-    factor = won[1].reshape(p, r)
-    residual = float(np.abs(factor @ factor.T - m).max())
-    if residual <= target:
-        return FactorCertificate("cp", r, {"factor": factor}, residual)
-    return None
+
+    def certify(x):
+        factor = x.reshape(p, r)
+        return FactorCertificate("cp", r, {"factor": factor}, float(np.abs(factor @ factor.T - m).max()))
+
+    return _restart_search(
+        m, r, p * r, lambda rng, n: rng.uniform(0.1, 1.0, n) * scale,
+        _cp_residuals(m, r), certify, restarts, iters, seed, nonneg=True,
+    )
 
 
 def _cp_residuals(m, r: int):
@@ -700,7 +668,9 @@ def _cp_residuals(m, r: int):
     return fun
 
 
-def scan_cp_certificate(matrix, restarts: int = 20, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL):
+def scan_cp_certificate(
+    matrix, restarts: int = SEARCH_RESTARTS, seed: int = 0, rel_tol: float = DEFAULT_RANK_TOL
+):
     """Smallest-inner-dimension cp certificate the search can find, or None.
 
     Scans r upward from rank(M) at ``rel_tol`` to the side of M.  A

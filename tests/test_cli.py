@@ -454,6 +454,34 @@ def test_factorize_search_exhausted(tmp_path, capsys):
     assert code == EXIT_NOT_FOUND
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factorize", "m.csv", "--kind", "nonneg", "--restarts", "-3"],
+        ["convert", "m.csv", "--kind", "cp", "--restarts", "-1"],
+        ["analyze", "op.json", "--restarts", "-1"],
+        ["experiment", "bounds", "--count", "-2"],
+    ],
+    ids=["factorize-restarts", "convert-restarts", "analyze-restarts", "bounds-count"],
+)
+def test_negative_counts_are_refused_at_parse_time(tmp_path, capsys, argv):
+    write_json_matrix(tmp_path / "op.json", np.eye(4))
+    write_csv_matrix(tmp_path / "m.csv", np.eye(3))
+    argv = [str(tmp_path / a) if a in ("m.csv", "op.json") else a for a in argv]
+    assert main(argv) == EXIT_USAGE
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+def test_zero_counts_are_accepted(tmp_path, capsys):
+    path = write_csv_matrix(tmp_path / "m.csv", np.ones((3, 3)))
+    code, doc = run_json(capsys, ["factorize", path, "--kind", "nonneg", "--restarts", "0", "--json"])
+    assert code == EXIT_NOT_FOUND
+    assert entry_named(doc, "certificate")["found"] is False
+    code, doc = run_json(capsys, ["experiment", "bounds", "--count", "0", "--json"])
+    assert code == EXIT_OK
+    assert all(entry["instances"] == 0 for entry in doc["entries"])
+
+
 def test_factorize_default_r_is_the_numerical_rank(tmp_path, capsys):
     # a rank-2 cp matrix plus 1e-13 * I: np.linalg.matrix_rank counts 5,
     # the package's relative rule counts 2, as the cp scan of convert does

@@ -1,3 +1,5 @@
+from math import ceil, sqrt
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,9 @@ from mpdo_kit.nonneg_factorizations import (
     hadamard_root_certificate,
     minimal_factorization,
     nonneg_factorization_search,
-    nonneg_rank_bounds,
     psd_certificate_from_nonneg,
+    psd_construct,
     psd_factorization_search,
-    psd_rank_lower_bound,
     scan_cp_certificate,
     scan_nonneg_certificate,
     slack_matrix_tgon,
@@ -26,7 +27,7 @@ from mpdo_kit.nonneg_factorizations import (
     symmetric_factorization,
     trivial_nonneg_certificate,
 )
-from mpdo_kit.tensor_core import UsageError
+from mpdo_kit.tensor_core import UsageError, numerical_rank
 
 
 def rand_cpsd(r, rng):
@@ -46,6 +47,20 @@ def test_nonneg_clipping():
 def test_nonneg_rejects_material_negative():
     with pytest.raises(NecessaryConditionError):
         as_nonneg(np.array([[1.0, -0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonneg_rejects_non_finite_entries(bad):
+    m = np.array([[bad, 1.0], [1.0, 1.0]])
+    for ingest in (NonnegMatrix, as_nonneg):
+        with pytest.raises(ValueError, match="non-finite"):
+            ingest(m)
+    # NaN once passed the sign test: sqrt_rank answered rank 0 with all-zero
+    # signs, and psd_construct inner dimension 0 at a NaN residual
+    with pytest.raises(ValueError, match="non-finite"):
+        sqrt_rank(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_construct(m)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +145,19 @@ def test_scan_certifies_the_hexagon_at_nonnegative_rank_five():
     check_factor_certificate(m, cert, residual_tol=1e-6)
 
 
+def nonneg_rank_interval(m, restarts=20):
+    """[rank(M), the scan's inner dimension]: the certified interval for the nonnegative rank."""
+    return numerical_rank(m), scan_nonneg_certificate(m, restarts).inner_dim
+
+
+def psd_rank_lower(m):
+    """ceil(sqrt(rank M)): the trace pairing of a size-r psd factorization has rank <= r^2."""
+    return ceil(sqrt(numerical_rank(m)))
+
+
 def test_nonneg_rank_bounds():
-    assert nonneg_rank_bounds(np.eye(4)) == (4, 4)
-    assert nonneg_rank_bounds(np.ones((3, 3))) == (1, 1)
+    assert nonneg_rank_interval(np.eye(4)) == (4, 4)
+    assert nonneg_rank_interval(np.ones((3, 3))) == (1, 1)
 
 
 def test_nonneg_rank_bounds_circulant_gap():
@@ -143,7 +168,7 @@ def test_nonneg_rank_bounds_circulant_gap():
     )
     eigs = np.array([1 + 1j**k for k in range(4)])
     assert np.count_nonzero(np.abs(eigs) > 1e-12) == 3
-    assert nonneg_rank_bounds(circ) == (3, 4)
+    assert nonneg_rank_interval(circ) == (3, 4)
 
 
 def test_trivial_certificate():
@@ -185,9 +210,9 @@ def test_psd_search_planted():
 
 
 def test_psd_rank_lower_bound_values():
-    assert psd_rank_lower_bound(np.ones((3, 3))) == 1
-    assert psd_rank_lower_bound(np.eye(4)) == 2
-    assert psd_rank_lower_bound(slack_matrix_tgon(16).entries) == 2
+    assert psd_rank_lower(np.ones((3, 3))) == 1
+    assert psd_rank_lower(np.eye(4)) == 2
+    assert psd_rank_lower(slack_matrix_tgon(16).entries) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +435,8 @@ def test_rank_chain_on_random_corpus():
     for _ in range(5):
         m = rng.uniform(0, 1, (4, 4))
         rank = minimal_factorization(m).inner_dim
-        psd_lower = psd_rank_lower_bound(m)
-        lower, upper = nonneg_rank_bounds(m, restarts=5)
+        psd_lower = psd_rank_lower(m)
+        lower, upper = nonneg_rank_interval(m, restarts=5)
         assert lower == rank <= upper
         nn_cert = trivial_nonneg_certificate(m)
         psd_cert = psd_certificate_from_nonneg(nn_cert)
