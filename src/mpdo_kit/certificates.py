@@ -41,6 +41,13 @@ class NecessaryConditionError(ValueError):
         super().__init__(f"necessary condition violated: {condition}" + (f" ({detail})" if detail else ""))
 
 
+def require_finite(m: np.ndarray) -> np.ndarray:
+    """``m`` itself; ``ValueError`` when an entry is NaN or infinite."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
 @dataclass(frozen=True)
 class NonnegMatrix:
     """Real entrywise-nonnegative matrix; tiny negative round-off is clipped."""
@@ -51,9 +58,7 @@ class NonnegMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2:
             raise ValueError(f"expected a matrix, got ndim {m.ndim}")
-        if not np.isfinite(m).all():
-            # NaN would slip past the sign test below
-            raise ValueError("matrix has non-finite entries")
+        require_finite(m)  # NaN would slip past the sign test below
         if m.min(initial=0.0) < -CLIP_TOL:
             raise NecessaryConditionError(
                 "entrywise nonnegative", f"min entry {m.min():.3e}"

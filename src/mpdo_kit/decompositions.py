@@ -163,12 +163,13 @@ def mpo_train_form(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=No
     perm = []
     for k in range(n):
         perm += [k, n + k]
-    t = t.transpose(perm)
+    rest = t.transpose(perm).reshape(out_dims[0] * in_dims[0], -1)
+    # rest is a permuted copy; an operator passed as a temporary is freed here
+    del op, data, t
 
     cores = []
     osr = 0
     left = 1
-    rest = t.reshape(out_dims[0] * in_dims[0], -1)
     for k in range(n - 1):
         lf, rf, r = svd_split(rest, rel_tol)
         osr = max(osr, r)
@@ -246,15 +247,17 @@ def local_purification_spectral(
         bonds = (1,) + (0,) * (n - 1) + (1,)
         cores = tuple(np.zeros((bonds[k], d, 1, bonds[k + 1])) for k, d in enumerate(dims))
         return PurificationCertificate(MpoTrain(cores), 0, 0.0)
+    # the dense factor, as large as rho, is passed as a temporary: from
+    # CPython 3.11 on the call owns it and frees it once the sweep has its
+    # permuted copy, so the two are not both held through the sweep
     if lam.size == 1:
-        dense = np.sqrt(lam[0]) * vec[:, :1]
-        train, osr = mpo_train_form(dense, dims, rel_tol, in_dims=(1,) * n)
+        train, osr = mpo_train_form(np.sqrt(lam[0]) * vec[:, :1], dims, rel_tol, in_dims=(1,) * n)
     else:
-        dense = (vec * np.sqrt(lam)) @ vec.conj().T
-        train, osr = mpo_train_form(dense, dims, rel_tol, in_dims=dims)
-    del dense  # as large as rho; the contraction below makes its own
+        train, osr = mpo_train_form((vec * np.sqrt(lam)) @ vec.conj().T, dims, rel_tol, in_dims=dims)
     got = contract_train(train)
-    return PurificationCertificate(train, osr, relative_residual(got @ got.conj().T, rho.data))
+    return PurificationCertificate(
+        train, osr, relative_residual(got @ got.conj().T, rho.data, overwrite_approx=True)
+    )
 
 
 def purification_from_separable(cert: SeparableCertificate) -> PurificationCertificate:
@@ -317,9 +320,12 @@ def q_sqrt_rank(
     the per-site flip group: negating the roots where one site is at one
     level flips rows or columns at every cut.  Its span pins p of the
     signs, 1 <= p <= 1 + sum(d_s - 1), and 2^(rank-p) vectors are ranked.
-    Diagonal operators keep the computational basis as their eigenbasis,
-    which makes the enumeration exact there; in general the result
-    upper-bounds the true minimum over all Hermitian roots.
+    The cuts are ranked largest Schmidt cap first (ties in cut order), an
+    order fixed by ``dims``: the widest cut is the likeliest to reach the
+    best rank found so far, after which the engine ranks a vector's other
+    cuts no further.  Diagonal operators keep the computational basis as
+    their eigenbasis, which makes the enumeration exact there; in general
+    the result upper-bounds the true minimum over all Hermitian roots.
     ``spectrum`` is :func:`clipped_spectrum` of rho at the same
     tolerance, for a caller that already has it; only the non-diagonal
     path reads it.  Returns ``(rank, SignVector)``.
@@ -345,8 +351,9 @@ def q_sqrt_rank(
 
     roots = np.sqrt(lam)
     total = rho.sites.total_dim
-    # one row-by-column matricization per cut; a single site is ranked as one row
-    cuts = range(1, n) if n > 1 else [0]
+    # one row-by-column matricization per cut, largest Schmidt cap first, so
+    # the engine's bound drops patterns early; a single site is one row
+    cuts = sorted(range(1, n), key=lambda cut: -min(prod(dims[:cut]), prod(dims[cut:]))) if n > 1 else [0]
 
     if diagonal:
         def build(signs):

@@ -37,6 +37,7 @@ from .certificates import (
     NonnegMatrix,
     as_nonneg,
     pair_traces,
+    require_finite,
 )
 from .tensor_core import (
     DEFAULT_RANK_TOL,
@@ -196,8 +197,13 @@ def _rank_floor_exceeds(m, k: int, target: float) -> bool:
 
 
 def _entries(matrix, dtype=float) -> np.ndarray:
-    """The unvalidated array of a NonnegMatrix or raw matrix (negative entries kept)."""
-    return np.asarray(matrix.entries if isinstance(matrix, NonnegMatrix) else matrix, dtype=dtype)
+    """The array of a NonnegMatrix or raw matrix, negative entries kept.
+
+    Non-finite entries raise :func:`~mpdo_kit.certificates.require_finite`'s
+    ``ValueError``, as :class:`NonnegMatrix` does: NaN fails every
+    comparison, so a later symmetry test or SVD would misreport it.
+    """
+    return require_finite(np.asarray(matrix.entries if isinstance(matrix, NonnegMatrix) else matrix, dtype=dtype))
 
 
 def _gram_pairs(g, h, target):
@@ -267,13 +273,17 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
 
     The signs run over the k entries above ``rel_tol * max|M|`` (the nonzero
     rule, the support ``q_sqrt_rank`` keeps on ``diag_embed(M)``); the root
-    is 0 elsewhere.  The first of them (row-major) is pinned to the positive
-    root, as a global sign flip preserves rank, leaving 2^(k-1) candidates;
-    they are ranked in chunks of bounded memory by
-    :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern`.  Refuses when 2^k
-    exceeds ``sign_budget``.  Returns ``(rank, signs)`` with signs in
-    {-1, 0, +1} marking the minimizing pattern; ties go to the first
-    pattern in lexicographic order with +1 before -1.
+    is 0 elsewhere.  Negating a row or a column of a root keeps its rank,
+    so :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern` is handed the
+    row and column flips and ranks one pattern per orbit, in chunks of
+    bounded memory.  Over GF(2) they span p + q - c dimensions for a
+    p x q matrix whose support, read as a bipartite graph on rows and
+    columns, has c components (a zero row or column is one); that many
+    signs are pinned to +1 and 2^(k - (p + q - c)) patterns are ranked.
+    Refuses when 2^k exceeds ``sign_budget``, whatever the pins.  Returns
+    ``(rank, signs)`` with signs in {-1, 0, +1} marking the minimizing
+    pattern; ties go to the first pattern in lexicographic order
+    (row-major) with +1 before -1, as in the unpinned walk.
     """
     m = as_nonneg(matrix)
     rows, cols = np.nonzero(nonzero_mask(m.ravel(), rel_tol).reshape(m.shape))
@@ -291,7 +301,8 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
         stack[:, rows, cols] = signs * roots
         return (stack,)
 
-    rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol)
+    flips = [rows == i for i in range(m.shape[0])] + [cols == j for j in range(m.shape[1])]
+    rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol, flips)
     signs = np.zeros(m.shape, dtype=int)
     signs[rows, cols] = best
     return rank, signs

@@ -92,13 +92,18 @@ class PsdOperator:
                 f"matrix side {data.shape[0]} does not match site dims {self.sites.dims}"
             )
         scale = max_abs(data)
-        defect = np.abs(data - data.conj().T).max()
+        # one C-ordered buffer holds X^dag, then X - X^dag, then (X^dag + X) / 2
+        sym = np.empty_like(data, order="C")
+        np.subtract(data, np.conjugate(data.T, out=sym), out=sym)
+        defect = np.abs(sym).max()
         if defect > HERM_TOL * scale:
             warnings.warn(
                 f"input has Hermiticity defect {defect / scale:.2e} (relative); symmetrizing",
                 stacklevel=3,
             )
-        sym = 0.5 * (data + data.conj().T)
+        np.conjugate(data.T, out=sym)
+        sym += data
+        sym *= 0.5
         sym.setflags(write=False)
         object.__setattr__(self, "data", sym)
 
@@ -196,9 +201,18 @@ def max_abs(m) -> float:
     return float(max(np.abs(m).max(initial=0.0), SCALE_FLOOR))
 
 
-def relative_residual(approx, exact) -> float:
-    """Relative Frobenius residual ``|approx - exact| / |exact|`` (0 when both are zero)."""
-    return float(np.linalg.norm(approx - exact) / max(np.linalg.norm(exact), SCALE_FLOOR))
+def relative_residual(approx, exact, overwrite_approx: bool = False) -> float:
+    """Relative Frobenius residual ``|approx - exact| / |exact|`` (0 when both are zero).
+
+    With ``overwrite_approx`` the difference is taken in place into
+    ``approx``, an array the caller no longer needs, instead of a new one
+    of the same size (when ``approx`` is writable and of the result dtype).
+    """
+    if overwrite_approx and approx.flags.writeable and np.result_type(approx, exact) == approx.dtype:
+        diff = np.subtract(approx, exact, out=approx)
+    else:
+        diff = approx - exact
+    return float(np.linalg.norm(diff) / max(np.linalg.norm(exact), SCALE_FLOOR))
 
 
 def is_symmetric(m) -> bool:
@@ -215,7 +229,9 @@ def is_diagonal(rho) -> bool:
     exact on such operators; ``correspondence`` reads matrices only off them.
     """
     data = rho.data if isinstance(rho, PsdOperator) else np.asarray(rho)
-    return relative_residual(np.diag(np.diagonal(data)), data) <= DIAG_TOL
+    off = data.copy()
+    np.fill_diagonal(off, 0)
+    return float(np.linalg.norm(off) / max(np.linalg.norm(data), SCALE_FLOOR)) <= DIAG_TOL
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -395,6 +411,27 @@ def _flip_pivots(k: int, flips) -> np.ndarray:
     return pivots
 
 
+def _chunk_ranks(stacks, count: int, bound, rel_tol: float) -> np.ndarray:
+    """Largest :func:`stacked_numerical_rank` over ``stacks`` for each of
+    ``count`` patterns, except that a pattern stops being ranked once its
+    running maximum reaches ``bound`` (None: no bound).
+
+    A function of its own, so that no stack outlives the chunk: a loop
+    variable left bound to the last one would keep it alive while the next
+    chunk's stacks are built.
+    """
+    ranks = np.zeros(count, dtype=np.intp)
+    alive = np.arange(count)
+    for stack in stacks:
+        ranked = stacked_numerical_rank(stack if alive.size == count else stack[alive], rel_tol)
+        ranks[alive] = np.maximum(ranks[alive], ranked)
+        if bound is not None:
+            alive = alive[ranks[alive] < bound]
+            if alive.size == 0:
+                break
+    return ranks
+
+
 def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, flips=()):
     """First sign pattern minimizing the numerical rank of a signed candidate.
 
@@ -408,6 +445,15 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     the walk stops at the first pattern of rank <= 1, which no nonzero
     candidate can beat.  Returns ``(rank, signs)`` with ``signs`` a tuple
     of k ints.
+
+    Once a best rank b is known (after the first chunk), a pattern whose
+    running maximum over the stacks ranked so far reaches b cannot become
+    the new first minimizer, so each later stack of a chunk is ranked only
+    on the patterns still below b, and ``build`` is left unconsumed once
+    none are.  Such a pattern keeps a rank >= b in place of its exact rank;
+    it is >= 2, as the walk stopped otherwise, so neither the minimizer nor
+    the rank <= 1 stop moves.  Putting the stack most likely to reach b
+    first (the cut of largest Schmidt cap, say) drops patterns soonest.
 
     Only one pattern per orbit of a flip group is ranked.  ``flips`` are
     0/1 vectors of length k, and flipping the signs where one is 1 must
@@ -434,7 +480,7 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
         idx = np.arange(start, min(start + chunk, total))
         signs = np.ones((idx.size, k), dtype=int)
         signs[:, free] = 1 - 2 * ((idx[:, None] >> shifts) & 1)
-        ranks = np.max([stacked_numerical_rank(stack, rel_tol) for stack in build(signs)], axis=0)
+        ranks = _chunk_ranks(build(signs), idx.size, best_rank, rel_tol)
         done = np.flatnonzero(ranks <= 1)
         if done.size:
             ranks = ranks[: done[0] + 1]

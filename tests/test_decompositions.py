@@ -1,8 +1,12 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpdo_kit import decompositions
 from mpdo_kit.decompositions import (
     MpoTrain,
     SeparableCertificate,
@@ -156,6 +160,29 @@ def test_purification_product_rank_one():
 def test_purification_rejects_non_psd():
     with pytest.raises(UsageError):
         local_purification_spectral(op_on_qubits(np.diag([1.0, -1.0, 1.0, 1.0]), 2))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a call owns its arguments from CPython 3.11 on")
+def test_purification_frees_its_dense_factor_before_the_sweep(monkeypatch):
+    # at the first split only the sweep's permuted copy of the factor (one
+    # rho's worth) may be held beside rho; the factor itself is gone
+    op = op_on_qubits(rand_psd(64, np.random.default_rng(6), rank=3), 6)
+    held = []
+    split = decompositions.svd_split
+
+    def recording(matrix, rel_tol):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return split(matrix, rel_tol)
+
+    monkeypatch.setattr(decompositions, "svd_split", recording)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = local_purification_spectral(op)
+    finally:
+        tracemalloc.stop()
+    assert cert.residual < 1e-10
+    assert held[0] - base < 1.5 * op.data.nbytes
 
 
 def test_purification_square_bound_random():

@@ -4,8 +4,11 @@ The reference below is the plain per-pattern loop: every pattern of
 {+1, -1}^k in ``itertools.product`` order, no pinned sign, one
 ``numerical_rank`` per candidate, first minimizer kept, stop at rank <= 1.
 The engine ranks stacked chunks and only one pattern per orbit of a flip
-group: the global flip everywhere, and the per-site flips on the diagonal
-path of ``q_sqrt_rank``.  Rank and pattern must still match exactly.
+group: the global flip everywhere, the row and column flips in
+``sqrt_rank`` and the per-site flips on the diagonal path of
+``q_sqrt_rank``.  Past the first chunk it ranks a pattern's later stacks
+only while the pattern is still below the best rank.  Rank and pattern
+must still match exactly.
 """
 
 import functools
@@ -14,6 +17,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdo_kit import tensor_core
 from mpdo_kit.certificates import check_factor_certificate
@@ -183,6 +188,100 @@ def test_engine_k0_ranks_the_single_empty_pattern():
 
 
 # ---------------------------------------------------------------------------
+# the engine's bound across stacks
+
+
+def unbounded_reference(table):
+    """The global-flip walk over ``table[pattern][stack]`` ranks: every stack
+    ranked, the first minimizer of the largest kept, stop at rank <= 1."""
+    k = int(np.log2(len(table))) + 1
+    best = None
+    for index, row in enumerate(table):
+        rank = max(row)
+        if best is None or rank < best[0]:
+            best = (rank, (1,) + tuple(1 - 2 * ((index >> np.arange(k - 2, -1, -1)) & 1)))
+            if rank <= 1:
+                break
+    return best
+
+
+def stacked_table_build(table, built):
+    """A lazy build yielding one stack per column of ``table``; ``built``
+    collects the index of each stack as it is built."""
+    k = int(np.log2(len(table))) + 1
+    table = np.array(table)
+
+    def build(signs):
+        idx = ((1 - signs[:, 1:]) // 2) @ (1 << np.arange(k - 2, -1, -1))
+        for t in range(table.shape[1]):
+            stack = np.zeros((len(signs), 4, 4))
+            for c, i in enumerate(idx):
+                stack[c, np.arange(table[i, t]), np.arange(table[i, t])] = 1.0
+            built.append(t)
+            yield stack
+
+    return build, k
+
+
+@pytest.fixture
+def counted_ranks(monkeypatch):
+    """Record the number of candidates each stacked rank call takes."""
+    calls = []
+
+    def counting(stack, rel_tol):
+        calls.append(len(stack))
+        return stacked_numerical_rank(stack, rel_tol)
+
+    monkeypatch.setattr(tensor_core, "stacked_numerical_rank", counting)
+    return calls
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    k=st.integers(1, 6),
+    stacks=st.integers(1, 4),
+    chunk=st.integers(1, 4),
+    data=st.data(),
+)
+def test_bounded_walk_matches_the_unbounded_reference(k, stacks, chunk, data):
+    # ranks 0..4 over few values: ties, and stops at rank <= 1 anywhere
+    table = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=stacks, max_size=stacks),
+            min_size=2 ** (k - 1),
+            max_size=2 ** (k - 1),
+        )
+    )
+    build, _ = stacked_table_build(table, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", chunk * 16)
+        got = min_rank_sign_pattern(k, build, entries=16)
+    assert got == unbounded_reference(table)
+
+
+def test_later_stacks_of_a_chunk_are_ranked_only_below_the_best(counted_ranks, monkeypatch):
+    # 16 patterns in chunks of 4; stack 0 reaches the best rank, 3, on every
+    # pattern, so past the first chunk stacks 1 and 2 are not even built
+    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", 4 * 16)
+    table = [[3, 2, 1]] * 16
+    built = []
+    build, k = stacked_table_build(table, built)
+    assert min_rank_sign_pattern(k, build, entries=16) == (3, (1, 1, 1, 1, 1))
+    assert built == [0, 1, 2] + [0] * 3
+    assert counted_ranks == [4, 4, 4] + [4] * 3
+
+
+def test_later_stacks_rank_the_patterns_still_below_the_best(counted_ranks, monkeypatch):
+    # stack 1 lifts every pattern to 3; past the first chunk, stack 0 leaves
+    # the odd patterns at 2, and only those reach stack 1
+    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", 4 * 16)
+    table = [[3 if i % 2 == 0 else 2, 3] for i in range(16)]
+    build, k = stacked_table_build(table, [])
+    assert min_rank_sign_pattern(k, build, entries=16) == (3, (1, 1, 1, 1, 1))
+    assert counted_ranks == [4, 4] + [4, 2] * 3
+
+
+# ---------------------------------------------------------------------------
 # orbit pinning
 
 
@@ -262,7 +361,42 @@ def sqrt_cases():
     for t in range(8):
         shape = tuple(rng.integers(2, 5, size=2))
         cases[f"random{t}"] = sparse_matrix(rng, shape, int(rng.integers(2, min(9, prod(shape)) + 1)))
+    # supports whose bipartite graph has several components, zero rows or
+    # columns, or a single row or column: the row and column flips pin
+    # p + q - c signs (c components, a zero row or column being one)
+    blocks = np.zeros((5, 5))
+    blocks[:2, :3] = rng.uniform(0.25, 4.0, (2, 3))
+    blocks[2:4, 3:] = rng.uniform(0.25, 4.0, (2, 2))
+    blocks[4, 4] = 1.5
+    cases["three-blocks"] = blocks
+    late_blocks = np.zeros((5, 5))
+    late_blocks[:3, :3] = LATE
+    late_blocks[3:, 3:] = rng.uniform(0.25, 4.0, (2, 2))
+    cases["late-minimizer-beside-a-block"] = late_blocks
+    cases["zero-row"] = sparse_matrix(rng, (4, 3), 8) * (np.arange(4) != 2)[:, None]
+    cases["zero-column"] = sparse_matrix(rng, (3, 4), 8) * (np.arange(4) != 0)
+    zero_both = np.zeros((4, 4))
+    zero_both[1:, :3] = rng.uniform(0.25, 4.0, (3, 3))
+    cases["zero-row-and-column"] = zero_both
+    cases["1x6"] = np.array([[1.0, 0.0, 2.0, 3.0, 0.5, 4.0]])
+    cases["6x1"] = np.array([[0.0], [2.0], [1.0], [0.0], [3.0], [0.25]])
+    cases["1x1"] = np.array([[2.0]])
     return cases
+
+
+def support_components(mask):
+    """Components of the bipartite graph of rows and columns joined by the support."""
+    p, q = mask.shape
+    parent = list(range(p + q))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in zip(*np.nonzero(mask)):
+        parent[find(i)] = find(p + j)
+    return len({find(x) for x in range(p + q)})
 
 
 @pytest.mark.parametrize("name,m", list(sqrt_cases().items()), ids=list(sqrt_cases()))
@@ -271,6 +405,21 @@ def test_sqrt_rank_matches_reference(chunk_entries, name, m):
     ref_rank, ref_signs = reference_sqrt(m)
     assert rank == ref_rank
     assert np.array_equal(signs, ref_signs)
+
+
+@pytest.mark.parametrize(
+    "name", ["random0", "random3", "three-blocks", "late-minimizer-beside-a-block", "zero-row",
+             "zero-column", "zero-row-and-column", "late-minimizer", "dense-4x5"]
+)
+def test_sqrt_rank_walks_one_pattern_per_row_and_column_flip_orbit(counted_ranks, name):
+    # no root of these is rank <= 1 (M is not rank 1), so the walk never stops early
+    m = sqrt_cases()[name] if name != "dense-4x5" else np.random.default_rng(8).uniform(0.25, 4.0, (4, 5))
+    mask = m > 0
+    k = int(mask.sum())
+    pins = sum(m.shape) - support_components(mask)
+    assert np.linalg.matrix_rank(m) > 1
+    sqrt_rank(m)
+    assert sum(counted_ranks) == 2 ** (k - pins)
 
 
 def test_late_minimizer_lies_in_a_later_chunk(monkeypatch):
@@ -382,6 +531,26 @@ def test_q_sqrt_diagonal_walks_one_pattern_per_site_flip_orbit(monkeypatch):
     rank, _ = q_sqrt_rank(PsdOperator(SiteSpec((2, 2, 2, 2)), np.diag(values)))
     assert rank == 4
     assert sum(ranked) == 3 * 2**11
+
+
+def test_q_sqrt_rank_ranks_the_cut_of_largest_schmidt_cap_first(monkeypatch):
+    shapes = []
+
+    def recording(stack, rel_tol):
+        shapes.append(stack.shape[1:])
+        return stacked_numerical_rank(stack, rel_tol)
+
+    monkeypatch.setattr(tensor_core, "stacked_numerical_rank", recording)
+    values = np.zeros(32)
+    values[::3] = np.random.default_rng(9).uniform(0.25, 4.0, 11)
+    q_sqrt_rank(PsdOperator(SiteSpec((2,) * 5), np.diag(values)))
+    # caps 2, 4, 4, 2 at cuts 1-4: cuts 2 and 3 first, ties in cut order
+    assert shapes[:4] == [(4, 8), (8, 4), (2, 16), (16, 2)]
+    x = np.random.default_rng(10).normal(size=(12, 3))
+    shapes.clear()
+    q_sqrt_rank(PsdOperator(SiteSpec((2, 3, 2)), x @ x.T))
+    # caps min(4, 36) = 4 and min(36, 4) = 4: a tie, kept in cut order
+    assert shapes[:2] == [(4, 36), (36, 4)]
 
 
 def dense_cases():

@@ -63,6 +63,27 @@ def test_nonneg_rejects_non_finite_entries(bad):
         psd_construct(m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda m: cp_factorization_search(m, 1),
+        lambda m: scan_cp_certificate(m),
+        minimal_factorization,
+        symmetric_factorization,
+    ],
+    ids=["cp_factorization_search", "scan_cp_certificate", "minimal_factorization", "symmetric_factorization"],
+)
+def test_raw_array_routes_reject_non_finite_entries(route, bad):
+    # at the parent, NaN drew a false "not symmetric" impossibility
+    # certificate from the cp routes, an SVD failure from the minimal one
+    # and "needs a square symmetric matrix" from the symmetric one
+    m = np.array([[bad, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite") as raised:
+        route(m)
+    assert not isinstance(raised.value, NecessaryConditionError | UsageError)
+
+
 # ---------------------------------------------------------------------------
 # minimal factorization
 

@@ -1,3 +1,5 @@
+import tracemalloc
+from contextlib import nullcontext
 from math import prod
 
 import numpy as np
@@ -17,6 +19,7 @@ from mpdo_kit.tensor_core import (
     contract_cyclic,
     contract_train,
     cyclic_shift_defect,
+    is_diagonal,
     is_psd_spectrum,
     is_symmetric,
     kron_chain,
@@ -417,6 +420,63 @@ def test_operator_shape_validation():
         PsdOperator(SiteSpec((2, 2)), np.eye(3))
 
 
+def traced_peak(fn, *args):
+    """``(result, peak bytes)`` that ``fn(*args)`` allocated through numpy and Python."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: 8 qubits: one complex operator is 256 * 256 * 16 bytes = 1 MiB.
+EIGHT_QUBITS = SiteSpec((2,) * 8)
+
+
+def test_operator_ingestion_takes_one_buffer_beside_its_result():
+    # the symmetrized copy (1 MiB) plus one transient real |X - X^dag| (0.5
+    # MiB); a conjugate, a difference and a sum apiece peaked at ~2.1 MiB
+    x = rand_psd(256, np.random.default_rng(30))
+    x[3, 7] += 1e-13  # a defect below HERM_TOL, so no warning
+    op, peak = traced_peak(PsdOperator, EIGHT_QUBITS, x)
+    assert peak < 1.6 * x.nbytes
+    assert op.data.flags.c_contiguous and not op.data.flags.writeable
+    assert np.array_equal(op.data, 0.5 * (x + x.conj().T))
+
+
+def test_operator_ingestion_is_bit_identical_to_the_symmetrized_sum():
+    rng = np.random.default_rng(31)
+    for x in (
+        rng.normal(size=(6, 6)),
+        np.asfortranarray(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))),
+        rand_psd(6, rng)[:, ::-1][::-1],
+    ):
+        with pytest.warns(UserWarning) if not np.allclose(x, x.conj().T) else nullcontext():
+            op = PsdOperator(SiteSpec((6,)), x)
+        assert op.data.flags.c_contiguous
+        assert op.data.tobytes() == (0.5 * (x + x.conj().T)).astype(complex).tobytes()
+
+
+def test_is_diagonal_copies_the_operator_once():
+    rng = np.random.default_rng(32)
+    op = PsdOperator(EIGHT_QUBITS, np.diag(rng.uniform(0.5, 2.0, 256)))
+    diagonal, peak = traced_peak(is_diagonal, op)
+    assert diagonal
+    assert peak < 1.25 * op.data.nbytes
+
+
+def test_is_diagonal_is_the_relative_off_diagonal_mass():
+    d = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    assert is_diagonal(d) and is_diagonal(np.zeros((3, 3)))
+    for off, expected in ((1e-13, True), (1e-11, False)):
+        x = d.copy()
+        x[0, 2] = x[2, 0] = off * np.linalg.norm(d)
+        # off-diagonal mass sqrt(2) * off of the norm, against DIAG_TOL = 1e-12
+        assert is_diagonal(x) == expected
+        assert np.array_equal(x[[0, 2], [2, 0]], [off * np.linalg.norm(d)] * 2)
+
+
 def test_psd_assertion():
     op = PsdOperator(SiteSpec((2,)), np.diag([1.0, -0.5]))
     assert not op.is_psd()
@@ -463,6 +523,23 @@ def test_psd_gram_factor_gives_gram_vectors_and_the_psd_root():
     root = h @ v.conj().T
     assert np.allclose(root, root.conj().T)
     assert np.allclose(root @ root, x)
+
+
+def test_relative_residual_overwrites_only_a_writable_approx_of_the_result_dtype():
+    rng = np.random.default_rng(33)
+    exact = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    approx = exact + 1e-3 * rng.normal(size=(5, 5))
+    expected = relative_residual(approx, exact)
+    owned = approx.copy()
+    assert relative_residual(owned, exact, overwrite_approx=True) == expected
+    assert np.array_equal(owned, approx - exact)
+    frozen = approx.copy()
+    frozen.setflags(write=False)
+    assert relative_residual(frozen, exact, overwrite_approx=True) == expected
+    assert np.array_equal(frozen, approx)
+    real = approx.real.copy()
+    assert relative_residual(real, exact, overwrite_approx=True) == relative_residual(approx.real, exact)
+    assert np.array_equal(real, approx.real)
 
 
 def test_relative_residual_of_the_zero_matrix_is_zero():
