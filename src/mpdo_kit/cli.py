@@ -496,16 +496,18 @@ def cmd_analyze(args) -> int:
     report.add("osr", value=osr, certificate="train", residual=residual)
     del train  # at full rank its cores hold as many entries as rho
 
-    # one eigendecomposition for the purification, the rank gate and q_sqrt_rank
-    spectrum = clipped_spectrum(op, args.tol)
-    puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum)
-    puri_upper = puri.osr_L
+    # one eigendecomposition for the rank gate, q_sqrt_rank and the
+    # purification; at full rank the eigenvectors are as large as rho, so
+    # the purification is handed the only reference and frees them before
+    # its sweep
+    spectrum = [clipped_spectrum(op, args.tol)]
     q_rank = None
-    if spectrum[0].size <= MAX_ENUM_RANK:
-        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum)
-        puri_upper = min(puri_upper, q_rank) if q_rank > 0 else puri_upper
-    # at full rank the eigenvectors are as large as rho; free them now
-    del spectrum
+    if spectrum[0][0].size <= MAX_ENUM_RANK:
+        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum[0])
+    puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum.pop())
+    puri_upper = puri.osr_L
+    if q_rank:
+        puri_upper = min(puri_upper, q_rank)
     puri_lower = max(ceil(sqrt(osr)), 1) if osr else 0
     report.add(
         "puri_rank",
@@ -740,7 +742,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0, help="seed for randomized procedures"),
         "--tol": dict(type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance"),
         "--restarts": dict(type=_nonneg_int, default=SEARCH_RESTARTS),
-        "--budget": dict(type=int, default=DEFAULT_SIGN_BUDGET, help="sign enumeration budget"),
+        "--budget": dict(
+            type=int,
+            default=DEFAULT_SIGN_BUDGET,
+            help="most sign patterns an enumeration may rank: the sqrt factorization counts "
+            "them after its row and column pins; cpsdt, and convert's sqrt check, count all 2^k",
+        ),
     }
 
     def add_options(p, *names):

@@ -42,6 +42,7 @@ from .certificates import (
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     UsageError,
+    _flip_pivots,
     is_psd_spectrum,
     is_symmetric,
     max_abs,
@@ -53,7 +54,9 @@ from .tensor_core import (
 #: Acceptance bar for search residuals, relative to max|M|.
 SEARCH_RESIDUAL_TOL = 1e-6
 
-#: Default enumeration budget for sign patterns (2^20 candidates).
+#: Default enumeration budget for sign patterns (2^20 candidates): the
+#: patterns :func:`sqrt_rank` ranks after its pins, and all 2^k of
+#: :func:`cpsdt_construct`'s signs.
 DEFAULT_SIGN_BUDGET = 2**20
 
 #: Round-off margin of the rank screen: a search returns None up front only
@@ -280,7 +283,9 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
     p x q matrix whose support, read as a bipartite graph on rows and
     columns, has c components (a zero row or column is one); that many
     signs are pinned to +1 and 2^(k - (p + q - c)) patterns are ranked.
-    Refuses when 2^k exceeds ``sign_budget``, whatever the pins.  Returns
+    Refuses when that count of ranked patterns exceeds ``sign_budget``
+    (:func:`cpsdt_construct` and ``q_sqrt_rank`` keep their own rules: 2^k
+    against the budget, and the operator's rank against its cap).  Returns
     ``(rank, signs)`` with signs in {-1, 0, +1} marking the minimizing
     pattern; ties go to the first pattern in lexicographic order
     (row-major) with +1 before -1, as in the unpinned walk.
@@ -290,9 +295,11 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
     k = rows.size
     if k == 0:
         return 0, np.zeros(m.shape, dtype=int)
-    if 2**k > sign_budget:
+    flips = [rows == i for i in range(m.shape[0])] + [cols == j for j in range(m.shape[1])]
+    free = k - int(np.count_nonzero(_flip_pivots(k, flips)))
+    if 2**free > sign_budget:
         raise UsageError(
-            f"{k} nonzero entries exceed the sign budget (2^{k} > {sign_budget})"
+            f"{k} nonzero entries leave 2^{free} sign patterns to rank, over the sign budget {sign_budget}"
         )
     roots = np.sqrt(m[rows, cols])
 
@@ -301,7 +308,6 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
         stack[:, rows, cols] = signs * roots
         return (stack,)
 
-    flips = [rows == i for i in range(m.shape[0])] + [cols == j for j in range(m.shape[1])]
     rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol, flips)
     signs = np.zeros(m.shape, dtype=int)
     signs[rows, cols] = best
@@ -355,9 +361,10 @@ def cpsdt_construct(
     sign (a global flip preserves rank), walks the other 2^(k-1) patterns
     in chunks of bounded memory, and keeps the first minimizer in
     lexicographic order with +1 before -1.  Above ``sign_budget`` (2^k
-    patterns) only the all-positive pattern is used.  The reported inner
-    dimension is the rank of the chosen root -- minimal over the
-    enumerated roots, with no optimality claim beyond them.
+    patterns, counted before the pin, unlike :func:`sqrt_rank`) only the
+    all-positive pattern is used.  The reported inner dimension is the
+    rank of the chosen root -- minimal over the enumerated roots, with no
+    optimality claim beyond them.
     """
     m = as_nonneg(matrix)
     if not is_symmetric(m):

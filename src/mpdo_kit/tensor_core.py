@@ -565,21 +565,19 @@ def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     of ``matrix``; the inner dimension equals :func:`numerical_rank`, and
     the zero matrix yields empty factors.
 
-    A split of at least ``SCREEN_MIN_ENTRIES`` entries that
-    :func:`_full_rank_screen` proves full rank needs no SVD: a wide matrix
-    (rows <= cols) splits as ``(I, matrix, rows)``, with ``right`` the
-    complex matrix itself, not a copy, and a tall one as its reduced QR
-    factorization ``(Q, R, cols)``.  Every other matrix is split by the SVD:
-    ``left`` holds the kept left singular vectors and ``right`` is ``S @ Vh``.
+    A wide split (rows <= cols) of at least ``SCREEN_MIN_ENTRIES`` entries
+    that :func:`_full_rank_screen` proves full rank needs no SVD: it splits
+    as ``(I, matrix, rows)``, with ``right`` the complex matrix itself, not
+    a copy.  Every other matrix, a tall one of full rank included, is split
+    by the SVD: ``left`` holds the kept left singular vectors and ``right``
+    is ``S @ Vh``.  :func:`~mpdo_kit.decompositions.mpo_train_form` hands
+    every full-rank cut over from its wide side.
     """
     matrix = np.asarray(matrix, dtype=complex)
     _check_rel_tol(rel_tol)
     rows, cols = matrix.shape
-    if rows * cols >= SCREEN_MIN_ENTRIES and _full_rank_screen(matrix, rel_tol):
-        if rows <= cols:
-            return np.eye(rows, dtype=complex), matrix, rows
-        q, r = np.linalg.qr(matrix)
-        return q, r, cols
+    if rows <= cols and rows * cols >= SCREEN_MIN_ENTRIES and _full_rank_screen(matrix, rel_tol):
+        return np.eye(rows, dtype=complex), matrix, rows
     if rows < cols:
         # LAPACK's wide path runs 2-3x slower than its tall path on the
         # transpose (a 256 x 1024 split: 0.17 s against 0.08 s, 2-vCPU Xeon);

@@ -10,6 +10,7 @@ from mpdo_kit import decompositions
 from mpdo_kit.decompositions import (
     MpoTrain,
     SeparableCertificate,
+    clipped_spectrum,
     local_purification_spectral,
     make_translation_invariant,
     mixed_w_generator,
@@ -183,6 +184,48 @@ def test_purification_frees_its_dense_factor_before_the_sweep(monkeypatch):
         tracemalloc.stop()
     assert cert.residual < 1e-10
     assert held[0] - base < 1.5 * op.data.nbytes
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a call owns its arguments from CPython 3.11 on")
+def test_purification_frees_handed_eigenvectors_before_the_sweep(monkeypatch):
+    # full rank: the eigenvectors are as large as rho; handed over as a
+    # temporary, they are gone by the first split, where only the sweep's
+    # permuted copy of the root is held
+    op = op_on_qubits(rand_psd(64, np.random.default_rng(6)), 6)
+    held = []
+    split = decompositions.svd_split
+
+    def recording(matrix, rel_tol):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return split(matrix, rel_tol)
+
+    monkeypatch.setattr(decompositions, "svd_split", recording)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = local_purification_spectral(op, spectrum=clipped_spectrum(op))
+    finally:
+        tracemalloc.stop()
+    assert cert.residual < 1e-10
+    assert held[0] - base < 1.5 * op.data.nbytes
+
+
+def test_full_rank_purification_peak_is_bounded():
+    # with the spectrum in hand, building the root, sweeping it and checking
+    # L L^dag never hold four operators' worth at once: the root is
+    # conjugated in place and the check is formed a block of rows at a time
+    op = op_on_qubits(rand_psd(128, np.random.default_rng(7)), 7)
+    spectrum = clipped_spectrum(op)
+    assert spectrum[0].size == 128
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cert = local_purification_spectral(op, spectrum=spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.residual < 1e-10
+    assert peak - base < 4 * op.data.nbytes
 
 
 def test_purification_square_bound_random():

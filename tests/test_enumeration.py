@@ -599,3 +599,22 @@ def test_sign_budget_counts_the_nonzero_support():
     assert cert.inner_dim == 2
     assert cert.payload["root"][0, 2] == cert.payload["root"][2, 0] == 0.0
     check_factor_certificate(sym, cert)
+
+
+def test_sign_budget_counts_the_patterns_sqrt_rank_ranks():
+    # a dense 4 x 6 input has k = 24 signs, but its row and column flips pin
+    # 4 + 6 - 1 of them, so 2^15 patterns are ranked: within the default
+    # 2^20, although 2^24 is not
+    rng = np.random.default_rng(0)
+    root = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    m = root * root
+    assert np.count_nonzero(m) == 24
+    rank, signs = sqrt_rank(m)
+    assert rank == 2
+    assert numerical_rank(signs * np.sqrt(m)) == 2
+    with pytest.raises(UsageError, match=r"24 nonzero entries leave 2\^15 sign patterns"):
+        sqrt_rank(m, sign_budget=2**15 - 1)
+    # the ones matrix: 9 signs, 3 + 3 - 1 pinned, 2^4 patterns at the boundary
+    assert sqrt_rank(np.ones((3, 3)), sign_budget=2**4)[0] == 1
+    with pytest.raises(UsageError, match=r"2\^4 sign patterns"):
+        sqrt_rank(np.ones((3, 3)), sign_budget=2**4 - 1)

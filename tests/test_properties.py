@@ -8,6 +8,7 @@ runtime bounded and no example database is written.
 """
 
 import itertools
+from math import prod
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -160,7 +161,13 @@ def low_rank_operator(draw):
     else:
         in_dims = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     edges = (1,) + tuple(draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))) + (1,)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return train_operator(draw(st.integers(0, 2**32 - 1)), out_dims, in_dims, edges)
+
+
+def train_operator(seed, out_dims, in_dims, edges):
+    """``(op, out_dims, in_dims)`` for the dense operator of a Gaussian train
+    whose bonds have the dimensions ``edges`` (boundaries included)."""
+    rng = np.random.default_rng(seed)
     cores = tuple(
         rng.normal(size=(edges[k], do, di, edges[k + 1]))
         + 1j * rng.normal(size=(edges[k], do, di, edges[k + 1]))
@@ -171,6 +178,16 @@ def low_rank_operator(draw):
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(low_rank_operator())
+@example(train_operator(1, (2, 3, 5), (2, 3, 5), (1, 4, 25, 1)))  # uneven dims, full rank
+@example(train_operator(2, (2, 3, 2), (3, 1, 2), (1, 3, 3, 1)))  # rectangular
+@example(train_operator(3, (2, 2, 3, 2), (1, 1, 1, 1), (1, 2, 3, 2, 1)))  # a vector
+@example(train_operator(4, (3,), (2,), (1, 1)))  # n = 1
+@example(train_operator(5, (2, 3), (2, 3), (1, 4, 1)))  # n = 2, no right cut
+@example(train_operator(6, (3, 2), (3, 2), (1, 4, 1)))  # n = 2, no left cut
+@example(train_operator(7, (2, 2, 2), (2, 2, 2), (1, 2, 3, 1)))  # n = 3
+@example((np.zeros((8, 8)), (2, 2, 2), (2, 2, 2)))  # zero bonds on both sides
+@example(train_operator(8, (2,) * 4, (2,) * 4, (1, 2, 1, 2, 1)))  # rank-deficient halves
+@example(train_operator(9, (2,) * 6, (2,) * 6, (1, 4, 16, 64, 16, 4, 1)))  # screened splits
 def test_sweep_bonds_are_the_per_cut_rank_profile(case):
     op, out_dims, in_dims = case
     n = len(out_dims)
@@ -179,11 +196,22 @@ def test_sweep_bonds_are_the_per_cut_rank_profile(case):
         numerical_rank(matricize(op, cut, out_dims=out_dims, in_dims=in_dims))
         for cut in range(1, n)
     ]
-    assert list(train.bond_dims) == oracle
+    # a zero rank keeps a bond of dimension 1
+    assert list(train.bond_dims) == [max(r, 1) for r in oracle]
     assert osr == max(oracle, default=1)
     assert operator_schmidt_rank(op, out_dims, in_dims=in_dims) == osr
     back = contract_train(train)
-    assert np.linalg.norm(back - op) <= 1e-10 * np.linalg.norm(op)
+    assert np.linalg.norm(back - op) <= 1e-12 * np.linalg.norm(op)
+    # mixed-canonical: isometries left of the centre, co-isometries right of it
+    sizes = [do * di for do, di in zip(out_dims, in_dims)]
+    centre = max((cut for cut in range(1, n) if prod(sizes[:cut]) <= prod(sizes[cut:])), default=0)
+    for k, core in enumerate(train.cores):
+        if k < centre:
+            m = core.reshape(-1, core.shape[3])
+            assert np.abs(m.conj().T @ m - np.eye(m.shape[1])).max() <= 1e-12
+        elif k > centre:
+            m = core.reshape(core.shape[0], -1)
+            assert np.abs(m @ m.conj().T - np.eye(m.shape[0])).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -240,28 +240,30 @@ def test_full_rank_screen_refuses_the_zero_and_non_finite_matrices():
         assert not tensor_core._full_rank_screen(np.asarray(a, dtype=complex), 1e-10)
 
 
-def test_full_rank_sweep_takes_an_svd_only_below_the_floor(monkeypatch):
-    # a random 7-qubit operator has full rank at every cut
+def test_full_rank_sweep_takes_no_svd_and_no_qr(monkeypatch):
+    # a random 7-qubit operator has full rank at every cut, and the sweep
+    # hands every cut over from its wide side, so each split passes the
+    # screen, the 4 x 64 end splits included
     rng = np.random.default_rng(7)
     op = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-    shapes = []
-    svd = np.linalg.svd
+    calls = []
+    svd, qr = np.linalg.svd, np.linalg.qr
 
     def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        calls.append(("svd", np.shape(a)))
         return svd(a, *args, **kwargs)
 
+    def counting_qr(a, *args, **kwargs):
+        calls.append(("qr", np.shape(a)))
+        return qr(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    assert tensor_core.SCREEN_MIN_ENTRIES == 4096
     train, osr = mpo_train_form(op, (2,) * 7)
     assert train.bond_dims == tuple(min(4**cut, 4 ** (7 - cut)) for cut in range(1, 7))
     assert osr == 64
-    assert relative_residual(contract_train(train), op) <= 1e-12
-    # only the 64 x 4 last split lies below the floor
-    assert shapes == [(64, 4)]
-    shapes.clear()
-    monkeypatch.setattr(tensor_core, "SCREEN_MIN_ENTRIES", 0)
-    train, _ = mpo_train_form(op, (2,) * 7)
-    assert shapes == []
+    assert calls == []
     assert relative_residual(contract_train(train), op) <= 1e-12
 
 
