@@ -745,8 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget": dict(
             type=int,
             default=DEFAULT_SIGN_BUDGET,
-            help="most sign patterns an enumeration may rank: the sqrt factorization counts "
-            "them after its row and column pins; cpsdt, and convert's sqrt check, count all 2^k",
+            help="most sign patterns an enumeration may rank: sqrt (factorize and convert) counts "
+            "them after its row and column pins; cpsdt counts all 2^k",
         ),
     }
 

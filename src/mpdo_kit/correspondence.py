@@ -54,6 +54,7 @@ from .nonneg_factorizations import (
     psd_construct,
     scan_cp_certificate,
     scan_nonneg_certificate,
+    sqrt_sign_support,
     symmetric_factorization,
 )
 from .tensor_core import (
@@ -431,8 +432,10 @@ def verify_correspondence(
     (nonnegative, cp) within ``SEARCH_RESIDUAL_TOL``, the bar their search
     accepted them at, the others within ``CERT_RESIDUAL_TOL``.  The
     certificates, their transport, the rank lower bounds and the support
-    the sign budget counts are all taken at ``rel_tol``.  A budget overrun,
-    a violated necessary condition or a search without a certificate marks
+    the sign budget counts are all taken at ``rel_tol``.  A budget overrun
+    (for hadamard-root, of the patterns ``sqrt_rank`` would rank, checked
+    by ``sqrt_sign_support`` before ``q_sqrt_rank`` runs), a violated
+    necessary condition or a search without a certificate marks
     the kind "skipped"; any inconsistency is a "violation".
     """
     kind = canonical_kind(kind)
@@ -442,12 +445,9 @@ def verify_correspondence(
     entry: dict = {"kind": kind}
 
     if kind == "hadamard-root":
-        # the support sqrt_rank and q_sqrt_rank enumerate: the nonzero rule
-        nonzeros = int(np.count_nonzero(nonzero_mask(m.ravel(), rel_tol)))
-        if 2**nonzeros > sign_budget:
-            entry.update(verdict="skipped", note=f"{nonzeros} nonzeros exceed the sign budget")
-            return entry
         try:
+            # sqrt_rank's own budget refusal, before q_sqrt_rank's walk
+            sqrt_sign_support(m, sign_budget, rel_tol)
             q_rank, _ = q_sqrt_rank(sigma, rel_tol=rel_tol)
         except UsageError as exc:
             entry.update(verdict="skipped", note=str(exc))

@@ -275,8 +275,7 @@ def local_purification_spectral(
     for a caller that already has it; by default it is computed here.  A
     caller that passes it as a temporary hands it over: from CPython 3.11
     on the eigenvectors are then freed once the root is built, before the
-    sweep.  The root is built with no conjugate copy of the eigenvectors,
-    and the check ``L L^dag = rho`` is made a block of rows at a time.
+    sweep.  The check ``L L^dag = rho`` is made a block of rows at a time.
     """
     lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
     del spectrum
@@ -289,7 +288,7 @@ def local_purification_spectral(
     if lam.size == 1:
         factor, in_dims = [np.sqrt(lam[0]) * vec[:, :1]], (1,) * n
     else:
-        factor, in_dims = [_psd_root(lam, vec)], dims
+        factor, in_dims = [(vec * np.sqrt(lam)) @ vec.conj().T], dims
     # the dense factor, as large as rho, is popped into the call as a
     # temporary: from CPython 3.11 on the call owns it and frees it once the
     # sweep has its permuted copy, so the two are not both held through the
@@ -297,16 +296,6 @@ def local_purification_spectral(
     del vec
     train, osr = mpo_train_form(factor.pop(), dims, rel_tol, in_dims=in_dims)
     return PurificationCertificate(train, osr, _gram_residual(contract_train(train), rho.data))
-
-
-def _psd_root(lam, vec):
-    """The psd root ``V sqrt(lam) V^dag``, with no conjugate copy of V: the
-    product ``conj(V) sqrt(lam) V^T`` is its conjugate, taken in place."""
-    half = np.conjugate(vec)
-    half *= np.sqrt(lam)
-    root = half @ vec.T
-    del half
-    return np.conjugate(root, out=root)
 
 
 def _gram_residual(factor, exact) -> float:

@@ -42,7 +42,6 @@ from .certificates import (
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     UsageError,
-    _flip_pivots,
     is_psd_spectrum,
     is_symmetric,
     max_abs,
@@ -277,41 +276,109 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
     The signs run over the k entries above ``rel_tol * max|M|`` (the nonzero
     rule, the support ``q_sqrt_rank`` keeps on ``diag_embed(M)``); the root
     is 0 elsewhere.  Negating a row or a column of a root keeps its rank,
-    so :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern` is handed the
-    row and column flips and ranks one pattern per orbit, in chunks of
-    bounded memory.  Over GF(2) they span p + q - c dimensions for a
-    p x q matrix whose support, read as a bipartite graph on rows and
-    columns, has c components (a zero row or column is one); that many
-    signs are pinned to +1 and 2^(k - (p + q - c)) patterns are ranked.
+    so :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern` ranks one
+    pattern per orbit of the row and column flips, in chunks of bounded
+    memory.  Over GF(2) they span p + q - c dimensions for a p x q matrix
+    whose support, read as a bipartite graph on rows and columns, has c
+    components (a zero row or column is one); that many signs, the entries
+    of a first spanning forest (:func:`_forest_pins`), are pinned to +1
+    and 2^(k - (p + q - c)) patterns are ranked.
     Refuses when that count of ranked patterns exceeds ``sign_budget``
-    (:func:`cpsdt_construct` and ``q_sqrt_rank`` keep their own rules: 2^k
-    against the budget, and the operator's rank against its cap).  Returns
-    ``(rank, signs)`` with signs in {-1, 0, +1} marking the minimizing
-    pattern; ties go to the first pattern in lexicographic order
-    (row-major) with +1 before -1, as in the unpinned walk.
+    (:func:`sqrt_sign_support`; :func:`cpsdt_construct` and
+    ``q_sqrt_rank`` keep their own rules: 2^k against the budget, and the
+    operator's rank against its cap).  Returns ``(rank, signs)`` with
+    signs in {-1, 0, +1} marking the minimizing pattern; ties go to the
+    first pattern in lexicographic order (row-major) with +1 before -1, as
+    in the unpinned walk.
     """
     m = as_nonneg(matrix)
-    rows, cols = np.nonzero(nonzero_mask(m.ravel(), rel_tol).reshape(m.shape))
+    rows, cols = sqrt_sign_support(m, sign_budget, rel_tol)
     k = rows.size
     if k == 0:
         return 0, np.zeros(m.shape, dtype=int)
-    flips = [rows == i for i in range(m.shape[0])] + [cols == j for j in range(m.shape[1])]
-    free = k - int(np.count_nonzero(_flip_pivots(k, flips)))
-    if 2**free > sign_budget:
-        raise UsageError(
-            f"{k} nonzero entries leave 2^{free} sign patterns to rank, over the sign budget {sign_budget}"
-        )
     roots = np.sqrt(m[rows, cols])
+    pinned = _forest_pins(m.shape, rows, cols)
 
     def build(signs):
         stack = np.zeros((len(signs),) + m.shape)
         stack[:, rows, cols] = signs * roots
         return (stack,)
 
-    rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol, flips)
+    rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol, pinned=pinned)
     signs = np.zeros(m.shape, dtype=int)
     signs[rows, cols] = best
     return rank, signs
+
+
+def sqrt_sign_support(m, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = DEFAULT_RANK_TOL):
+    """``(rows, cols)`` of the k entries of the nonnegative matrix ``m``
+    whose signs :func:`sqrt_rank` walks (the nonzero rule at ``rel_tol``).
+
+    ``UsageError`` when the patterns it ranks after its row and column
+    pins, 2^(k - (p + q - c)), exceed ``sign_budget`` (no refusal when
+    k = 0).  The count is read off the boolean support alone, so a large
+    input is refused at the cost of reading it: c comes from a
+    breadth-first search that reads each row and each column of the
+    support once, in whole-array steps, where the union-find of
+    :func:`_forest_pins` takes a Python step per entry.
+    """
+    mask = nonzero_mask(m.ravel(), rel_tol).reshape(m.shape)
+    k = int(np.count_nonzero(mask))
+    free = k - (sum(m.shape) - _components(mask))
+    if k and 2**free > sign_budget:
+        raise UsageError(
+            f"{k} nonzero entries leave 2^{free} sign patterns to rank, over the sign budget {sign_budget}"
+        )
+    return np.nonzero(mask)
+
+
+def _components(mask) -> int:
+    """Components of the bipartite graph whose nodes are the rows and the
+    columns of the boolean matrix ``mask`` and whose edges are its True
+    entries; a row or column with no True entry is a component of its own."""
+    seen_rows = np.zeros(mask.shape[0], dtype=bool)
+    seen_cols = np.zeros(mask.shape[1], dtype=bool)
+    c = 0
+    for i in range(mask.shape[0]):
+        if seen_rows[i]:
+            continue
+        c += 1
+        new_rows = np.zeros_like(seen_rows)
+        new_rows[i] = True
+        while new_rows.any():
+            seen_rows |= new_rows
+            new_cols = mask[new_rows].any(axis=0) & ~seen_cols
+            seen_cols |= new_cols
+            new_rows = mask[:, new_cols].any(axis=1) & ~seen_rows
+    return c + int(np.count_nonzero(~seen_cols))
+
+
+def _forest_pins(shape, rows, cols) -> np.ndarray:
+    """The signs the row and column flips pin, as a boolean mask over the
+    support entries ``(rows, cols)`` in walk order.
+
+    These are the pivot columns of the GF(2) echelon form of the flips,
+    the all-ones vector being their sum.  A column lies in the span of the
+    earlier ones exactly when its entry closes a cycle of the bipartite
+    support graph with earlier entries, so the pivots are the entries that
+    join two components of the graph of the entries before them, found by
+    union-find in O(k), with no p + q flip vectors of length k.
+    """
+    parent = list(range(shape[0] + shape[1]))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pinned = np.zeros(rows.size, dtype=bool)
+    for e, (i, j) in enumerate(zip(rows.tolist(), (cols + shape[0]).tolist())):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            pinned[e] = True
+    return pinned
 
 
 def hadamard_root_certificate(

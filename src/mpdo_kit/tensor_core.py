@@ -432,7 +432,9 @@ def _chunk_ranks(stacks, count: int, bound, rel_tol: float) -> np.ndarray:
     return ranks
 
 
-def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, flips=()):
+def min_rank_sign_pattern(
+    k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, flips=(), pinned=None
+):
     """First sign pattern minimizing the numerical rank of a signed candidate.
 
     Patterns s in {+1, -1}^k are walked in lexicographic order, +1 before
@@ -468,9 +470,16 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     orbit shares one rank, so the full walk's first minimizer and its
     first pattern of rank <= 1 are pinned, and the pinned walk returns the
     same pattern.  With no ``flips`` only the first sign is pinned, which
-    halves the walk.
+    halves the walk.  A caller that can find the pivot columns of its
+    flips' span, the all-ones vector included, without the elimination,
+    whose array holds one length-k vector per flip, passes them as
+    ``pinned``, a boolean mask of length k; ``flips`` is then not read.
     """
-    free = np.flatnonzero(~_flip_pivots(k, flips))
+    if pinned is None:
+        pinned = _flip_pivots(k, flips)
+    elif np.shape(pinned) != (k,):
+        raise UsageError(f"pinned must be a boolean mask of length {k}")
+    free = np.flatnonzero(~np.asarray(pinned, dtype=bool))
     total = 2**free.size
     chunk = max(1, ENUM_CHUNK_ENTRIES // max(entries, 1))
     shifts = np.arange(free.size - 1, -1, -1)

@@ -439,6 +439,28 @@ def test_factorize_sqrt_flip(tmp_path, capsys):
     assert entry_named(doc, "certificate")["inner_dim"] == 2
 
 
+def test_factorize_and_convert_sqrt_count_the_same_sign_budget(tmp_path, capsys):
+    # a dense 3 x 4 input: 12 signs, of which the row and column flips pin
+    # 3 + 4 - 1, so 2^6 patterns are ranked (2^12 would exceed 1024)
+    path = write_csv_matrix(tmp_path / "m.csv", np.random.default_rng(3).uniform(0.25, 4.0, (3, 4)))
+    factorize = ["factorize", path, "--kind", "sqrt", "--json"]
+    convert = ["convert", path, "--kind", "sqrt", "--direction", "both", "--json"]
+    code, doc = run_json(capsys, factorize + ["--budget", "1024"])
+    assert code == EXIT_OK
+    inner = entry_named(doc, "certificate")["inner_dim"]
+    code, doc = run_json(capsys, convert + ["--budget", "1024"])
+    assert code == EXIT_OK
+    c = entry_named(doc, "correspondence")
+    assert (c["matrix_side"], c["state_side"], c["verdict"]) == (inner, inner, "exact-match")
+    # one pattern short, factorize refuses and convert skips, both naming the count
+    assert main(factorize + ["--budget", "63"]) == EXIT_USAGE
+    assert "12 nonzero entries leave 2^6 sign patterns to rank" in capsys.readouterr().err
+    code, doc = run_json(capsys, convert + ["--budget", "63"])
+    c = entry_named(doc, "correspondence")
+    assert c["verdict"] == "skipped"
+    assert "12 nonzero entries leave 2^6 sign patterns to rank" in c["note"]
+
+
 def test_factorize_minimal_icosagon_slack(tmp_path, capsys):
     from mpdo_kit.nonneg_factorizations import slack_matrix_tgon
 

@@ -13,6 +13,7 @@ must still match exactly.
 
 import functools
 import itertools
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 from mpdo_kit import tensor_core
 from mpdo_kit.certificates import check_factor_certificate
 from mpdo_kit.decompositions import operator_schmidt_rank, q_sqrt_rank
-from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank
+from mpdo_kit import nonneg_factorizations
+from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank, sqrt_sign_support
 from mpdo_kit.tensor_core import (
     PsdOperator,
     SiteSpec,
@@ -338,6 +340,22 @@ def test_malformed_flips_are_refused(flip):
         min_rank_sign_pattern(3, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, flips=[flip])
 
 
+def test_pinned_pivots_walk_as_their_flips():
+    rng = np.random.default_rng(9)
+    gens = list(rng.integers(0, 2, size=(3, 7)))
+    pivots = tensor_core._flip_pivots(7, gens)
+    seen = []
+
+    def build(signs):
+        seen.extend(map(tuple, signs.tolist()))
+        return (np.tile(np.eye(2), (len(signs), 1, 1)),)
+
+    assert min_rank_sign_pattern(7, build, entries=4, pinned=pivots)[0] == 2
+    assert seen == walked_patterns(7, gens)
+    with pytest.raises(UsageError, match="pinned must be a boolean mask of length 7"):
+        min_rank_sign_pattern(7, build, entries=4, pinned=pivots[:6])
+
+
 # ---------------------------------------------------------------------------
 # the three callers against the plain loop
 
@@ -618,3 +636,76 @@ def test_sign_budget_counts_the_patterns_sqrt_rank_ranks():
     assert sqrt_rank(np.ones((3, 3)), sign_budget=2**4)[0] == 1
     with pytest.raises(UsageError, match=r"2\^4 sign patterns"):
         sqrt_rank(np.ones((3, 3)), sign_budget=2**4 - 1)
+
+
+def budget_masks():
+    rng = np.random.default_rng(11)
+    masks = {name: m > 0 for name, m in sqrt_cases().items()}
+    for t in range(40):
+        shape = tuple(rng.integers(1, 7, size=2))
+        masks[f"random{t}"] = rng.random(shape) < rng.uniform(0.1, 0.9)
+    masks["diagonal"] = np.eye(6, dtype=bool)
+    masks["path"] = np.eye(6, dtype=bool) | np.eye(6, k=1, dtype=bool)
+    return masks
+
+
+@pytest.mark.parametrize("name,mask", list(budget_masks().items()), ids=list(budget_masks()))
+def test_sign_budget_count_is_the_walk_of_the_row_and_column_flips(name, mask):
+    # the count the budget is checked against, from the support's
+    # components, is the number of patterns the flip span leaves free, and
+    # the signs sqrt_rank pins are the span's pivots
+    k = int(mask.sum())
+    rows, cols = np.nonzero(mask)
+    flips = [rows == i for i in range(mask.shape[0])] + [cols == j for j in range(mask.shape[1])]
+    pivots = tensor_core._flip_pivots(k, flips)
+    # the union-find forest pins exactly the elimination's pivots
+    assert np.array_equal(nonneg_factorizations._forest_pins(mask.shape, rows, cols), pivots)
+    free = k - int(np.count_nonzero(pivots))
+    assert free == k - (sum(mask.shape) - support_components(mask))
+    m = mask.astype(float)
+    got = sqrt_sign_support(m, 2**free)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (rows, cols)))
+    if k:
+        with pytest.raises(UsageError, match=rf"{k} nonzero entries leave 2\^{free} sign patterns"):
+            sqrt_sign_support(m, 2**free - 1)
+
+
+def test_large_dense_input_is_refused_before_any_flip_is_built(monkeypatch):
+    # 14400 signs, 2^14161 patterns: the refusal reads the support only, and
+    # builds neither the 240 flip vectors nor their elimination
+    m = np.random.default_rng(12).uniform(0.25, 4.0, (120, 120))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk was prepared for an input over budget")
+
+    monkeypatch.setattr(tensor_core, "_flip_pivots", refuse)
+    monkeypatch.setattr(nonneg_factorizations, "min_rank_sign_pattern", refuse)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(UsageError, match=r"14400 nonzero entries leave 2\^14161 sign patterns"):
+            sqrt_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * m.nbytes
+
+
+def test_sqrt_rank_pins_a_long_row_without_the_elimination(monkeypatch):
+    # a 1 x 4000 row: every sign is pinned, one pattern is ranked; the
+    # elimination would hold 4001 flip vectors of length 4000
+    m = np.random.default_rng(13).uniform(0.25, 4.0, (1, 4000))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flips were eliminated")
+
+    monkeypatch.setattr(tensor_core, "_flip_pivots", refuse)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rank, signs = sqrt_rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 1 and (signs == 1).all()
+    assert peak - base < 1_000_000

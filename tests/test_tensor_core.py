@@ -242,8 +242,9 @@ def test_full_rank_screen_refuses_the_zero_and_non_finite_matrices():
 
 def test_full_rank_sweep_takes_no_svd_and_no_qr(monkeypatch):
     # a random 7-qubit operator has full rank at every cut, and the sweep
-    # hands every cut over from its wide side, so each split passes the
-    # screen, the 4 x 64 end splits included
+    # hands every cut over from its wide side with the whole remainder, so
+    # every split, the end ones included, is 4^c x 4^(7-c) (c <= 3): 16384
+    # entries, above the screen's floor, and each passes the screen
     rng = np.random.default_rng(7)
     op = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
     calls = []
