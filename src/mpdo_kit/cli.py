@@ -35,7 +35,6 @@ from .correspondence import (
     verify_correspondence,
 )
 from .decompositions import (
-    MAX_ENUM_RANK,
     clipped_spectrum,
     local_purification_spectral,
     make_translation_invariant,
@@ -59,6 +58,7 @@ from .nonneg_factorizations import (
 from .tensor_core import (
     DEFAULT_RANK_TOL,
     PsdOperator,
+    SignBudgetError,
     SiteSpec,
     UsageError,
     contract_cyclic,
@@ -80,6 +80,11 @@ class InputError(UsageError):
     """Bad input file; message carries the byte offset where parsing failed."""
 
 
+def _byte_offset(text: str, pos: int) -> int:
+    """The offset of ``text[pos]`` in the input file, for an error message."""
+    return len(text[:pos].encode("utf-8", errors="surrogateescape"))
+
+
 # ---------------------------------------------------------------------------
 # ingestion and JSON helpers
 
@@ -97,7 +102,7 @@ def _read_input(path: str):
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    text = raw.decode("utf-8", errors="replace")
+    text = raw.decode("utf-8", errors="surrogateescape")  # every prefix re-encodes to its bytes
     del raw  # the parse holds the text; the bytes need not add to it
     if not _JSON_START.match(text):
         return _csv_matrix(text)
@@ -109,7 +114,7 @@ def _json_value(text: str, pos: int):
     try:
         return _JSON_DECODER.raw_decode(text, pos)
     except json.JSONDecodeError as exc:
-        raise InputError(f"JSON parse error at byte {exc.pos}: {exc.msg}") from None
+        raise InputError(f"JSON parse error at byte {_byte_offset(text, exc.pos)}: {exc.msg}") from None
 
 
 def _json_token(text: str, pos: int, chars: str) -> tuple[str, int]:
@@ -119,14 +124,14 @@ def _json_token(text: str, pos: int, chars: str) -> tuple[str, int]:
     char = text[pos : pos + 1]
     if not char or char not in chars:
         expected = " or ".join(repr(c) for c in chars)
-        raise InputError(f"JSON parse error at byte {pos}: expecting {expected}")
+        raise InputError(f"JSON parse error at byte {_byte_offset(text, pos)}: expecting {expected}")
     return char, pos + 1
 
 
 class _JsonRows:
     """The rows of the JSON array at ``text[pos:]``, decoded one at a time.
 
-    ``offset`` is the byte offset of the row last read (of the array before
+    ``offset`` is the text offset of the row last read (of the array before
     the first); ``end`` is the offset just past the array once every row
     has been read.
     """
@@ -134,7 +139,7 @@ class _JsonRows:
     def __init__(self, text: str, pos: int):
         self.text, self.offset, self.end = text, _JSON_SPACE.match(text, pos).end(), None
         if not text.startswith("[", self.offset):
-            raise InputError(f"data must be a list of rows, at byte {self.offset}")
+            raise InputError(f"data must be a list of rows, at byte {_byte_offset(text, self.offset)}")
 
     def __iter__(self):
         text = self.text
@@ -176,7 +181,7 @@ def _json_object(text: str) -> dict:
             char, pos = _json_token(text, pos, '"')
     pos = _JSON_SPACE.match(text, pos).end()
     if pos < len(text):
-        raise InputError(f"JSON parse error at byte {pos}: extra data")
+        raise InputError(f"JSON parse error at byte {_byte_offset(text, pos)}: extra data")
     return doc
 
 
@@ -224,15 +229,15 @@ def _csv_matrix(text: str) -> np.ndarray:
                     row.append(float(cell))
                 except ValueError:
                     raise InputError(
-                        f"CSV parse error at byte {offset + col_offset}: {cell.strip()!r}"
+                        f"CSV parse error at byte {_byte_offset(text, offset + col_offset)}: {cell.strip()!r}"
                     ) from None
                 col_offset += len(cell) + 1
             if width is None:
                 width = len(row)
             elif len(row) != width:
-                raise InputError(f"ragged CSV row at byte {offset}")
+                raise InputError(f"ragged CSV row at byte {_byte_offset(text, offset)}")
             if not np.isfinite(row).all():
-                raise InputError(f"non-finite entry in the CSV row at byte {offset}")
+                raise InputError(f"non-finite entry in the CSV row at byte {_byte_offset(text, offset)}")
             values.append(row)
         offset += len(line)
     if not values:
@@ -275,7 +280,7 @@ def decode_matrix(rows, field: str, shape=None) -> np.ndarray:
         raise InputError(f"{field} must be a list of rows")
 
     def where(i):
-        return f"{field} row {i}" + ("" if stream is None else f" at byte {stream.offset}")
+        return f"{field} row {i}" + ("" if stream is None else f" at byte {_byte_offset(stream.text, stream.offset)}")
 
     cols = None if shape is None else shape[1]
     out = []
@@ -460,8 +465,10 @@ def _nonneg_int(spec: str) -> int:
 
 
 def _int_range(spec: str) -> list[int]:
-    """argparse type: an inclusive range lo..hi, or comma-separated integers."""
+    """argparse type: an inclusive range lo..hi with hi >= lo, or comma-separated integers."""
     lo, dots, hi = spec.partition("..")
+    if dots and int(hi) < int(lo):
+        raise argparse.ArgumentTypeError(f"expected a range lo..hi with hi >= lo, got {spec}")
     return list(range(int(lo), int(hi) + 1)) if dots else _ints(spec)
 
 
@@ -496,14 +503,14 @@ def cmd_analyze(args) -> int:
     report.add("osr", value=osr, certificate="train", residual=residual)
     del train  # at full rank its cores hold as many entries as rho
 
-    # one eigendecomposition for the rank gate, q_sqrt_rank and the
-    # purification; at full rank the eigenvectors are as large as rho, so
-    # the purification is handed the only reference and frees them before
-    # its sweep
+    # one eigendecomposition for q_sqrt_rank and the purification; at full
+    # rank the eigenvectors are as large as rho, so the purification is
+    # handed the only reference and frees them before its sweep
     spectrum = [clipped_spectrum(op, args.tol)]
-    q_rank = None
-    if spectrum[0][0].size <= MAX_ENUM_RANK:
+    try:
         q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum[0])
+    except SignBudgetError:  # its walk is over budget: no entry
+        q_rank = None
     puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum.pop())
     puri_upper = puri.osr_L
     if q_rank:
@@ -745,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget": dict(
             type=int,
             default=DEFAULT_SIGN_BUDGET,
-            help="most sign patterns an enumeration may rank: sqrt (factorize and convert) counts "
-            "them after its row and column pins; cpsdt counts all 2^k",
+            help="most sign patterns one sign walk may rank, counted after its pins: over it, "
+            "sqrt (and convert's q_sqrt_rank) refuses and cpsdt keeps the all-positive root",
         ),
     }
 

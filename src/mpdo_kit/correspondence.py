@@ -54,7 +54,6 @@ from .nonneg_factorizations import (
     psd_construct,
     scan_cp_certificate,
     scan_nonneg_certificate,
-    sqrt_sign_support,
     symmetric_factorization,
 )
 from .tensor_core import (
@@ -62,6 +61,7 @@ from .tensor_core import (
     DIAG_TOL,
     MpoTrain,
     PsdOperator,
+    SignBudgetError,
     SiteSpec,
     UsageError,
     _resolve_dims,
@@ -433,10 +433,10 @@ def verify_correspondence(
     accepted them at, the others within ``CERT_RESIDUAL_TOL``.  The
     certificates, their transport, the rank lower bounds and the support
     the sign budget counts are all taken at ``rel_tol``.  A budget overrun
-    (for hadamard-root, of the patterns ``sqrt_rank`` would rank, checked
-    by ``sqrt_sign_support`` before ``q_sqrt_rank`` runs), a violated
-    necessary condition or a search without a certificate marks
-    the kind "skipped"; any inconsistency is a "violation".
+    (for hadamard-root, ``q_sqrt_rank``'s refusal of the walk ``sqrt_rank``
+    shares, at the same ``sign_budget``), a violated necessary condition or
+    a search without a certificate marks the kind "skipped"; any
+    inconsistency is a "violation".
     """
     kind = canonical_kind(kind)
     m = as_nonneg(matrix)
@@ -446,10 +446,8 @@ def verify_correspondence(
 
     if kind == "hadamard-root":
         try:
-            # sqrt_rank's own budget refusal, before q_sqrt_rank's walk
-            sqrt_sign_support(m, sign_budget, rel_tol)
-            q_rank, _ = q_sqrt_rank(sigma, rel_tol=rel_tol)
-        except UsageError as exc:
+            q_rank, _ = q_sqrt_rank(sigma, sign_budget, rel_tol)
+        except SignBudgetError as exc:
             entry.update(verdict="skipped", note=str(exc))
             return entry
     else:

@@ -23,7 +23,9 @@ from .tensor_core import (
     SiteSpec,
     TiSiteTensor,
     UsageError,
+    _cuts_widest_first,
     _resolve_dims,
+    _root_sign_walk,
     block_eigvals,
     clip_psd_spectrum,
     contract_train,
@@ -34,6 +36,7 @@ from .tensor_core import (
     nonzero_mask,
     psd_gram_factor,
     relative_residual,
+    require_sign_budget,
     svd_split,
 )
 
@@ -41,9 +44,10 @@ from .tensor_core import (
 #: relative Frobenius residual.
 CERT_RESIDUAL_TOL = 1e-8
 
-#: Default cap on the rank (hence 2^rank sign vectors) in the square-root
-#: rank enumeration.
-MAX_ENUM_RANK = 16
+#: Default sign budget of :func:`q_sqrt_rank`, the spectral walk of a
+#: rank-16 operator: at ~100 us per dense 5-qubit candidate, 2^20 would
+#: take ~100 s.
+OPERATOR_SIGN_BUDGET = 2**15
 
 #: Rows of ``L L^dag`` formed at a time by the purification's check.
 #: Narrower blocks run BLAS slower: on a 2-vCPU Xeon VM the check of a
@@ -363,7 +367,7 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
 
 def q_sqrt_rank(
     rho: PsdOperator,
-    max_enum_rank: int = MAX_ENUM_RANK,
+    sign_budget: int = OPERATOR_SIGN_BUDGET,
     rel_tol: float = DEFAULT_RANK_TOL,
     spectrum=None,
 ):
@@ -372,68 +376,42 @@ def q_sqrt_rank(
     Enumerates the spectral sign vectors (lexicographic, +1 first; first
     minimizer wins) in chunks of bounded memory, ranking one vector per
     orbit of a group of sign flips that preserve every Schmidt rank (see
-    :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern`); refuses when the
-    rank exceeds ``max_enum_rank``.  In general the group is the global
-    flip, and 2^(rank-1) vectors are ranked.  On a diagonal operator it is
-    the per-site flip group: negating the roots where one site is at one
-    level flips rows or columns at every cut.  Its span pins p of the
-    signs, 1 <= p <= 1 + sum(d_s - 1), and 2^(rank-p) vectors are ranked.
-    The cuts are ranked largest Schmidt cap first (ties in cut order), an
-    order fixed by ``dims``: the widest cut is the likeliest to reach the
-    best rank found so far, after which the engine ranks a vector's other
-    cuts no further.  Diagonal operators keep the computational basis as
-    their eigenbasis, which makes the enumeration exact there; in general
-    the result upper-bounds the true minimum over all Hermitian roots.
+    :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern`), cuts largest
+    Schmidt cap first.  A diagonal operator keeps the computational basis
+    as its eigenbasis, so the result is exact there, and its walk is that
+    of ``sqrt_rank`` on the diagonal, one axis per site
+    (``tensor_core._root_sign_walk``): the per-site flips pin p of the r
+    signs, 1 <= p <= 1 + sum(d_s - 1).  In general the group is the global
+    flip (p = 1), and the result upper-bounds the true minimum over all
+    Hermitian roots.  Refuses (``SignBudgetError``) when the 2^(r-p)
+    vectors to rank exceed ``sign_budget``, before any root is formed.
     ``spectrum`` is :func:`clipped_spectrum` of rho at the same
     tolerance, for a caller that already has it; only the non-diagonal
     path reads it.  Returns ``(rank, SignVector)``.
     """
     dims = rho.sites.dims
     n = len(dims)
-    diagonal = is_diagonal(rho)
+    if is_diagonal(rho):
+        values = clip_psd_spectrum(np.diagonal(rho.data).real).reshape(dims)
+        rank, signs = _root_sign_walk(values, sign_budget, rel_tol)
+        return rank, SignVector(tuple(signs[signs != 0].tolist()))
 
-    if diagonal:
-        vals = clip_psd_spectrum(np.diagonal(rho.data).real)
-        keep = nonzero_mask(vals, rel_tol)
-        lam = vals[keep]
-    else:
-        lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
-
+    lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
     r = lam.size
-    if r == 0:
-        return 0, SignVector(())
-    if r > max_enum_rank:
-        raise UsageError(
-            f"rank {r} exceeds the enumeration cap {max_enum_rank}; refusing 2^{r} sign vectors"
-        )
-
+    require_sign_budget(r, 1, sign_budget, "nonzero eigenvalues")
     roots = np.sqrt(lam)
-    total = rho.sites.total_dim
-    # one row-by-column matricization per cut, largest Schmidt cap first, so
-    # the engine's bound drops patterns early; a single site is one row
-    cuts = sorted(range(1, n), key=lambda cut: -min(prod(dims[:cut]), prod(dims[cut:]))) if n > 1 else [0]
+    cuts = _cuts_widest_first(dims)
 
-    if diagonal:
-        def build(signs):
-            full = np.zeros((len(signs), total))
-            full[:, keep] = signs * roots
-            return [full.reshape(len(signs), prod(dims[:cut]), -1) for cut in cuts]
+    def build(signs):
+        taus = (vec * (signs * roots)[:, None, :]) @ vec.conj().T
+        t = taus.reshape((len(signs),) + dims + dims)
+        # one matricized copy per cut, made only when the engine asks for it
+        for cut in cuts:
+            left = [1 + k for k in range(cut)] + [1 + n + k for k in range(cut)]
+            right = [1 + k for k in range(cut, n)] + [1 + n + k for k in range(cut, n)]
+            yield t.transpose([0] + left + right).reshape(len(signs), prod(dims[:cut]) ** 2, -1)
 
-        # a sign set by one site's level flips rows or columns at every cut
-        pos = np.unravel_index(np.flatnonzero(keep), dims)
-        flips = [pos[s] == a for s in range(n) for a in range(dims[s])]
-        rank, signs = min_rank_sign_pattern(r, build, total, rel_tol, flips)
-    else:
-        def build(signs):
-            taus = (vec * (signs * roots)[:, None, :]) @ vec.conj().T
-            t = taus.reshape((len(signs),) + dims + dims)
-            # one matricized copy per cut, made only when the engine asks for it
-            for cut in cuts:
-                left = [1 + k for k in range(cut)] + [1 + n + k for k in range(cut)]
-                right = [1 + k for k in range(cut, n)] + [1 + n + k for k in range(cut, n)]
-                yield t.transpose([0] + left + right).reshape(len(signs), prod(dims[:cut]) ** 2, -1)
-
-        rank, signs = min_rank_sign_pattern(r, build, total * total, rel_tol)
+    rank, signs = min_rank_sign_pattern(r, build, rho.sites.total_dim**2, rel_tol)
     return rank, SignVector(signs)
 
 

@@ -41,21 +41,23 @@ from .certificates import (
 )
 from .tensor_core import (
     DEFAULT_RANK_TOL,
+    SignBudgetError,
     UsageError,
+    _root_sign_walk,
     is_psd_spectrum,
     is_symmetric,
     max_abs,
     min_rank_sign_pattern,
     nonzero_mask,
     numerical_rank,
+    require_sign_budget,
 )
 
 #: Acceptance bar for search residuals, relative to max|M|.
 SEARCH_RESIDUAL_TOL = 1e-6
 
-#: Default enumeration budget for sign patterns (2^20 candidates): the
-#: patterns :func:`sqrt_rank` ranks after its pins, and all 2^k of
-#: :func:`cpsdt_construct`'s signs.
+#: Default sign budget of :func:`sqrt_rank` and :func:`cpsdt_construct`:
+#: the most patterns they rank, counted after their pins.
 DEFAULT_SIGN_BUDGET = 2**20
 
 #: Round-off margin of the rank screen: a search returns None up front only
@@ -274,111 +276,16 @@ def sqrt_rank(matrix, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = D
     """Exact minimum rank over entrywise square roots, by sign enumeration.
 
     The signs run over the k entries above ``rel_tol * max|M|`` (the nonzero
-    rule, the support ``q_sqrt_rank`` keeps on ``diag_embed(M)``); the root
-    is 0 elsewhere.  Negating a row or a column of a root keeps its rank,
-    so :func:`~mpdo_kit.tensor_core.min_rank_sign_pattern` ranks one
-    pattern per orbit of the row and column flips, in chunks of bounded
-    memory.  Over GF(2) they span p + q - c dimensions for a p x q matrix
-    whose support, read as a bipartite graph on rows and columns, has c
-    components (a zero row or column is one); that many signs, the entries
-    of a first spanning forest (:func:`_forest_pins`), are pinned to +1
-    and 2^(k - (p + q - c)) patterns are ranked.
-    Refuses when that count of ranked patterns exceeds ``sign_budget``
-    (:func:`sqrt_sign_support`; :func:`cpsdt_construct` and
-    ``q_sqrt_rank`` keep their own rules: 2^k against the budget, and the
-    operator's rank against its cap).  Returns ``(rank, signs)`` with
-    signs in {-1, 0, +1} marking the minimizing pattern; ties go to the
-    first pattern in lexicographic order (row-major) with +1 before -1, as
-    in the unpinned walk.
+    rule); the root is 0 elsewhere.  One pattern is ranked per orbit of the
+    row and column flips, which pin p + q - c signs of a p x q matrix whose
+    support has c components as a bipartite graph of rows and columns.
+    The walk is the diagonal ``q_sqrt_rank``'s on ``diag_embed(M)``
+    (``tensor_core._root_sign_walk``), which refuses (``SignBudgetError``)
+    when its 2^(k - (p + q - c)) patterns exceed ``sign_budget``.  Returns
+    ``(rank, signs)`` with signs in {-1, 0, +1} marking the first
+    minimizing pattern in lexicographic order (row-major), +1 before -1.
     """
-    m = as_nonneg(matrix)
-    rows, cols = sqrt_sign_support(m, sign_budget, rel_tol)
-    k = rows.size
-    if k == 0:
-        return 0, np.zeros(m.shape, dtype=int)
-    roots = np.sqrt(m[rows, cols])
-    pinned = _forest_pins(m.shape, rows, cols)
-
-    def build(signs):
-        stack = np.zeros((len(signs),) + m.shape)
-        stack[:, rows, cols] = signs * roots
-        return (stack,)
-
-    rank, best = min_rank_sign_pattern(k, build, m.size, rel_tol, pinned=pinned)
-    signs = np.zeros(m.shape, dtype=int)
-    signs[rows, cols] = best
-    return rank, signs
-
-
-def sqrt_sign_support(m, sign_budget: int = DEFAULT_SIGN_BUDGET, rel_tol: float = DEFAULT_RANK_TOL):
-    """``(rows, cols)`` of the k entries of the nonnegative matrix ``m``
-    whose signs :func:`sqrt_rank` walks (the nonzero rule at ``rel_tol``).
-
-    ``UsageError`` when the patterns it ranks after its row and column
-    pins, 2^(k - (p + q - c)), exceed ``sign_budget`` (no refusal when
-    k = 0).  The count is read off the boolean support alone, so a large
-    input is refused at the cost of reading it: c comes from a
-    breadth-first search that reads each row and each column of the
-    support once, in whole-array steps, where the union-find of
-    :func:`_forest_pins` takes a Python step per entry.
-    """
-    mask = nonzero_mask(m.ravel(), rel_tol).reshape(m.shape)
-    k = int(np.count_nonzero(mask))
-    free = k - (sum(m.shape) - _components(mask))
-    if k and 2**free > sign_budget:
-        raise UsageError(
-            f"{k} nonzero entries leave 2^{free} sign patterns to rank, over the sign budget {sign_budget}"
-        )
-    return np.nonzero(mask)
-
-
-def _components(mask) -> int:
-    """Components of the bipartite graph whose nodes are the rows and the
-    columns of the boolean matrix ``mask`` and whose edges are its True
-    entries; a row or column with no True entry is a component of its own."""
-    seen_rows = np.zeros(mask.shape[0], dtype=bool)
-    seen_cols = np.zeros(mask.shape[1], dtype=bool)
-    c = 0
-    for i in range(mask.shape[0]):
-        if seen_rows[i]:
-            continue
-        c += 1
-        new_rows = np.zeros_like(seen_rows)
-        new_rows[i] = True
-        while new_rows.any():
-            seen_rows |= new_rows
-            new_cols = mask[new_rows].any(axis=0) & ~seen_cols
-            seen_cols |= new_cols
-            new_rows = mask[:, new_cols].any(axis=1) & ~seen_rows
-    return c + int(np.count_nonzero(~seen_cols))
-
-
-def _forest_pins(shape, rows, cols) -> np.ndarray:
-    """The signs the row and column flips pin, as a boolean mask over the
-    support entries ``(rows, cols)`` in walk order.
-
-    These are the pivot columns of the GF(2) echelon form of the flips,
-    the all-ones vector being their sum.  A column lies in the span of the
-    earlier ones exactly when its entry closes a cycle of the bipartite
-    support graph with earlier entries, so the pivots are the entries that
-    join two components of the graph of the entries before them, found by
-    union-find in O(k), with no p + q flip vectors of length k.
-    """
-    parent = list(range(shape[0] + shape[1]))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pinned = np.zeros(rows.size, dtype=bool)
-    for e, (i, j) in enumerate(zip(rows.tolist(), (cols + shape[0]).tolist())):
-        a, b = root(i), root(j)
-        if a != b:
-            parent[a] = b
-            pinned[e] = True
-    return pinned
+    return _root_sign_walk(as_nonneg(matrix), sign_budget, rel_tol)
 
 
 def hadamard_root_certificate(
@@ -427,8 +334,8 @@ def cpsdt_construct(
     then tr(E_i E_j^T) = |N_ij|^2 = M_ij.  The enumeration pins the first
     sign (a global flip preserves rank), walks the other 2^(k-1) patterns
     in chunks of bounded memory, and keeps the first minimizer in
-    lexicographic order with +1 before -1.  Above ``sign_budget`` (2^k
-    patterns, counted before the pin, unlike :func:`sqrt_rank`) only the
+    lexicographic order with +1 before -1.  When those 2^(k-1) patterns
+    exceed ``sign_budget`` (the count every sign walk checks) only the
     all-positive pattern is used.  The reported inner dimension is the
     rank of the chosen root -- minimal over the enumerated roots, with no
     optimality claim beyond them.
@@ -449,7 +356,12 @@ def cpsdt_construct(
         stack[:, cols, rows] = signed
         return (stack,)
 
-    signs = min_rank_sign_pattern(k, build, d * d, rel_tol)[1] if 2**k <= sign_budget else (1,) * k
+    try:
+        require_sign_budget(k, 1, sign_budget, "upper-triangle nonzero entries")
+    except SignBudgetError:  # over budget: the all-positive root
+        signs = (1,) * k
+    else:
+        signs = min_rank_sign_pattern(k, build, d * d, rel_tol)[1]
     root = build(np.array([signs], dtype=int))[0][0]
 
     sym = symmetric_factorization(root, rel_tol)

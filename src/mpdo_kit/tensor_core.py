@@ -46,6 +46,10 @@ class UsageError(ValueError):
     """Malformed call: empty input, shape mismatch, out-of-range cut."""
 
 
+class SignBudgetError(UsageError):
+    """A sign walk that would rank more patterns than its budget (:func:`require_sign_budget`)."""
+
+
 @dataclass(frozen=True)
 class SiteSpec:
     """Ordered list of per-site physical dimensions."""
@@ -411,6 +415,71 @@ def _flip_pivots(k: int, flips) -> np.ndarray:
     return pivots
 
 
+def require_sign_budget(k: int, pinned: int, sign_budget: int, what: str = "nonzero entries") -> None:
+    """The budget rule of every sign walk, checked before it builds a stack:
+    :class:`SignBudgetError` naming the 2^(k - pinned) patterns a walk over
+    k signs would rank when they exceed ``sign_budget`` (never when k = 0)."""
+    free = k - pinned
+    if k and 2**free > sign_budget:
+        raise SignBudgetError(f"{k} {what} leave 2^{free} sign patterns to rank, over the sign budget {sign_budget}")
+
+
+def _cuts_widest_first(dims) -> list[int]:
+    """Cuts 1..n-1 of sites ``dims``, largest Schmidt cap first, ties in cut
+    order; one site has the cut 0, which makes it one row."""
+    n = len(dims)
+    return sorted(range(1, n), key=lambda cut: -min(prod(dims[:cut]), prod(dims[cut:]))) if n > 1 else [0]
+
+
+def _components(mask) -> int:
+    """Components of the bipartite graph whose nodes are the rows and the
+    columns of the boolean matrix ``mask`` and whose edges are its True
+    entries; a row or column with no True entry is a component of its own."""
+    seen_rows = np.zeros(mask.shape[0], dtype=bool)
+    seen_cols = np.zeros(mask.shape[1], dtype=bool)
+    c = 0
+    for i in range(mask.shape[0]):
+        if seen_rows[i]:
+            continue
+        c += 1
+        new_rows = np.zeros_like(seen_rows)
+        new_rows[i] = True
+        while new_rows.any():
+            seen_rows |= new_rows
+            new_cols = mask[new_rows].any(axis=0) & ~seen_cols
+            seen_cols |= new_cols
+            new_rows = mask[:, new_cols].any(axis=1) & ~seen_rows
+    return c + int(np.count_nonzero(~seen_cols))
+
+
+def _forest_pins(shape, rows, cols) -> np.ndarray:
+    """The signs the row and column flips pin, as a boolean mask over the
+    support entries ``(rows, cols)`` in walk order.
+
+    These are the pivot columns of the GF(2) echelon form of the flips,
+    the all-ones vector being their sum.  A column lies in the span of the
+    earlier ones exactly when its entry closes a cycle of the bipartite
+    support graph with earlier entries, so the pivots are the entries that
+    join two components of the graph of the entries before them, found by
+    union-find in O(k), with no p + q flip vectors of length k.
+    """
+    parent = list(range(shape[0] + shape[1]))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pinned = np.zeros(rows.size, dtype=bool)
+    for e, (i, j) in enumerate(zip(rows.tolist(), (cols + shape[0]).tolist())):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            pinned[e] = True
+    return pinned
+
+
 def _chunk_ranks(stacks, count: int, bound, rel_tol: float) -> np.ndarray:
     """Largest :func:`stacked_numerical_rank` over ``stacks`` for each of
     ``count`` patterns, except that a pattern stops being ranked once its
@@ -432,9 +501,7 @@ def _chunk_ranks(stacks, count: int, bound, rel_tol: float) -> np.ndarray:
     return ranks
 
 
-def min_rank_sign_pattern(
-    k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, flips=(), pinned=None
-):
+def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, pinned=None):
     """First sign pattern minimizing the numerical rank of a signed candidate.
 
     Patterns s in {+1, -1}^k are walked in lexicographic order, +1 before
@@ -457,26 +524,23 @@ def min_rank_sign_pattern(
     the rank <= 1 stop moves.  Putting the stack most likely to reach b
     first (the cut of largest Schmidt cap, say) drops patterns soonest.
 
-    Only one pattern per orbit of a flip group is ranked.  ``flips`` are
-    0/1 vectors of length k, and flipping the signs where one is 1 must
-    keep the candidate's rank; the all-ones vector (the global flip -s,
-    which negates a candidate linear in the signs) is always added.  Over
-    GF(2), the span's reduced row echelon form pins each pivot column to
-    +1, and the free columns are walked in binary order, most significant
-    first: 2^(k - pivots) patterns.  Each orbit holds exactly one pinned
-    pattern, since row i alone has a 1 at pivot i, and it is the orbit's
-    lexicographic minimum, because adding a set S of rows sets the
-    smallest pivot in S to -1 and leaves every earlier sign alone.  An
-    orbit shares one rank, so the full walk's first minimizer and its
-    first pattern of rank <= 1 are pinned, and the pinned walk returns the
-    same pattern.  With no ``flips`` only the first sign is pinned, which
-    halves the walk.  A caller that can find the pivot columns of its
-    flips' span, the all-ones vector included, without the elimination,
-    whose array holds one length-k vector per flip, passes them as
-    ``pinned``, a boolean mask of length k; ``flips`` is then not read.
+    Only one pattern per orbit of a flip group is ranked, the group of 0/1
+    vectors of length k whose flips (negating the signs where one is 1)
+    keep the candidate's rank, the all-ones vector (the global flip -s,
+    which negates a candidate linear in the signs) among them.  ``pinned``,
+    a boolean mask of length k, marks the pivot columns of their span's
+    reduced row echelon form over GF(2) (:func:`_flip_pivots`); those signs
+    are +1, and the free ones are walked in binary order, most significant
+    first: 2^(k - pivots) patterns.  Each orbit holds exactly one pinned pattern,
+    since row i alone has a 1 at pivot i, and it is the orbit's
+    lexicographic minimum, because adding a set S of rows sets the smallest
+    pivot in S to -1 and leaves every earlier sign alone.  An orbit shares
+    one rank, so the full walk's first minimizer and its first pattern of
+    rank <= 1 are pinned, and the pinned walk returns the same pattern.
+    Without ``pinned`` only the global flip pins, the first sign.
     """
     if pinned is None:
-        pinned = _flip_pivots(k, flips)
+        pinned = np.arange(k) == 0
     elif np.shape(pinned) != (k,):
         raise UsageError(f"pinned must be a boolean mask of length {k}")
     free = np.flatnonzero(~np.asarray(pinned, dtype=bool))
@@ -499,6 +563,46 @@ def min_rank_sign_pattern(
         if done.size:
             break
     return best_rank, tuple(best_signs.tolist())
+
+
+def _root_sign_walk(values, sign_budget: int, rel_tol: float = DEFAULT_RANK_TOL):
+    """First least-rank sign pattern of the entrywise square root of a
+    nonnegative n-way array: the walk of ``sqrt_rank`` (a matrix) and of the
+    diagonal ``q_sqrt_rank`` (the diagonal, one axis per site).
+
+    The signs run over the k entries the nonzero rule keeps; a root's rank
+    is its largest over the cuts between the axes.  Negating the root where
+    one axis is at one index keeps every such rank, so one pattern per
+    orbit of these flips is ranked.  At n = 2 they pin p + q - c signs of a
+    p x q matrix whose support has c components (:func:`_components`),
+    counted before any pin is built; the pins are the first spanning
+    forest's entries (:func:`_forest_pins`).  Otherwise the 1 + sum(d_s)
+    flips are eliminated (:func:`_flip_pivots`).  Returns ``(rank, signs)``,
+    signs in {-1, 0, +1} of the shape of ``values``.
+    """
+    dims = values.shape
+    mask = nonzero_mask(values.ravel(), rel_tol).reshape(dims)
+    k = int(np.count_nonzero(mask))
+    if len(dims) == 2:
+        require_sign_budget(k, sum(dims) - _components(mask), sign_budget)
+        support = np.nonzero(mask)
+        pinned = _forest_pins(dims, *support)
+    else:
+        support = np.nonzero(mask)
+        pinned = _flip_pivots(k, [pos == a for pos, d in zip(support, dims) for a in range(d)])
+        require_sign_budget(k, int(np.count_nonzero(pinned)), sign_budget)
+    roots = np.sqrt(values[support])
+    cuts = _cuts_widest_first(dims)
+
+    def build(patterns):
+        stack = np.zeros((len(patterns),) + dims)
+        stack[(slice(None),) + support] = patterns * roots
+        return [stack.reshape(len(patterns), prod(dims[:cut]), -1) for cut in cuts]
+
+    rank, best = min_rank_sign_pattern(k, build, values.size, rel_tol, pinned=pinned)
+    signs = np.zeros(dims, dtype=int)
+    signs[support] = best
+    return rank, signs
 
 
 #: Splits of fewer matrix entries than this go straight to the SVD in

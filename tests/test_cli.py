@@ -143,8 +143,10 @@ def test_analyze_diagonalizes_rho_once(tmp_path, capsys, monkeypatch):
 
 
 def test_analyze_q_sqrt_rank_uses_the_tolerance_of_its_gate(tmp_path, capsys):
-    # rank 20 at the default tolerance, rank 1 at --tol 1e-3: the gate and
-    # the enumeration count at the same tolerance, so the enumeration runs
+    # rank 20 at the default tolerance, rank 1 at --tol 1e-3: the enumeration
+    # keeps the support of --tol.  At the default its 20 signs leave, after
+    # the per-site pins, a walk within the operator budget (a rank cap of 16
+    # once refused it)
     rho = np.diag([1.0] + [1e-4] * 19 + [0.0] * 12)
     path = write_json_matrix(tmp_path / "rho.json", rho)
     code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2,2,2,2", "--tol", "1e-3", "--json"])
@@ -152,7 +154,46 @@ def test_analyze_q_sqrt_rank_uses_the_tolerance_of_its_gate(tmp_path, capsys):
     assert entry_named(doc, "q_sqrt_rank")["value"] == 1
     code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2,2,2,2", "--json"])
     assert code == EXIT_OK
+    assert entry_named(doc, "q_sqrt_rank")["value"] == 3
+
+
+def test_analyze_reports_q_sqrt_rank_of_a_diagonal_walk_within_budget(tmp_path, capsys):
+    # 18 nonzeros on 8 qubits: over the old rank cap of 16, but the per-site
+    # pins leave a walk within the operator budget of 2^15
+    rng = np.random.default_rng(1)
+    diag = np.zeros(256)
+    diag[rng.choice(256, 18, replace=False)] = rng.uniform(0.25, 4.0, 18)
+    path = write_json_matrix(tmp_path / "diag.json", np.diag(diag))
+    code, doc = run_json(capsys, ["analyze", path, "--sites", ",".join(["2"] * 8), "--json"])
+    assert code == EXIT_OK
+    entry = entry_named(doc, "q_sqrt_rank")
+    assert (entry["value"], entry["exact"]) == (9, True)
+
+
+def test_analyze_leaves_out_q_sqrt_rank_over_budget(tmp_path, capsys):
+    # dense rank 17 on 5 qubits: 2^16 sign vectors, over the budget of 2^15
+    x = np.random.default_rng(17).normal(size=(32, 17))
+    path = write_json_matrix(tmp_path / "rho.json", x @ x.T)
+    code, doc = run_json(capsys, ["analyze", path, "--sites", "2,2,2,2,2", "--json"])
+    assert code == EXIT_OK
     assert "q_sqrt_rank" not in [entry["name"] for entry in doc["entries"]]
+    assert entry_named(doc, "diagonal")["value"] is False
+
+
+def test_analyze_catches_only_the_budget_refusal(tmp_path, capsys, monkeypatch):
+    # a materially non-psd operator is an input error, not an over-budget walk
+    path = write_json_matrix(tmp_path / "rho.json", np.diag([1.0, -0.5, 1.0, 1.0]))
+    assert main(["analyze", path, "--sites", "2,2", "--json"]) == EXIT_USAGE
+    assert "materially non-psd" in capsys.readouterr().err
+
+    # any other error of q_sqrt_rank still ends the command
+    def failing(*args, **kwargs):
+        raise cli.UsageError("not a budget refusal")
+
+    monkeypatch.setattr(cli, "q_sqrt_rank", failing)
+    path = write_json_matrix(tmp_path / "ok.json", np.diag([1.0, 0.5, 1.0, 1.0]))
+    assert main(["analyze", path, "--sites", "2,2", "--json"]) == EXIT_USAGE
+    assert "not a budget refusal" in capsys.readouterr().err
 
 
 def write_raw_json(path, data, rows=2, cols=2):
@@ -217,6 +258,25 @@ def test_analyze_malformed_csv_names_offset(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "byte 6" in err
+
+
+@pytest.mark.parametrize(
+    "raw,at",
+    [
+        ("１,2\n3,oops\n".encode(), b"oops"),
+        ("１,2\n3\n".encode(), b"3\n"),
+        ("１,2\n3,inf\n".encode(), b"3,inf"),
+        ("1,2\n１,".encode() + b"\xff\n", b"\xff"),
+    ],
+    ids=["bad-cell", "ragged", "non-finite", "not-utf8"],
+)
+def test_malformed_csv_names_the_byte_offset_past_multibyte_text(tmp_path, capsys, raw, at):
+    # the fullwidth digit is one character of three bytes, and float() reads it as 1
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    assert main(["factorize", str(path), "--kind", "minimal"]) == EXIT_USAGE
+    offset = int(re.search(r"byte (\d+)", capsys.readouterr().err).group(1))
+    assert raw.startswith(at, offset), raw[offset:]
 
 
 MINIMAL_CERT = {
@@ -461,6 +521,19 @@ def test_factorize_and_convert_sqrt_count_the_same_sign_budget(tmp_path, capsys)
     assert "12 nonzero entries leave 2^6 sign patterns to rank" in c["note"]
 
 
+def test_convert_sqrt_answers_what_factorize_answers(tmp_path, capsys):
+    # a dense 4 x 5 input: 20 signs, once over the rank cap of 16 that
+    # convert's q_sqrt_rank applied; both sides now walk the same 2^12 patterns
+    path = write_csv_matrix(tmp_path / "m.csv", np.random.default_rng(0).uniform(0.25, 4.0, (4, 5)))
+    code, doc = run_json(capsys, ["factorize", path, "--kind", "sqrt", "--json"])
+    assert code == EXIT_OK
+    inner = entry_named(doc, "certificate")["inner_dim"]
+    code, doc = run_json(capsys, ["convert", path, "--kind", "sqrt", "--direction", "both", "--json"])
+    assert code == EXIT_OK
+    c = entry_named(doc, "correspondence")
+    assert (c["matrix_side"], c["state_side"], c["verdict"]) == (inner, inner, "exact-match")
+
+
 def test_factorize_minimal_icosagon_slack(tmp_path, capsys):
     from mpdo_kit.nonneg_factorizations import slack_matrix_tgon
 
@@ -477,21 +550,24 @@ def test_factorize_search_exhausted(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["factorize", "m.csv", "--kind", "nonneg", "--restarts", "-3"],
-        ["convert", "m.csv", "--kind", "cp", "--restarts", "-1"],
-        ["analyze", "op.json", "--restarts", "-1"],
-        ["experiment", "bounds", "--count", "-2"],
+        (["factorize", "m.csv", "--kind", "nonneg", "--restarts", "-3"], "expected an integer >= 0"),
+        (["convert", "m.csv", "--kind", "cp", "--restarts", "-1"], "expected an integer >= 0"),
+        (["analyze", "op.json", "--restarts", "-1"], "expected an integer >= 0"),
+        (["experiment", "bounds", "--count", "-2"], "expected an integer >= 0"),
+        (["experiment", "tgon", "--t", "5..3"], "expected a range lo..hi with hi >= lo, got 5..3"),
+        (["experiment", "wstate", "--n", "4..3"], "expected a range lo..hi with hi >= lo, got 4..3"),
     ],
-    ids=["factorize-restarts", "convert-restarts", "analyze-restarts", "bounds-count"],
+    ids=["factorize-restarts", "convert-restarts", "analyze-restarts", "bounds-count", "tgon-reversed-range",
+         "wstate-reversed-range"],
 )
-def test_negative_counts_are_refused_at_parse_time(tmp_path, capsys, argv):
+def test_negative_counts_are_refused_at_parse_time(tmp_path, capsys, argv, message):
     write_json_matrix(tmp_path / "op.json", np.eye(4))
     write_csv_matrix(tmp_path / "m.csv", np.eye(3))
     argv = [str(tmp_path / a) if a in ("m.csv", "op.json") else a for a in argv]
     assert main(argv) == EXIT_USAGE
-    assert "expected an integer >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_zero_counts_are_accepted(tmp_path, capsys):

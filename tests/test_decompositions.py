@@ -25,6 +25,7 @@ from mpdo_kit.decompositions import (
 )
 from mpdo_kit.tensor_core import (
     PsdOperator,
+    SignBudgetError,
     SiteSpec,
     TiSiteTensor,
     UsageError,
@@ -334,10 +335,43 @@ def test_q_sqrt_pure_state():
 
 
 def test_q_sqrt_refuses_large_rank():
+    # rank 32, not diagonal: the walk would rank 2^31 sign vectors, over the
+    # default budget of 2^15 (the walk of a rank-16 operator)
     rng = np.random.default_rng(9)
     op = op_on_qubits(rand_psd(32, rng), 5)
-    with pytest.raises(UsageError):
-        q_sqrt_rank(op, max_enum_rank=16)
+    with pytest.raises(SignBudgetError, match=r"32 nonzero eigenvalues leave 2\^31 sign patterns to rank, "
+                       r"over the sign budget 32768"):
+        q_sqrt_rank(op)
+
+
+def test_q_sqrt_spectral_budget_counts_the_global_flip_walk():
+    # rank 5, not diagonal: one pin, 2^4 vectors ranked, so a budget of 2^4
+    # admits the walk and one vector less refuses it
+    op = op_on_qubits(rand_psd(8, np.random.default_rng(19), rank=5), 3)
+    assert q_sqrt_rank(op, sign_budget=2**4)[0] >= 3
+    with pytest.raises(SignBudgetError, match=r"5 nonzero eigenvalues leave 2\^4 sign patterns"):
+        q_sqrt_rank(op, sign_budget=2**4 - 1)
+
+
+def test_q_sqrt_refuses_a_full_rank_operator_before_forming_a_root(monkeypatch):
+    # 7 qubits at full rank, spectrum given: past the is_diagonal test, which
+    # copies rho once, the refusal forms no root, stack or matricization
+    op = op_on_qubits(rand_psd(128, np.random.default_rng(20)), 7)
+    spectrum = clipped_spectrum(op)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk was prepared for an operator over budget")
+
+    monkeypatch.setattr(decompositions, "min_rank_sign_pattern", refuse)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(SignBudgetError, match=r"128 nonzero eigenvalues leave 2\^127"):
+            q_sqrt_rank(op, spectrum=spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * op.data.nbytes
 
 
 def test_q_sqrt_upper_bounded_by_psd_root_osr():

@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from mpdo_kit import tensor_core
 from mpdo_kit.certificates import check_factor_certificate
+from mpdo_kit.correspondence import diag_embed
 from mpdo_kit.decompositions import operator_schmidt_rank, q_sqrt_rank
-from mpdo_kit import nonneg_factorizations
-from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank, sqrt_sign_support
+from mpdo_kit.nonneg_factorizations import cpsdt_construct, sqrt_rank
 from mpdo_kit.tensor_core import (
     PsdOperator,
+    SignBudgetError,
     SiteSpec,
     UsageError,
     min_rank_sign_pattern,
@@ -184,8 +185,8 @@ def test_engine_stops_after_the_chunk_reaching_rank_one(monkeypatch, chunk):
 
 
 def test_engine_k0_ranks_the_single_empty_pattern():
-    for flips in ((), [np.zeros(0, dtype=int)]):
-        rank, signs = min_rank_sign_pattern(0, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, flips=flips)
+    for pinned in (None, tensor_core._flip_pivots(0, [np.zeros(0, dtype=int)])):
+        rank, signs = min_rank_sign_pattern(0, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, pinned=pinned)
         assert (rank, signs) == (0, ())
 
 
@@ -287,16 +288,18 @@ def test_later_stacks_rank_the_patterns_still_below_the_best(counted_ranks, monk
 # orbit pinning
 
 
-def walked_patterns(k, flips=()):
-    """Every pattern the engine ranks, in order: all candidates have rank 2,
-    so the walk never stops early."""
+def walked_patterns(k, flips=None):
+    """Every pattern the engine ranks, in order, pinned by the pivots of
+    ``flips`` (None: the engine's default): all candidates have rank 2, so
+    the walk never stops early."""
     seen = []
 
     def build(signs):
         seen.extend(map(tuple, signs.tolist()))
         return (np.tile(np.eye(2), (len(signs), 1, 1)),)
 
-    assert min_rank_sign_pattern(k, build, entries=4, flips=flips)[0] == 2
+    pinned = None if flips is None else tensor_core._flip_pivots(k, flips)
+    assert min_rank_sign_pattern(k, build, entries=4, pinned=pinned)[0] == 2
     return seen
 
 
@@ -337,23 +340,18 @@ def test_redundant_and_zero_flips_change_nothing():
 @pytest.mark.parametrize("flip", [[1, 0], [1, 0, 1, 1], [[1, 0, 1]], [0, 2, 1], [1, -1, 0]])
 def test_malformed_flips_are_refused(flip):
     with pytest.raises(UsageError):
-        min_rank_sign_pattern(3, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, flips=[flip])
+        tensor_core._flip_pivots(3, [flip])
 
 
 def test_pinned_pivots_walk_as_their_flips():
     rng = np.random.default_rng(9)
     gens = list(rng.integers(0, 2, size=(3, 7)))
     pivots = tensor_core._flip_pivots(7, gens)
-    seen = []
-
-    def build(signs):
-        seen.extend(map(tuple, signs.tolist()))
-        return (np.tile(np.eye(2), (len(signs), 1, 1)),)
-
-    assert min_rank_sign_pattern(7, build, entries=4, pinned=pivots)[0] == 2
-    assert seen == walked_patterns(7, gens)
+    # every pattern that is +1 at each pivot, in lexicographic order
+    expected = [p for p in itertools.product((1, -1), repeat=7) if all(np.array(p)[pivots] == 1)]
+    assert walked_patterns(7, gens) == expected
     with pytest.raises(UsageError, match="pinned must be a boolean mask of length 7"):
-        min_rank_sign_pattern(7, build, entries=4, pinned=pivots[:6])
+        min_rank_sign_pattern(7, lambda s: (np.zeros((len(s), 2, 2)),), entries=4, pinned=pivots[:6])
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +533,46 @@ def test_q_sqrt_diagonal_matches_reference(chunk_entries, name, case):
     assert (rank, signs.signs) == diagonal_reference(name)
 
 
+def walk_cases():
+    """Nonnegative arrays on 1-4 axes of length <= 3 with at most 9 nonzero
+    entries; every third has a zero slice (one axis at one index), every
+    fourth has ties (equal entries)."""
+    rng = np.random.default_rng(21)
+    cases = {}
+    for t in range(48):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 5))))
+        k = int(rng.integers(0, min(prod(dims), 9) + 1))
+        values = np.zeros(prod(dims))
+        values[rng.choice(values.size, k, replace=False)] = 1.0 if t % 4 == 1 else rng.uniform(0.25, 4.0, k)
+        values = values.reshape(dims)
+        if t % 3 == 0:
+            axis = int(rng.integers(len(dims)))
+            values[(slice(None),) * axis + (int(rng.integers(dims[axis])),)] = 0.0
+        cases[f"{'x'.join(map(str, dims))}-{t}"] = values
+    return cases
+
+
+@functools.cache
+def walk_reference(name):
+    values = walk_cases()[name]
+    return reference_q_sqrt_diagonal(values.ravel(), values.shape)
+
+
+@pytest.mark.parametrize("name,values", list(walk_cases().items()), ids=list(walk_cases()))
+def test_root_sign_walk_matches_the_full_walk(chunk_entries, name, values):
+    # every pattern of itertools.product, no pin, one rank per cut
+    rank, signs = tensor_core._root_sign_walk(values, 2**20)
+    assert np.array_equal(signs != 0, values > 0)
+    assert (rank, tuple(signs[signs != 0].tolist())) == walk_reference(name)
+
+
+@pytest.mark.parametrize("name,m", list(sqrt_cases().items()), ids=list(sqrt_cases()))
+def test_q_sqrt_rank_of_the_embedding_is_sqrt_rank_sign_for_sign(name, m):
+    rank, signs = sqrt_rank(m)
+    q_rank, q_signs = q_sqrt_rank(diag_embed(m))
+    assert (q_rank, q_signs.signs) == (rank, tuple(signs[signs != 0].tolist()))
+
+
 def test_q_sqrt_diagonal_walks_one_pattern_per_site_flip_orbit(monkeypatch):
     # the full 16-entry support of 4 qubits: the global and the 4 site flips
     # pin 5 signs, so 2^11 of the 2^16 patterns are ranked (3 cuts each)
@@ -650,7 +688,7 @@ def budget_masks():
 
 
 @pytest.mark.parametrize("name,mask", list(budget_masks().items()), ids=list(budget_masks()))
-def test_sign_budget_count_is_the_walk_of_the_row_and_column_flips(name, mask):
+def test_sign_budget_count_is_the_walk_of_the_row_and_column_flips(name, mask, monkeypatch):
     # the count the budget is checked against, from the support's
     # components, is the number of patterns the flip span leaves free, and
     # the signs sqrt_rank pins are the span's pivots
@@ -659,15 +697,23 @@ def test_sign_budget_count_is_the_walk_of_the_row_and_column_flips(name, mask):
     flips = [rows == i for i in range(mask.shape[0])] + [cols == j for j in range(mask.shape[1])]
     pivots = tensor_core._flip_pivots(k, flips)
     # the union-find forest pins exactly the elimination's pivots
-    assert np.array_equal(nonneg_factorizations._forest_pins(mask.shape, rows, cols), pivots)
+    assert np.array_equal(tensor_core._forest_pins(mask.shape, rows, cols), pivots)
     free = k - int(np.count_nonzero(pivots))
     assert free == k - (sum(mask.shape) - support_components(mask))
+    # the walk hands the engine those pins, within a budget of exactly 2^free
+    handed = []
+
+    def engine(k, build, entries, rel_tol, pinned=None):
+        handed.append(pinned)
+        return 0, (1,) * k
+
+    monkeypatch.setattr(tensor_core, "min_rank_sign_pattern", engine)
     m = mask.astype(float)
-    got = sqrt_sign_support(m, 2**free)
-    assert all(np.array_equal(a, b) for a, b in zip(got, (rows, cols)))
+    sqrt_rank(m, 2**free)
     if k:
-        with pytest.raises(UsageError, match=rf"{k} nonzero entries leave 2\^{free} sign patterns"):
-            sqrt_sign_support(m, 2**free - 1)
+        assert np.array_equal(handed[0], pivots)
+        with pytest.raises(SignBudgetError, match=rf"{k} nonzero entries leave 2\^{free} sign patterns"):
+            sqrt_rank(m, 2**free - 1)
 
 
 def test_large_dense_input_is_refused_before_any_flip_is_built(monkeypatch):
@@ -678,8 +724,8 @@ def test_large_dense_input_is_refused_before_any_flip_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the walk was prepared for an input over budget")
 
-    monkeypatch.setattr(tensor_core, "_flip_pivots", refuse)
-    monkeypatch.setattr(nonneg_factorizations, "min_rank_sign_pattern", refuse)
+    for name in ("_flip_pivots", "_forest_pins", "min_rank_sign_pattern"):
+        monkeypatch.setattr(tensor_core, name, refuse)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -126,6 +126,27 @@ def test_malformed_json_names_the_byte_offset(tmp_path, text, at):
     assert text.startswith(at, offset), (str(info.value), text[offset:])
 
 
+@pytest.mark.parametrize(
+    "raw,at",
+    [
+        ('{"note": "µµµµ", "rows": 2, "cols": 2, "data": [[1, 2], [3, "x"]]}'.encode(), b"[3, "),
+        ('{"note": "日本", "rows": 2, "cols": 2, "data": [[1, 2], [3 4]]}'.encode(), b"4]]"),
+        ('{"note": "µ", "rows": 2, "cols": 2, "data": 5}'.encode(), b"5}"),
+        ('{"note": "µ", "rows": 2, "cols": 2, "data": [[1, 2], [3, 4]]} x'.encode(), b"x"),
+        (b'{"note": "\xff\xfe", "rows": 2, "cols": 2, "data": [[1, 2], [3, "x"]]}', b"[3, "),
+    ],
+    ids=["two-byte", "three-byte", "data-number", "trailing-word", "not-utf8"],
+)
+def test_malformed_json_names_the_byte_offset_past_multibyte_text(tmp_path, raw, at):
+    # the offset counts bytes of the file, not characters of its text
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(InputError, match=r"byte \d+") as info:
+        load_matrix(str(path))
+    offset = int(re.search(r"byte (\d+)", str(info.value)).group(1))
+    assert raw.startswith(at, offset), (str(info.value), raw[offset:])
+
+
 def test_good_document_of_the_malformed_cases_loads(tmp_path):
     path = tmp_path / "good.json"
     path.write_text(GOOD)
