@@ -14,9 +14,12 @@ condition, not a failed search).
 from __future__ import annotations
 
 import argparse
+import codecs
 import datetime
 import json
+import os
 import re
+import stat
 import sys
 import time
 from math import ceil, isqrt, sqrt
@@ -89,32 +92,126 @@ def _byte_offset(text: str, pos: int) -> int:
 # ingestion and JSON helpers
 
 
-_JSON_START = re.compile(r"\s*\{")
+#: Bytes read from an input file at a time.  A JSON document is parsed from
+#: a window of its text (:class:`_JsonWindow`), so neither its bytes nor
+#: its text is ever held whole.
+READ_CHUNK_BYTES = 2**20
+
+_START_SPACE = re.compile(r"\s*")
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 _JSON_DECODER = json.JSONDecoder()
+
+
+class _ParseError(Exception):
+    """A parse step that failed at ``pos`` of the window's text; the message
+    reads ``f"{before} at byte N{after}"``."""
+
+    def __init__(self, pos: int, before: str, after: str = ""):
+        super().__init__(before)
+        self.pos, self.before, self.after = pos, before, after
+
+
+class _JsonWindow:
+    """The text of an open input file, decoded a chunk at a time.
+
+    ``text`` is the window: the file's text from byte ``base`` on, as far
+    as it has been read, and ``pos`` the parse cursor in it.  The bytes go
+    through an incremental UTF-8 decoder with ``surrogateescape``, so the
+    text is that of a whole-file decode and every prefix re-encodes to its
+    bytes.  Parsing is done in steps (:meth:`step`).
+    """
+
+    def __init__(self, fh):
+        self.fh, self.text, self.pos, self.base, self.eof = fh, "", 0, 0, False
+        self.decoder = codecs.getincrementaldecoder("utf-8")(errors="surrogateescape")
+        # bytes left in a regular file (None for a pipe): a read allocates
+        # the size it asks for, so a small file is not read into a chunk
+        info = os.fstat(fh.fileno())
+        self.left = info.st_size if stat.S_ISREG(info.st_mode) else None
+        self._refill()
+
+    def _refill(self) -> None:
+        """Drop the text before the cursor and read at least as many bytes as
+        are kept, and at least ``READ_CHUNK_BYTES``, so that a value longer
+        than a chunk is read in a number of steps logarithmic in its size;
+        from a regular file, at most one byte more than is left, which
+        tells its end."""
+        text, pos = self.text, self.pos
+        self.base += pos if text.isascii() else _byte_offset(text, pos)
+        self.text = text = text[pos:]  # the old window is not held while reading
+        size = max(READ_CHUNK_BYTES, len(text))
+        if self.left is not None:
+            size = min(size, max(self.left, 0) + 1)
+        raw = self.fh.read(size)
+        self.eof = len(raw) < size
+        if self.left is not None:
+            self.left -= len(raw)
+        more = self.decoder.decode(raw, final=self.eof)
+        del raw
+        self.text, self.pos = text + more, 0
+
+    def step(self, parse):
+        """The value of ``parse(text, pos) -> (value, end)`` at the cursor,
+        which moves to ``end``.
+
+        A step that raises :class:`_ParseError` or ``json.JSONDecodeError``,
+        or ends at the edge of the window, may have been cut short by it:
+        before end of file it is retried on a longer window.  At end of file
+        a failure is an ``InputError`` naming its byte offset in the file.
+        So a malformed file is read to its end, the window holding the text
+        from the failed step on, before its error is raised.
+        """
+        while True:
+            try:
+                value, end = parse(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise self.error(_ParseError(exc.pos, "JSON parse error", f": {exc.msg}")) from None
+            except _ParseError as exc:
+                if self.eof:
+                    raise self.error(exc) from None
+            else:
+                if end < len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            self._refill()
+
+    def byte_offset(self, pos: int) -> int:
+        """The offset in the file of ``text[pos]``."""
+        return self.base + _byte_offset(self.text, pos)
+
+    def error(self, exc: _ParseError) -> InputError:
+        return InputError(f"{exc.before} at byte {self.byte_offset(exc.pos)}{exc.after}")
+
+    def rest(self) -> str:
+        """The file's whole text; only before anything has been dropped."""
+        return self.text + self.decoder.decode(self.fh.read(), final=True)
 
 
 def _read_input(path: str):
     """Parse an input file once.
 
     Returns the members of a JSON object document, its ``"data"`` already
-    an array, or the matrix of headerless CSV.
+    an array, or the matrix of headerless CSV, which is read whole.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    text = raw.decode("utf-8", errors="surrogateescape")  # every prefix re-encodes to its bytes
-    del raw  # the parse holds the text; the bytes need not add to it
-    if not _JSON_START.match(text):
-        return _csv_matrix(text)
-    return _json_object(text)
+        window = _JsonWindow(fh)
+        if not window.step(_json_start):
+            return _csv_matrix(window.rest())
+        window.pos = 0  # the start test skips \s, wider than JSON's whitespace
+        return _json_object(window)
+
+
+def _json_start(text: str, pos: int):
+    """Whether the document is JSON, a ``{`` past leading whitespace."""
+    end = _START_SPACE.match(text, pos).end()
+    return text.startswith("{", end), end
 
 
 def _json_value(text: str, pos: int):
-    """The JSON value that starts at ``text[pos]`` and the offset just past it."""
-    try:
-        return _JSON_DECODER.raw_decode(text, pos)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"JSON parse error at byte {_byte_offset(text, exc.pos)}: {exc.msg}") from None
+    """The JSON value that starts at ``text[pos]`` past whitespace, and the
+    offset just past it."""
+    return _JSON_DECODER.raw_decode(text, _JSON_SPACE.match(text, pos).end())
 
 
 def _json_token(text: str, pos: int, chars: str) -> tuple[str, int]:
@@ -124,40 +221,71 @@ def _json_token(text: str, pos: int, chars: str) -> tuple[str, int]:
     char = text[pos : pos + 1]
     if not char or char not in chars:
         expected = " or ".join(repr(c) for c in chars)
-        raise InputError(f"JSON parse error at byte {_byte_offset(text, pos)}: expecting {expected}")
+        raise _ParseError(pos, "JSON parse error", f": expecting {expected}")
     return char, pos + 1
 
 
-class _JsonRows:
-    """The rows of the JSON array at ``text[pos:]``, decoded one at a time.
+def _json_space(text: str, pos: int):
+    """The parse step that moves the cursor past JSON whitespace."""
+    return None, _JSON_SPACE.match(text, pos).end()
 
-    ``offset`` is the text offset of the row last read (of the array before
-    the first); ``end`` is the offset just past the array once every row
-    has been read.
+
+def _tokens(chars: str):
+    """The parse step of :func:`_json_token` for ``chars``."""
+    return lambda text, pos: _json_token(text, pos, chars)
+
+
+def _member_value(text: str, pos: int):
+    """A member's value and the ``,`` or ``}`` after it, as one step: a
+    number cut short at the window's edge (``1e`` of ``1e5``) parses, and
+    only the token after it shows that it was cut."""
+    value, pos = _json_value(text, pos)
+    char, pos = _json_token(text, pos, ",}")
+    return (value, char), pos
+
+
+def _row_start(text: str, pos: int):
+    """The offset of the value at or after ``pos`` past whitespace, the
+    value, and the offset just past it."""
+    start = _JSON_SPACE.match(text, pos).end()
+    row, end = _JSON_DECODER.raw_decode(text, start)
+    return (start, row), end
+
+
+class _JsonRows:
+    """The rows of the JSON array at the cursor of a window, decoded one at
+    a time; once every row has been read the cursor is just past the array.
+
+    ``offset`` is the window offset of the row last read, valid while it is
+    being decoded: no step is taken between a row and its decoding.
     """
 
-    def __init__(self, text: str, pos: int):
-        self.text, self.offset, self.end = text, _JSON_SPACE.match(text, pos).end(), None
-        if not text.startswith("[", self.offset):
-            raise InputError(f"data must be a list of rows, at byte {_byte_offset(text, self.offset)}")
+    def __init__(self, window: _JsonWindow):
+        window.step(_json_space)
+        self.window, self.offset = window, window.pos
+        if not window.text.startswith("[", window.pos):
+            raise window.error(_ParseError(window.pos, "data must be a list of rows,"))
+
+    def byte_offset(self) -> int:
+        """The offset in the file of the row last read."""
+        return self.window.byte_offset(self.offset)
 
     def __iter__(self):
-        text = self.text
-        pos = _JSON_SPACE.match(text, self.offset + 1).end()
-        if text.startswith("]", pos):
-            self.end = pos + 1
+        window = self.window
+        window.pos += 1
+        window.step(_json_space)
+        if window.text.startswith("]", window.pos):
+            window.pos += 1
             return
         char = ","
         while char == ",":
-            self.offset = pos = _JSON_SPACE.match(text, pos).end()
-            row, pos = _json_value(text, pos)
+            self.offset, row = window.step(_row_start)
             yield row
-            char, pos = _json_token(text, pos, ",]")
-        self.end = pos
+            char = window.step(_tokens(",]"))
 
 
-def _json_object(text: str) -> dict:
-    """The members of the JSON object that is all of ``text``.
+def _json_object(window: _JsonWindow) -> dict:
+    """The members of the JSON object that is all of the window's file.
 
     Each member is decoded whole except ``"data"``, whose rows
     :func:`decode_matrix` decodes one at a time into an array, so that at
@@ -165,23 +293,22 @@ def _json_object(text: str) -> dict:
     ``json.loads``, a repeated key keeps its last value.
     """
     doc = {}
-    _, pos = _json_token(text, 0, "{")
-    char, pos = _json_token(text, pos, '"}')
+    window.step(_tokens("{"))
+    char = window.step(_tokens('"}'))
     while char == '"':
-        key, pos = _json_value(text, pos - 1)
-        _, pos = _json_token(text, pos, ":")
+        window.pos -= 1
+        key = window.step(_json_value)
+        window.step(_tokens(":"))
         if key == "data":
-            rows = _JsonRows(text, pos)
-            doc[key] = decode_matrix(rows, key)
-            pos = rows.end
+            doc[key] = decode_matrix(_JsonRows(window), key)
+            char = window.step(_tokens(",}"))
         else:
-            doc[key], pos = _json_value(text, _JSON_SPACE.match(text, pos).end())
-        char, pos = _json_token(text, pos, ",}")
+            doc[key], char = window.step(_member_value)
         if char == ",":
-            char, pos = _json_token(text, pos, '"')
-    pos = _JSON_SPACE.match(text, pos).end()
-    if pos < len(text):
-        raise InputError(f"JSON parse error at byte {_byte_offset(text, pos)}: extra data")
+            char = window.step(_tokens('"'))
+    window.step(_json_space)
+    if window.pos < len(window.text):
+        raise window.error(_ParseError(window.pos, "JSON parse error", ": extra data"))
     return doc
 
 
@@ -280,7 +407,7 @@ def decode_matrix(rows, field: str, shape=None) -> np.ndarray:
         raise InputError(f"{field} must be a list of rows")
 
     def where(i):
-        return f"{field} row {i}" + ("" if stream is None else f" at byte {_byte_offset(stream.text, stream.offset)}")
+        return f"{field} row {i}" + ("" if stream is None else f" at byte {stream.byte_offset()}")
 
     cols = None if shape is None else shape[1]
     out = []
@@ -499,16 +626,21 @@ def cmd_analyze(args) -> int:
     report.input = {"path": args.path, "sites": list(sites.dims)}
 
     train, osr = mpo_train_form(op, rel_tol=args.tol)
-    residual = relative_residual(contract_train(train), op.data, overwrite_approx=True)
+    # a train whose every cut was screened is rho between identity cores
+    residual = 0.0
+    if not all(train.screened):
+        residual = relative_residual(contract_train(train), op.data, overwrite_approx=True)
     report.add("osr", value=osr, certificate="train", residual=residual)
     del train  # at full rank its cores hold as many entries as rho
 
+    # the enumeration is exact only in a diagonal eigenbasis
+    diagonal = is_diagonal(op)
     # one eigendecomposition for q_sqrt_rank and the purification; at full
     # rank the eigenvectors are as large as rho, so the purification is
     # handed the only reference and frees them before its sweep
     spectrum = [clipped_spectrum(op, args.tol)]
     try:
-        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum[0])
+        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum[0], diagonal=diagonal)
     except SignBudgetError:  # its walk is over budget: no entry
         q_rank = None
     puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum.pop())
@@ -522,8 +654,6 @@ def cmd_analyze(args) -> int:
         certificate="spectral purification",
         residual=puri.residual,
     )
-    # the enumeration is exact only in a diagonal eigenbasis
-    diagonal = is_diagonal(op)
     if q_rank is not None:
         report.add(
             "q_sqrt_rank",

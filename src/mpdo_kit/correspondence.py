@@ -41,7 +41,6 @@ from .decompositions import (
     PurificationCertificate,
     SeparableCertificate,
     operator_schmidt_rank,
-    q_sqrt_rank,
 )
 from .nonneg_factorizations import (
     DEFAULT_SIGN_BUDGET,
@@ -250,10 +249,12 @@ def factorization_to_decomposition(
         raise UsageError("symmetric kinds need a square symmetric matrix")
 
     if kind == "hadamard-root":
-        # the diagonal Hermitian square root of sigma
+        # the diagonal Hermitian square root of sigma; tau @ tau is the
+        # diagonal of the root's squares, which rounds as the product does
         root = np.asarray(cert.payload["root"], dtype=float)
         tau = np.diag(root.ravel()).astype(complex)
-        return StateDecomposition(kind, cert.inner_dim, tau, relative_residual(tau @ tau, sigma))
+        square = np.diag((root * root).ravel()).astype(complex)
+        return StateDecomposition(kind, cert.inner_dim, tau, relative_residual(square, sigma, overwrite_approx=True))
 
     first, second = _factor_sides(kind, cert.payload)
     if kind in PRODUCT_KINDS:
@@ -421,22 +422,26 @@ def verify_correspondence(
 ) -> dict:
     """Drive both converters for one kind and grade the rank relation.
 
-    The certificate comes from ``_matrix_certificate``, and every kind but
-    hadamard-root is transported to sigma once, by
-    ``factorization_to_decomposition``.  Exact kinds (minimal, symmetric,
-    hadamard-root) must match integer for integer; the others report
-    [lower, upper] intervals on both sides and are graded for overlap, the
-    state-side upper bound being the transported certificate's inner
-    dimension (nonnegative, cp) or Schmidt rank ``osr_L`` (psd, cpsdt).
+    The certificate comes from ``_matrix_certificate`` and is transported
+    to sigma once, by ``factorization_to_decomposition``.  Exact kinds
+    (minimal, symmetric, hadamard-root) must match integer for integer; the
+    others report [lower, upper] intervals on both sides and are graded for
+    overlap, the state-side upper bound being the transported certificate's
+    inner dimension (nonnegative, cp) or Schmidt rank ``osr_L`` (psd,
+    cpsdt).  For hadamard-root the sign walk runs once, on the matrix side
+    (``sqrt_rank``); its root is transported as the diagonal operator tau,
+    and the verdict checks that tau^2 = sigma within ``CERT_RESIDUAL_TOL``
+    and that the Schmidt rank of tau, read by the train sweep's SVDs, is
+    the walk's rank: the state side re-derives the rank of the root it was
+    handed, not the minimum over roots, which only the walk computes.
     Transported certificates must reproduce sigma: search-origin ones
     (nonnegative, cp) within ``SEARCH_RESIDUAL_TOL``, the bar their search
     accepted them at, the others within ``CERT_RESIDUAL_TOL``.  The
     certificates, their transport, the rank lower bounds and the support
     the sign budget counts are all taken at ``rel_tol``.  A budget overrun
-    (for hadamard-root, ``q_sqrt_rank``'s refusal of the walk ``sqrt_rank``
-    shares, at the same ``sign_budget``), a violated necessary condition or
-    a search without a certificate marks the kind "skipped"; any
-    inconsistency is a "violation".
+    (the walk's refusal, :class:`SignBudgetError`), a violated necessary
+    condition or a search without a certificate marks the kind "skipped";
+    any inconsistency is a "violation".
     """
     kind = canonical_kind(kind)
     m = as_nonneg(matrix)
@@ -444,18 +449,15 @@ def verify_correspondence(
     sigma = diag_embed(m)
     entry: dict = {"kind": kind}
 
-    if kind == "hadamard-root":
-        try:
-            q_rank, _ = q_sqrt_rank(sigma, sign_budget, rel_tol)
-        except SignBudgetError as exc:
-            entry.update(verdict="skipped", note=str(exc))
-            return entry
-    else:
+    if kind != "hadamard-root":
         rank = numerical_rank(m, rel_tol)
         osr = operator_schmidt_rank(sigma, rel_tol=rel_tol)
 
     try:
         cert = _matrix_certificate(kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, seed=seed)
+    except SignBudgetError as exc:
+        entry.update(verdict="skipped", note=str(exc))
+        return entry
     except NecessaryConditionError as exc:
         entry.update(verdict="skipped", note=f"no {kind} factorization: {exc.condition}")
         return entry
@@ -463,13 +465,13 @@ def verify_correspondence(
         entry.update(verdict="skipped", note="search exhausted without a certificate")
         return entry
 
-    if kind == "hadamard-root":
-        verdict = "exact-match" if cert.inner_dim == q_rank else "violation"
-        entry.update(matrix_side=cert.inner_dim, state_side=q_rank, verdict=verdict)
-        return entry
-
     # the state-side upper bounds are backed by the transported certificate
     dec = factorization_to_decomposition(kind, cert, target, rel_tol)
+    if kind == "hadamard-root":
+        state_side = operator_schmidt_rank(dec.payload, m.shape, rel_tol)
+        ok = cert.inner_dim == state_side and dec.residual <= CERT_RESIDUAL_TOL
+        entry.update(matrix_side=cert.inner_dim, state_side=state_side, verdict="exact-match" if ok else "violation")
+        return entry
     if kind in SEPARABLE_KINDS:
         entry.update(_search_verdict(cert, dec, sigma.data, rank, osr))
         return entry

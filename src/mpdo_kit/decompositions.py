@@ -166,15 +166,20 @@ def mpo_train_form(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=No
     side is a unit vector), and the returned ``osr`` is its maximum.  On an
     operator of full rank at every cut, every split is wide, so one of at
     least ``SCREEN_MIN_ENTRIES`` entries passes the full-rank screen and
-    takes no QR and no SVD.  Works for rectangular operators and column
-    vectors alike.  Returns ``(train, osr)``.
+    takes no QR and no SVD.  ``train.screened`` records, cut by cut, which
+    splits the screen passed.  When it passed them all, every core but the
+    centre is an identity and the centre holds the operator's own entries,
+    so :func:`~mpdo_kit.tensor_core.contract_train` reproduces the
+    operator bit for bit and a residual check has nothing to find (one
+    site has no cut and is its own core).  Works for rectangular operators
+    and column vectors alike.  Returns ``(train, osr)``.
     """
     data, out_dims, in_dims = _resolve_dims(op, sites, in_dims)
     n = len(out_dims)
     if n == 1:
         core = data.reshape(1, out_dims[0], in_dims[0], 1)
         osr = 1 if np.linalg.norm(data) > 0.0 else 0
-        return MpoTrain((core,)), osr
+        return MpoTrain((core,), screened=()), osr
 
     sizes = [do * di for do, di in zip(out_dims, in_dims)]
     total = prod(sizes)
@@ -187,38 +192,42 @@ def mpo_train_form(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=No
     perm = []
     for k in range(n):
         perm += [k, n + k]
-    rest = t.transpose(perm).reshape(sizes[0], -1)
-    # rest is a permuted copy; an operator passed as a temporary is freed here
+    # a complex permuted copy, so that a screened split hands it back itself;
+    # an operator passed as a temporary is freed here
+    rest = np.asarray(t.transpose(perm).reshape(sizes[0], -1), dtype=complex)
     del op, data, t
 
     cores = [None] * n
+    screened = [False] * (n - 1)
     osr = 0
     left = 1
     for k in range(centre):
-        lf, rest, r = _bond_split(rest.reshape(left * sizes[k], -1), rel_tol)
+        lf, rest, r, screened[k] = _bond_split(rest.reshape(left * sizes[k], -1), rel_tol)
         osr = max(osr, r)
         left = lf.shape[1]
         cores[k] = lf.reshape(-1, out_dims[k], in_dims[k], left)
     right = 1
     for k in range(n - 1, centre, -1):
-        lf, rest, r = _bond_split(rest.reshape(-1, sizes[k] * right).T, rel_tol)
+        lf, rest, r, screened[k - 1] = _bond_split(rest.reshape(-1, sizes[k] * right).T, rel_tol)
         osr = max(osr, r)
         rest = rest.T
         cores[k] = lf.T.reshape(-1, out_dims[k], in_dims[k], right)
         right = lf.shape[1]
     cores[centre] = rest.reshape(left, out_dims[centre], in_dims[centre], right)
-    return MpoTrain(tuple(cores)), osr
+    return MpoTrain(tuple(cores), screened=tuple(screened)), osr
 
 
 def _bond_split(matrix, rel_tol):
-    """:func:`svd_split`, except that a zero matrix keeps a bond of dimension
-    1: a unit column on the isometry side and a zero row on the other."""
+    """:func:`svd_split` of a complex matrix and whether the full-rank screen
+    split it (the screen hands back the matrix itself as the right factor),
+    except that a zero matrix keeps a bond of dimension 1: a unit column on
+    the isometry side and a zero row on the other."""
     lf, rf, r = svd_split(matrix, rel_tol)
     if r == 0:
         lf = np.zeros((matrix.shape[0], 1), dtype=complex)
         lf[0, 0] = 1.0
         rf = np.zeros((1, matrix.shape[1]), dtype=complex)
-    return lf, rf, r
+    return lf, rf, r, rf is matrix
 
 
 def operator_schmidt_rank(op, sites=None, rel_tol: float = DEFAULT_RANK_TOL, in_dims=None) -> int:
@@ -279,7 +288,13 @@ def local_purification_spectral(
     for a caller that already has it; by default it is computed here.  A
     caller that passes it as a temporary hands it over: from CPython 3.11
     on the eigenvectors are then freed once the root is built, before the
-    sweep.  The check ``L L^dag = rho`` is made a block of rows at a time.
+    sweep.  The root is built with no conjugate copy of the eigenvectors
+    (:func:`_psd_root`).  The check ``L L^dag = rho`` is made a block of
+    rows at a time (:func:`_gram_residual`), on the dense factor itself
+    before the sweep frees it: a sweep that screened every cut reproduces
+    the factor bit for bit (:func:`mpo_train_form`).  When a cut went to
+    the SVD the check is made again, on the contracted train, and that is
+    the residual reported.
     """
     lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
     del spectrum
@@ -292,14 +307,28 @@ def local_purification_spectral(
     if lam.size == 1:
         factor, in_dims = [np.sqrt(lam[0]) * vec[:, :1]], (1,) * n
     else:
-        factor, in_dims = [(vec * np.sqrt(lam)) @ vec.conj().T], dims
-    # the dense factor, as large as rho, is popped into the call as a
-    # temporary: from CPython 3.11 on the call owns it and frees it once the
-    # sweep has its permuted copy, so the two are not both held through the
-    # sweep; the eigenvectors, if the caller handed them over, go first
+        factor, in_dims = [_psd_root(lam, vec)], dims
+    # the eigenvectors, if the caller handed them over, go first; the dense
+    # factor, as large as rho, is popped into the sweep as a temporary: from
+    # CPython 3.11 on the call owns it and frees it once the sweep has its
+    # permuted copy, so the two are not both held through the sweep
     del vec
+    residual = _gram_residual(factor[0], rho.data)
     train, osr = mpo_train_form(factor.pop(), dims, rel_tol, in_dims=in_dims)
-    return PurificationCertificate(train, osr, _gram_residual(contract_train(train), rho.data))
+    if not all(train.screened):
+        residual = _gram_residual(contract_train(train), rho.data)
+    return PurificationCertificate(train, osr, residual)
+
+
+def _psd_root(lam, vec):
+    """The psd root ``V sqrt(lam) V^dag``, with no conjugate copy of V: the
+    product ``conj(V) sqrt(lam) V^T`` is its conjugate, taken in place.
+    Only new arrays are written, never ``lam`` or ``vec``."""
+    half = np.conjugate(vec)
+    half *= np.sqrt(lam)
+    root = half @ vec.T
+    del half
+    return np.conjugate(root, out=root)
 
 
 def _gram_residual(factor, exact) -> float:
@@ -370,6 +399,7 @@ def q_sqrt_rank(
     sign_budget: int = OPERATOR_SIGN_BUDGET,
     rel_tol: float = DEFAULT_RANK_TOL,
     spectrum=None,
+    diagonal: bool | None = None,
 ):
     """Minimal Schmidt rank over sign choices of the Hermitian square roots.
 
@@ -387,11 +417,13 @@ def q_sqrt_rank(
     vectors to rank exceed ``sign_budget``, before any root is formed.
     ``spectrum`` is :func:`clipped_spectrum` of rho at the same
     tolerance, for a caller that already has it; only the non-diagonal
-    path reads it.  Returns ``(rank, SignVector)``.
+    path reads it.  ``diagonal`` is :func:`is_diagonal` of rho, for a
+    caller that already tested it; by default it is tested here.  Returns
+    ``(rank, SignVector)``.
     """
     dims = rho.sites.dims
     n = len(dims)
-    if is_diagonal(rho):
+    if is_diagonal(rho) if diagonal is None else diagonal:
         values = clip_psd_spectrum(np.diagonal(rho.data).real).reshape(dims)
         rank, signs = _root_sign_walk(values, sign_budget, rel_tol)
         return rank, SignVector(tuple(signs[signs != 0].tolist()))

@@ -41,6 +41,11 @@ SHIFT_TOL = 1e-10
 #: Floor on the scale of a relative quantity, so the zero matrix gets 0.
 SCALE_FLOOR = 1e-300
 
+#: Entries of a matrix copied at a time by the blockwise reductions, the
+#: full-rank screen's Gram matrix and :func:`is_diagonal`'s off-diagonal
+#: mass (1 MiB complex), so neither copies a whole operator.
+BLOCK_ENTRIES = 2**16
+
 
 class UsageError(ValueError):
     """Malformed call: empty input, shape mismatch, out-of-range cut."""
@@ -131,10 +136,14 @@ class MpoTrain:
 
     Rectangular per-site legs are allowed (``out_dims[l] x in_dims[l]``), so
     the same type houses operator decompositions and purification factors.
-    Boundary bonds must have dimension exactly 1.
+    Boundary bonds must have dimension exactly 1.  ``screened`` is set by
+    the sweep that built the train (``decompositions.mpo_train_form``): one
+    flag per cut, True where :func:`svd_split` passed the cut through the
+    full-rank screen; None for a train built otherwise.
     """
 
     cores: tuple[np.ndarray, ...]
+    screened: tuple[bool, ...] | None = None
 
     def __post_init__(self):
         cores = tuple(np.asarray(c, dtype=complex) for c in self.cores)
@@ -231,11 +240,24 @@ def is_diagonal(rho) -> bool:
 
     Takes a :class:`PsdOperator` or a square array.  ``q_sqrt_rank`` is
     exact on such operators; ``correspondence`` reads matrices only off them.
+    The off-diagonal mass is summed over copies of ``BLOCK_ENTRIES`` worth
+    of rows with their diagonal entries zeroed, never a copy of the whole
+    operator, and the test stops at the first block that takes it over.
     """
     data = rho.data if isinstance(rho, PsdOperator) else np.asarray(rho)
-    off = data.copy()
-    np.fill_diagonal(off, 0)
-    return float(np.linalg.norm(off) / max(np.linalg.norm(data), SCALE_FLOOR)) <= DIAG_TOL
+    # np.linalg.norm would copy the real and imaginary parts apart
+    scale = max(float(np.sqrt(np.vdot(data, data).real)), SCALE_FLOOR)
+    step = max(1, BLOCK_ENTRIES // max(data.shape[1], 1))
+    squares = 0.0
+    for lo in range(0, data.shape[0], step):
+        block = data[lo : lo + step].copy()
+        diag = np.arange(lo, min(lo + block.shape[0], data.shape[1]))
+        block[diag - lo, diag] = 0
+        squares += np.vdot(block, block).real
+        del block  # not held while the next one is copied
+        if not float(np.sqrt(squares) / scale) <= DIAG_TOL:  # the sum only grows; NaN fails
+            return False
+    return True
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -625,17 +647,22 @@ def _full_rank_screen(matrix, rel_tol: float) -> bool:
 
     G is the small Gram matrix, ``A A^dag`` (m x m, inner length k = cols)
     for a wide A and ``A^dag A`` (m = cols, k = rows) for a tall one; its
-    eigenvalues are the squared singular values.  The screen asks for a
-    Cholesky factorization of ``G - tau I`` with
+    eigenvalues are the squared singular values.  G is summed over blocks
+    of at most ``BLOCK_ENTRIES`` entries along the long side, columns of a
+    wide A and rows of a tall one, so only one block's conjugate is ever
+    copied, never the whole matrix.  The screen asks for a Cholesky
+    factorization of ``G - tau I`` with
 
         tau = (4 rel_tol^2 + SCREEN_ROUNDOFF (k + m + 2) eps) tr(G),
 
     tr(G) read off the computed Gram matrix.  The error bound: each entry of
-    the computed Gram matrix is a complex inner product of length k, so it
-    is within about ``2 sqrt(2) (k + 1) eps/2`` of its exact value relative
-    to ``|a_i| |a_j|`` (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sections 3.1 and 3.6), which puts the whole Gram
-    matrix within that multiple of tr(G) in norm.  A Cholesky factorization
+    the computed Gram matrix is still one complex inner product of length
+    k, only summed in another order, block partial sums first, and the
+    bound holds for any order of the sum: the entry is within about
+    ``2 sqrt(2) (k + 1) eps/2`` of its exact value relative to ``|a_i|
+    |a_j|`` (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sections 3.1 and 3.6), which puts the whole Gram matrix within that
+    multiple of tr(G) in norm.  A Cholesky factorization
     that runs to completion on an m x m matrix H factors H + dH exactly,
     with ``|dH| <= gamma |R^dag| |R|`` entrywise (Higham, theorem 10.3), so
     ``||dH|| <= 2 sqrt(2) (m + 1) eps/2 tr(H)`` in norm for complex entries.
@@ -655,14 +682,23 @@ def _full_rank_screen(matrix, rel_tol: float) -> bool:
     rank-deficient matrix fails after about its rank's worth of columns.
     """
     rows, cols = matrix.shape
+    wide = rows <= cols
+    size, length = (rows, cols) if wide else (cols, rows)
+    step = max(1, BLOCK_ENTRIES // max(size, 1))
+    gram = np.zeros((size, size), dtype=np.result_type(matrix, 1.0))
     with np.errstate(over="ignore", invalid="ignore"):  # fails the trace test below
-        gram = matrix @ matrix.conj().T if rows <= cols else matrix.conj().T @ matrix
-    size = gram.shape[0]
+        for lo in range(0, length, step):
+            if wide:
+                block = matrix[:, lo : lo + step]
+                gram += block @ block.conj().T
+            else:
+                block = matrix[lo : lo + step]
+                gram += block.conj().T @ block
     trace = float(np.trace(gram).real)
     eps = np.finfo(float).eps
     if not np.finfo(float).tiny / eps <= trace < np.inf:
         return False
-    tau = (4.0 * rel_tol**2 + SCREEN_ROUNDOFF * (max(rows, cols) + size + 2) * eps) * trace
+    tau = (4.0 * rel_tol**2 + SCREEN_ROUNDOFF * (length + size + 2) * eps) * trace
     gram.flat[:: size + 1] -= tau
     try:
         np.linalg.cholesky(gram)
@@ -681,10 +717,13 @@ def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     A wide split (rows <= cols) of at least ``SCREEN_MIN_ENTRIES`` entries
     that :func:`_full_rank_screen` proves full rank needs no SVD: it splits
     as ``(I, matrix, rows)``, with ``right`` the complex matrix itself, not
-    a copy.  Every other matrix, a tall one of full rank included, is split
-    by the SVD: ``left`` holds the kept left singular vectors and ``right``
-    is ``S @ Vh``.  :func:`~mpdo_kit.decompositions.mpo_train_form` hands
-    every full-rank cut over from its wide side.
+    a copy.  So a caller that passes a complex array can tell a screened
+    split by ``right is matrix``, and multiplying the identity back
+    reproduces the matrix bit for bit.  Every other matrix, a tall one of
+    full rank included, is split by the SVD: ``left`` holds the kept left
+    singular vectors and ``right`` is ``S @ Vh``.
+    :func:`~mpdo_kit.decompositions.mpo_train_form` hands every full-rank
+    cut over from its wide side.
     """
     matrix = np.asarray(matrix, dtype=complex)
     _check_rel_tol(rel_tol)

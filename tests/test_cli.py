@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpdo_kit import cli
+from mpdo_kit import cli, decompositions
 from mpdo_kit.certificates import KINDS
 from mpdo_kit.cli import (
     EXIT_NOT_FOUND,
@@ -478,6 +478,106 @@ def test_report_hook_matches_the_recursive_walk(capsys, value):
     want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     timestamp = re.compile(r'"timestamp": \{.*?\n  \}', re.S)
     assert timestamp.sub("", capsys.readouterr().out) == timestamp.sub("", want)
+
+
+def rand_density(n, rng, factors=1):
+    """A random full-rank operator on n qubits, or the product of ``factors``
+    random operators on equal blocks of them, which is Schmidt rank-deficient
+    at the cuts between the blocks."""
+    out = np.ones((1, 1))
+    for _ in range(factors):
+        d = 2 ** (n // factors)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        out = np.kron(out, x @ x.conj().T / d)
+    return out
+
+
+def analyze_report(capsys, path, n):
+    code, doc = run_json(capsys, ["analyze", path, "--sites", ",".join(["2"] * n), "--json"])
+    assert code == EXIT_OK
+    doc.pop("timestamp")
+    return doc
+
+
+def contracting_every_train(monkeypatch):
+    """Report every split as one the SVD made, so that every train is contracted back and checked."""
+    split = decompositions._bond_split
+    monkeypatch.setattr(decompositions, "_bond_split", lambda *args: split(*args)[:3] + (False,))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_full_rank_analyze_contracts_no_train(tmp_path, capsys, monkeypatch, n):
+    # every cut is screened, so both trains are their input between identity
+    # cores: the report is the one that contracts them back, bit for bit
+    path = write_json_matrix(tmp_path / "rho.json", rand_density(n, np.random.default_rng(60 + n)))
+    with monkeypatch.context() as patch:
+        contracting_every_train(patch)
+        want = analyze_report(capsys, path, n)
+
+    def refuse(train):
+        raise AssertionError("an exact train was contracted")
+
+    monkeypatch.setattr(cli, "contract_train", refuse)
+    monkeypatch.setattr(decompositions, "contract_train", refuse)
+    got = analyze_report(capsys, path, n)
+    assert got == want
+    assert entry_named(got, "osr")["residual"] == 0.0
+
+
+@pytest.mark.parametrize("n, factors", [(4, 1), (5, 1), (6, 2), (8, 2)])
+def test_analyze_contracts_trains_with_an_svd_cut(tmp_path, capsys, monkeypatch, n, factors):
+    # 4 and 5 qubits split below SCREEN_MIN_ENTRIES; a product of two blocks
+    # is rank-deficient at the cut between them, in rho and in its root
+    path = write_json_matrix(tmp_path / "rho.json", rand_density(n, np.random.default_rng(70 + n), factors))
+    with monkeypatch.context() as patch:
+        contracting_every_train(patch)
+        want = analyze_report(capsys, path, n)
+    calls = []
+    contract = decompositions.contract_train
+
+    def counting(train):
+        calls.append(train)
+        return contract(train)
+
+    monkeypatch.setattr(cli, "contract_train", counting)
+    monkeypatch.setattr(decompositions, "contract_train", counting)
+    assert analyze_report(capsys, path, n) == want
+    assert len(calls) == 2
+
+
+def test_analyze_tests_diagonality_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    test = cli.is_diagonal
+
+    def counting(rho):
+        calls.append(1)
+        return test(rho)
+
+    monkeypatch.setattr(cli, "is_diagonal", counting)
+    monkeypatch.setattr(decompositions, "is_diagonal", counting)
+    rng = np.random.default_rng(80)
+    for rho in (rand_density(3, rng), np.diag(rng.uniform(0.5, 2.0, 8))):
+        calls.clear()
+        doc = analyze_report(capsys, write_json_matrix(tmp_path / "rho.json", rho), 3)
+        assert len(calls) == 1
+        assert entry_named(doc, "q_sqrt_rank")["exact"] == entry_named(doc, "diagonal")["value"]
+
+
+def test_full_rank_analyze_peaks_below_five_operators(tmp_path, capsys, monkeypatch, traced_memory):
+    # 7 qubits, a file of ~11 chunks of 64 KiB: the read holds a chunk of
+    # text, no train is contracted, and the root is built with no conjugate
+    # copy of the eigenvectors (the whole file's bytes and text, the
+    # contractions and the conjugate copies peaked at 6.45 operators)
+    monkeypatch.setattr(cli, "READ_CHUNK_BYTES", 2**16)
+    rho = rand_density(7, np.random.default_rng(81))
+    path = tmp_path / "rho.json"
+    pairs = np.stack((rho.real, rho.imag), axis=-1).tolist()
+    path.write_text(json.dumps({"rows": 128, "cols": 128, "data": pairs}))
+    assert path.stat().st_size > 10 * 2**16
+    with traced_memory() as mem:
+        assert main(["analyze", str(path), "--sites", ",".join(["2"] * 7), "--json"]) == EXIT_OK
+    assert mem.peak - mem.base < 5 * rho.nbytes, f"peak {(mem.peak - mem.base) / rho.nbytes:.2f} operators"
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from mpdo_kit.certificates import (
     check_factor_certificate,
     pair_traces,
 )
-from mpdo_kit import correspondence
+from mpdo_kit import correspondence, decompositions, nonneg_factorizations, tensor_core
 from mpdo_kit.correspondence import (
     DiagBipartite,
     canonical_kind,
@@ -31,9 +31,18 @@ from mpdo_kit.nonneg_factorizations import (
     hadamard_root_certificate,
     minimal_factorization,
     psd_factorization_search,
+    sqrt_rank,
     symmetric_factorization,
 )
-from mpdo_kit.tensor_core import PsdOperator, SiteSpec, UsageError, contract_train, psd_gram_factor
+from mpdo_kit.tensor_core import (
+    PsdOperator,
+    SignBudgetError,
+    SiteSpec,
+    UsageError,
+    contract_train,
+    psd_gram_factor,
+    relative_residual,
+)
 
 
 def rand_cpsd(r, rng):
@@ -348,6 +357,69 @@ def test_verify_cp_planted_and_rejection():
 def test_verify_sqrt_budget_skip():
     entry = verify_correspondence("vii", np.ones((5, 5)), sign_budget=2**4)
     assert entry["verdict"] == "skipped"
+
+
+def test_verify_sqrt_budget_note_is_the_walks_refusal():
+    with pytest.raises(SignBudgetError) as info:
+        sqrt_rank(np.ones((5, 5)), 2**4)
+    entry = verify_correspondence("vii", np.ones((5, 5)), sign_budget=2**4)
+    assert entry["note"] == str(info.value) == "25 nonzero entries leave 2^16 sign patterns to rank, over the sign budget 16"
+
+
+def test_verify_sqrt_walks_once_and_reads_the_state_side_off_the_root(monkeypatch):
+    # the state side is the Schmidt rank of the transported root, read by
+    # SVDs, not a second walk over the same signs
+    calls = []
+    walk = tensor_core._root_sign_walk
+
+    def counting(*args):
+        calls.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(nonneg_factorizations, "_root_sign_walk", counting)
+    monkeypatch.setattr(decompositions, "_root_sign_walk", counting)
+    m = np.random.default_rng(90).uniform(0.25, 4.0, (3, 4)) * np.array([[1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 1]])
+    entry = verify_correspondence("vii", m)
+    assert len(calls) == 1
+    root = hadamard_root_certificate(m).payload["root"]
+    tau = np.diag(root.ravel()).astype(complex)
+    assert entry["state_side"] == operator_schmidt_rank(tau, (3, 4)) == entry["matrix_side"]
+    assert entry["verdict"] == "exact-match"
+
+
+def test_root_transport_residual_is_that_of_the_dense_square():
+    # the transport squares the diagonal root entrywise; the residual of the
+    # dense product tau @ tau, its reference, rounds to the same bits
+    rng = np.random.default_rng(91)
+    for _ in range(50):
+        p, q = rng.integers(1, 6, size=2)
+        m = rng.uniform(0, 1, (p, q)) * (rng.uniform(size=(p, q)) < 0.7) * 10.0 ** rng.integers(-3, 3)
+        cert = hadamard_root_certificate(m)
+        dec = factorization_to_decomposition("hadamard-root", cert, DiagBipartite(m))
+        tau = dec.payload
+        assert dec.residual == relative_residual(tau @ tau, diag_embed(m).data)
+
+
+@pytest.mark.parametrize("defect", ["rank", "square"])
+def test_verify_sqrt_grades_the_transported_root(monkeypatch, defect):
+    # a root whose rank is not the certificate's inner dimension, or whose
+    # square is not M, is a violation
+    m = np.array([[1.0, 4.0], [4.0, 16.0]])
+    honest = correspondence.hadamard_root_certificate
+
+    def forged(matrix, sign_budget, rel_tol):
+        cert = honest(matrix, sign_budget, rel_tol)
+        root = cert.payload["root"].copy()
+        if defect == "rank":
+            root[1, 1] = -root[1, 1]  # still squares to M, at rank 2
+        else:
+            root *= 1.001  # rank 1, squaring to 1.002 M
+        return FactorCertificate("hadamard-root", cert.inner_dim, {"root": root, "signs": cert.payload["signs"]}, 0.0)
+
+    monkeypatch.setattr(correspondence, "hadamard_root_certificate", forged)
+    entry = verify_correspondence("vii", m)
+    assert entry["matrix_side"] == 1 and entry["verdict"] == "violation"
+    assert entry["state_side"] == (2 if defect == "rank" else 1)
 
 
 def test_roundtrip_preserves_inner_dim_every_kind():

@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from mpdo_kit import decompositions
 from mpdo_kit.decompositions import (
     MpoTrain,
     SeparableCertificate,
+    _gram_residual,
+    _psd_root,
     clipped_spectrum,
     local_purification_spectral,
     make_translation_invariant,
@@ -165,7 +166,7 @@ def test_purification_rejects_non_psd():
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="a call owns its arguments from CPython 3.11 on")
-def test_purification_frees_its_dense_factor_before_the_sweep(monkeypatch):
+def test_purification_frees_its_dense_factor_before_the_sweep(monkeypatch, traced_memory):
     # at the first split only the sweep's permuted copy of the factor (one
     # rho's worth) may be held beside rho; the factor itself is gone
     op = op_on_qubits(rand_psd(64, np.random.default_rng(6), rank=3), 6)
@@ -173,22 +174,18 @@ def test_purification_frees_its_dense_factor_before_the_sweep(monkeypatch):
     split = decompositions.svd_split
 
     def recording(matrix, rel_tol):
-        held.append(tracemalloc.get_traced_memory()[0])
+        held.append(mem.now())
         return split(matrix, rel_tol)
 
     monkeypatch.setattr(decompositions, "svd_split", recording)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         cert = local_purification_spectral(op)
-    finally:
-        tracemalloc.stop()
     assert cert.residual < 1e-10
-    assert held[0] - base < 1.5 * op.data.nbytes
+    assert held[0] - mem.base < 1.5 * op.data.nbytes
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="a call owns its arguments from CPython 3.11 on")
-def test_purification_frees_handed_eigenvectors_before_the_sweep(monkeypatch):
+def test_purification_frees_handed_eigenvectors_before_the_sweep(monkeypatch, traced_memory):
     # full rank: the eigenvectors are as large as rho; handed over as a
     # temporary, they are gone by the first split, where only the sweep's
     # permuted copy of the root is held
@@ -197,21 +194,17 @@ def test_purification_frees_handed_eigenvectors_before_the_sweep(monkeypatch):
     split = decompositions.svd_split
 
     def recording(matrix, rel_tol):
-        held.append(tracemalloc.get_traced_memory()[0])
+        held.append(mem.now())
         return split(matrix, rel_tol)
 
     monkeypatch.setattr(decompositions, "svd_split", recording)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         cert = local_purification_spectral(op, spectrum=clipped_spectrum(op))
-    finally:
-        tracemalloc.stop()
     assert cert.residual < 1e-10
-    assert held[0] - base < 1.5 * op.data.nbytes
+    assert held[0] - mem.base < 1.5 * op.data.nbytes
 
 
-def test_full_rank_purification_peak_is_bounded():
+def test_full_rank_purification_peak_is_bounded(traced_memory):
     # with the spectrum in hand, building the root, sweeping it and checking
     # L L^dag never hold four operators' worth at once: the check is formed
     # a block of rows at a time (the whole product beside a conjugate copy
@@ -219,15 +212,49 @@ def test_full_rank_purification_peak_is_bounded():
     op = op_on_qubits(rand_psd(128, np.random.default_rng(7)), 7)
     spectrum = clipped_spectrum(op)
     assert spectrum[0].size == 128
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         cert = local_purification_spectral(op, spectrum=spectrum)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert cert.residual < 1e-10
-    assert peak - base < 4 * op.data.nbytes
+    assert mem.peak - mem.base < 4 * op.data.nbytes
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_purification_residual_is_that_of_the_contracted_train(n):
+    # from 6 qubits every cut of a full-rank root is screened, and the check
+    # on the root itself is the check on its train; below, the train is
+    # contracted and checked
+    op = op_on_qubits(rand_psd(2**n, np.random.default_rng(50 + n)), n)
+    cert = local_purification_spectral(op)
+    assert all(cert.train.screened) == (n >= 6)
+    assert cert.residual == _gram_residual(contract_train(cert.train), op.data)
+
+
+def test_purification_of_a_rank_deficient_operator_checks_its_train(monkeypatch):
+    # rho = A (x) B: its root has Schmidt rank 1 at the middle cut, which
+    # fails the screen and goes to the SVD
+    rng = np.random.default_rng(57)
+    op = op_on_qubits(np.kron(rand_psd(8, rng), rand_psd(8, rng)), 6)
+    calls = []
+    contract = decompositions.contract_train
+
+    def counting(train):
+        calls.append(train)
+        return contract(train)
+
+    monkeypatch.setattr(decompositions, "contract_train", counting)
+    cert = local_purification_spectral(op)
+    assert len(calls) == 1 and not all(cert.train.screened)
+    assert cert.residual == _gram_residual(contract(cert.train), op.data) < 1e-10
+
+
+def test_psd_root_writes_no_input_and_is_the_plain_product():
+    op = op_on_qubits(rand_psd(32, np.random.default_rng(58)), 5)
+    lam, vec = clipped_spectrum(op)
+    before = lam.copy(), vec.copy()
+    root = _psd_root(lam, vec)
+    assert np.array_equal(lam, before[0]) and np.array_equal(vec, before[1])
+    # conj(V) sqrt(lam) V^T rounds as the conjugate of V sqrt(lam) V^dag
+    assert np.array_equal(root, (vec * np.sqrt(lam)) @ vec.conj().T)
 
 
 def test_purification_square_bound_random():
@@ -353,7 +380,7 @@ def test_q_sqrt_spectral_budget_counts_the_global_flip_walk():
         q_sqrt_rank(op, sign_budget=2**4 - 1)
 
 
-def test_q_sqrt_refuses_a_full_rank_operator_before_forming_a_root(monkeypatch):
+def test_q_sqrt_refuses_a_full_rank_operator_before_forming_a_root(monkeypatch, traced_memory):
     # 7 qubits at full rank, spectrum given: past the is_diagonal test, which
     # copies rho once, the refusal forms no root, stack or matricization
     op = op_on_qubits(rand_psd(128, np.random.default_rng(20)), 7)
@@ -363,15 +390,10 @@ def test_q_sqrt_refuses_a_full_rank_operator_before_forming_a_root(monkeypatch):
         raise AssertionError("the walk was prepared for an operator over budget")
 
     monkeypatch.setattr(decompositions, "min_rank_sign_pattern", refuse)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         with pytest.raises(SignBudgetError, match=r"128 nonzero eigenvalues leave 2\^127"):
             q_sqrt_rank(op, spectrum=spectrum)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 1.5 * op.data.nbytes
+    assert mem.peak - mem.base < 1.5 * op.data.nbytes
 
 
 def test_q_sqrt_upper_bounded_by_psd_root_osr():

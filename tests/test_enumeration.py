@@ -13,7 +13,6 @@ must still match exactly.
 
 import functools
 import itertools
-import tracemalloc
 from math import prod
 
 import numpy as np
@@ -716,7 +715,7 @@ def test_sign_budget_count_is_the_walk_of_the_row_and_column_flips(name, mask, m
             sqrt_rank(m, 2**free - 1)
 
 
-def test_large_dense_input_is_refused_before_any_flip_is_built(monkeypatch):
+def test_large_dense_input_is_refused_before_any_flip_is_built(monkeypatch, traced_memory):
     # 14400 signs, 2^14161 patterns: the refusal reads the support only, and
     # builds neither the 240 flip vectors nor their elimination
     m = np.random.default_rng(12).uniform(0.25, 4.0, (120, 120))
@@ -726,18 +725,13 @@ def test_large_dense_input_is_refused_before_any_flip_is_built(monkeypatch):
 
     for name in ("_flip_pivots", "_forest_pins", "min_rank_sign_pattern"):
         monkeypatch.setattr(tensor_core, name, refuse)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         with pytest.raises(UsageError, match=r"14400 nonzero entries leave 2\^14161 sign patterns"):
             sqrt_rank(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 2 * m.nbytes
+    assert mem.peak - mem.base < 2 * m.nbytes
 
 
-def test_sqrt_rank_pins_a_long_row_without_the_elimination(monkeypatch):
+def test_sqrt_rank_pins_a_long_row_without_the_elimination(monkeypatch, traced_memory):
     # a 1 x 4000 row: every sign is pinned, one pattern is ranked; the
     # elimination would hold 4001 flip vectors of length 4000
     m = np.random.default_rng(13).uniform(0.25, 4.0, (1, 4000))
@@ -746,12 +740,7 @@ def test_sqrt_rank_pins_a_long_row_without_the_elimination(monkeypatch):
         raise AssertionError("the flips were eliminated")
 
     monkeypatch.setattr(tensor_core, "_flip_pivots", refuse)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    with traced_memory() as mem:
         rank, signs = sqrt_rank(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert rank == 1 and (signs == 1).all()
-    assert peak - base < 1_000_000
+    assert mem.peak - mem.base < 1_000_000

@@ -1,4 +1,3 @@
-import tracemalloc
 from contextlib import nullcontext
 from math import prod
 
@@ -280,6 +279,85 @@ def test_rank_deficient_sweep_keeps_the_svd_ranks():
     assert all(r < min(4**cut, 4 ** (8 - cut)) for cut, r in enumerate(oracle, 1))
 
 
+def planted_singular_values(shape, s, rng, is_complex=True):
+    """A matrix of ``shape`` with singular values ``s`` (min(shape) of them)."""
+    rows, cols = shape
+    k = min(shape)
+
+    def isometry(dim):
+        x = rng.standard_normal((dim, k)) + (1j * rng.standard_normal((dim, k)) if is_complex else 0)
+        return np.linalg.qr(x)[0]
+
+    return (isometry(rows) * s) @ isometry(cols).conj().T
+
+
+def screen_margin_case(shape, factor, rel_tol, rng, is_complex=True):
+    """A matrix whose smallest squared singular value is ``factor`` times the
+    screen's shift tau: the screen passes it for factor > 1 and fails it for
+    factor < 1, far from the rounding of either Gram sum when rel_tol is large."""
+    size, length = min(shape), max(shape)
+    eps = np.finfo(float).eps
+    c = 4 * rel_tol**2 + tensor_core.SCREEN_ROUNDOFF * (length + size + 2) * eps
+    s = rng.uniform(0.5, 1.0, size)
+    rest = float(np.sum(s[:-1] ** 2))
+    s[-1] = np.sqrt(factor * c * rest / (1 - factor * c))  # s_min^2 = factor * c * tr(G)
+    return planted_singular_values(shape, s, rng, is_complex)
+
+
+@pytest.mark.parametrize("shape", [(8, 4096), (4096, 8), (64, 2048), (3, 50000)])
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_blocked_and_unblocked_screens_decide_alike(monkeypatch, shape, is_complex):
+    # G summed over column (row) blocks against one product of the whole
+    # matrix: the same decision on full-rank, rank-deficient and near-margin
+    # matrices, the margin cases at 1e-4 of the shift either way
+    rng = np.random.default_rng(shape)
+    k = min(shape)
+    s_deficient = rng.uniform(0.5, 1.0, k)
+    s_deficient[k // 2 :] = 0.0
+    cases = [
+        (planted_singular_values(shape, rng.uniform(0.5, 1.0, k), rng, is_complex), 1e-10, True),
+        (planted_singular_values(shape, s_deficient, rng, is_complex), 1e-10, False),
+        (screen_margin_case(shape, 1 + 1e-4, 1e-3, rng, is_complex), 1e-3, True),
+        (screen_margin_case(shape, 1 - 1e-4, 1e-3, rng, is_complex), 1e-3, False),
+    ]
+    for a, rel_tol, expected in cases:
+        decisions = []
+        for block in (2**40, tensor_core.BLOCK_ENTRIES, 2**10):
+            monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", block)
+            decisions.append(tensor_core._full_rank_screen(a, rel_tol))
+        assert decisions == [expected] * 3
+
+
+def test_full_rank_screen_copies_one_block_not_the_matrix(traced_memory):
+    # the conjugate of a 4 x 65536 split was a copy as large as the split
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((4, 2**16)) + 1j * rng.standard_normal((4, 2**16))
+    with traced_memory() as mem:
+        assert tensor_core._full_rank_screen(a, 1e-10)
+    assert a.size > 2 * tensor_core.BLOCK_ENTRIES
+    assert mem.peak - mem.base < 0.3 * a.nbytes
+
+
+def test_full_rank_sweep_records_every_cut_screened_and_reproduces_its_input():
+    rng = np.random.default_rng(41)
+    op = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    train, _ = mpo_train_form(op, (2,) * 7)
+    assert train.screened == (True,) * 6
+    assert np.array_equal(contract_train(train), op)
+    # one site has no cut and is its own core
+    train, _ = mpo_train_form(op, (128,))
+    assert train.screened == () and np.array_equal(contract_train(train), op)
+
+
+def test_rank_deficient_and_small_sweeps_record_their_svd_cuts():
+    rho, _ = mixed_w_generator(8)
+    assert mpo_train_form(rho)[0].screened == (False,) * 7
+    # a 4-qubit operator's splits are below SCREEN_MIN_ENTRIES
+    op = rand_psd(16, np.random.default_rng(42))
+    assert mpo_train_form(op, (2,) * 4)[0].screened == (False,) * 3
+    assert MpoTrain((np.ones((1, 1, 1, 1)),)).screened is None
+
+
 # ---------------------------------------------------------------------------
 # contraction
 
@@ -423,27 +501,18 @@ def test_operator_shape_validation():
         PsdOperator(SiteSpec((2, 2)), np.eye(3))
 
 
-def traced_peak(fn, *args):
-    """``(result, peak bytes)`` that ``fn(*args)`` allocated through numpy and Python."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 #: 8 qubits: one complex operator is 256 * 256 * 16 bytes = 1 MiB.
 EIGHT_QUBITS = SiteSpec((2,) * 8)
 
 
-def test_operator_ingestion_takes_one_buffer_beside_its_result():
+def test_operator_ingestion_takes_one_buffer_beside_its_result(traced_memory):
     # the symmetrized copy (1 MiB) plus one transient real |X - X^dag| (0.5
     # MiB); a conjugate, a difference and a sum apiece peaked at ~2.1 MiB
     x = rand_psd(256, np.random.default_rng(30))
     x[3, 7] += 1e-13  # a defect below HERM_TOL, so no warning
-    op, peak = traced_peak(PsdOperator, EIGHT_QUBITS, x)
-    assert peak < 1.6 * x.nbytes
+    with traced_memory() as mem:
+        op = PsdOperator(EIGHT_QUBITS, x)
+    assert mem.peak < 1.6 * x.nbytes
     assert op.data.flags.c_contiguous and not op.data.flags.writeable
     assert np.array_equal(op.data, 0.5 * (x + x.conj().T))
 
@@ -461,12 +530,44 @@ def test_operator_ingestion_is_bit_identical_to_the_symmetrized_sum():
         assert op.data.tobytes() == (0.5 * (x + x.conj().T)).astype(complex).tobytes()
 
 
-def test_is_diagonal_copies_the_operator_once():
+def test_is_diagonal_copies_the_operator_once(traced_memory):
     rng = np.random.default_rng(32)
     op = PsdOperator(EIGHT_QUBITS, np.diag(rng.uniform(0.5, 2.0, 256)))
-    diagonal, peak = traced_peak(is_diagonal, op)
+    with traced_memory() as mem:
+        diagonal = is_diagonal(op)
     assert diagonal
-    assert peak < 1.25 * op.data.nbytes
+    assert mem.peak < 1.25 * op.data.nbytes
+
+
+def copied_is_diagonal(data) -> bool:
+    """The predicate on a whole copy of the operator with its diagonal zeroed."""
+    off = np.array(data, dtype=complex)
+    np.fill_diagonal(off, 0)
+    return float(np.linalg.norm(off) / max(np.linalg.norm(data), 1e-300)) <= tensor_core.DIAG_TOL
+
+
+@pytest.mark.parametrize("side", [3, 64, 512])
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6, 0.5, 2.0])
+def test_is_diagonal_matches_the_copied_predicate_at_the_margin(side, factor):
+    # the off-diagonal mass at DIAG_TOL x factor of the norm, all of it in
+    # the last row, where the block-wise sum reaches it last
+    rng = np.random.default_rng(side)
+    d = np.diag(rng.uniform(0.5, 2.0, side)).astype(complex)
+    t = factor * tensor_core.DIAG_TOL
+    off = t * np.linalg.norm(d) / np.sqrt(1 - t**2)  # of the norm of d plus the entry
+    x = d.copy()
+    x[-1, 0] = off
+    assert is_diagonal(x) == copied_is_diagonal(x) == (factor < 1)
+    spread = d + off / side * np.exp(2j * np.pi * rng.uniform(size=(side, side))) * (1 - np.eye(side))
+    assert is_diagonal(spread) == copied_is_diagonal(spread)
+
+
+def test_is_diagonal_copies_a_block_of_a_nine_qubit_operator(traced_memory):
+    rng = np.random.default_rng(33)
+    op = PsdOperator(SiteSpec((2,) * 9), np.diag(rng.uniform(0.5, 2.0, 512)))
+    with traced_memory() as mem:
+        assert is_diagonal(op)
+    assert mem.peak - mem.base < 0.3 * op.data.nbytes
 
 
 def test_is_diagonal_is_the_relative_off_diagonal_mass():
