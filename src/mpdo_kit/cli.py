@@ -53,7 +53,6 @@ from .nonneg_factorizations import (
     DEFAULT_SIGN_BUDGET,
     SEARCH_RESTARTS,
     cp_factorization_search,
-    minimal_factorization,
     nonneg_factorization_search,
     psd_factorization_search,
     slack_matrix_tgon,
@@ -644,9 +643,15 @@ def cmd_analyze(args) -> int:
     except SignBudgetError:  # its walk is over budget: no entry
         q_rank = None
     puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum.pop())
+    # diagonal bipartite: the nonnegative scan bounds sep, and so puri
+    sep = None
+    if diagonal and sites.n == 2:
+        sep = _matrix_certificate("nonnegative", diag_extract(op), rel_tol=args.tol, restarts=args.restarts, seed=args.seed)
     puri_upper = puri.osr_L
     if q_rank:
         puri_upper = min(puri_upper, q_rank)
+    if sep is not None:
+        puri_upper = min(puri_upper, sep.inner_dim)
     puri_lower = max(ceil(sqrt(osr)), 1) if osr else 0
     report.add(
         "puri_rank",
@@ -663,22 +668,20 @@ def cmd_analyze(args) -> int:
         )
 
     report.add("diagonal", value=diagonal)
-    if diagonal and sites.n == 2:
-        m = diag_extract(op)
-        cert = _matrix_certificate("nonnegative", m, rel_tol=args.tol, restarts=args.restarts, seed=args.seed)
+    if sep is not None:
         report.add(
             "sep_rank",
-            interval=[osr, cert.inner_dim],
+            interval=[osr, sep.inner_dim],
             certificate="nonnegative factorization scan",
-            residual=cert.residual,
+            residual=sep.residual,
         )
 
     cap = schmidt_rank_cap(sites.dims)
     report.add("dimension_bound_osr", value=bool(osr <= cap), bound=cap)
     report.add("dimension_bound_puri", value=bool(puri_upper <= cap), bound=cap)
-    if diagonal and sites.n == 2:
+    if sep is not None:
         sep_cap = sites.total_dim**2
-        report.add("dimension_bound_sep", value=bool(cert.inner_dim <= sep_cap), bound=sep_cap)
+        report.add("dimension_bound_sep", value=bool(sep.inner_dim <= sep_cap), bound=sep_cap)
     report.add("purification_square_bound", value=bool(osr <= max(puri_upper, 1) ** 2))
     report.emit(args.json)
     return EXIT_OK
@@ -729,44 +732,37 @@ def cmd_convert(args) -> int:
     report = Report("convert", args.seed)
     report.input = {"path": args.path, "kind": kind, "direction": args.direction}
 
+    # a certificate document makes a round trip; a matrix is certified first
     if isinstance(parsed, dict) and "payload" in parsed:
-        matrix, cert = certificate_from_doc(parsed)
-        dec = factorization_to_decomposition(kind, cert, DiagBipartite(matrix), args.tol)
-        report.add(
-            "state_certificate",
-            inner_dim=dec.inner_dim,
-            residual=dec.residual,
-            site_symmetric=dec.site_symmetric,
-        )
-        back = decomposition_to_factorization(kind, dec, (matrix.shape[0], matrix.shape[1]), args.tol)
-        report.add("round_trip", inner_dim=back.inner_dim, residual=back.residual)
-        report.emit(args.json)
-        return EXIT_OK
-
-    matrix = _bounded(_json_matrix(parsed) if isinstance(parsed, dict) else parsed, "input matrix")
-    if args.sites:
-        # operator input: must be diagonal bipartite
-        sites = _site_spec(args.sites, matrix.shape[0])
-        if sites.n != 2:
-            raise UsageError("conversion works on bipartite operators")
-        m = diag_extract(PsdOperator(sites, matrix))
+        m, cert = certificate_from_doc(parsed)
+        back_entry = "round_trip"
     else:
-        if np.iscomplexobj(matrix):
-            raise InputError("matrix input must be real; pass --sites for operator input")
-        m = as_nonneg(matrix)
+        matrix = _bounded(_json_matrix(parsed) if isinstance(parsed, dict) else parsed, "input matrix")
+        if args.sites:
+            # operator input: must be diagonal bipartite
+            sites = _site_spec(args.sites, matrix.shape[0])
+            if sites.n != 2:
+                raise UsageError("conversion works on bipartite operators")
+            m = diag_extract(PsdOperator(sites, matrix))
+        else:
+            if np.iscomplexobj(matrix):
+                raise InputError("matrix input must be real; pass --sites for operator input")
+            m = as_nonneg(matrix)
 
-    options = dict(sign_budget=args.budget, restarts=args.restarts, seed=args.seed)
-    if args.direction == "both":
-        entry = verify_correspondence(kind, m, rel_tol=args.tol, **options)
-        report.add("correspondence", **{k: v for k, v in entry.items() if k != "kind"})
-        report.emit(args.json)
-        return EXIT_OK
+        options = dict(sign_budget=args.budget, restarts=args.restarts, seed=args.seed)
+        if args.direction == "both":
+            entry = verify_correspondence(kind, m, rel_tol=args.tol, **options)
+            report.add("correspondence", **{k: v for k, v in entry.items() if k != "kind"})
+            report.emit(args.json)
+            return EXIT_OK
 
-    cert = _matrix_certificate(kind, m, rel_tol=args.tol, **options)
-    if cert is None:
-        report.add("state_certificate", found=False)
-        report.emit(args.json)
-        return EXIT_NOT_FOUND
+        cert = _matrix_certificate(kind, m, rel_tol=args.tol, **options)
+        if cert is None:
+            report.add("state_certificate", found=False)
+            report.emit(args.json)
+            return EXIT_NOT_FOUND
+        back_entry = "matrix_certificate" if args.direction == "to-matrix" else None
+
     dec = factorization_to_decomposition(kind, cert, DiagBipartite(m), args.tol)
     report.add(
         "state_certificate",
@@ -774,9 +770,10 @@ def cmd_convert(args) -> int:
         residual=dec.residual,
         site_symmetric=dec.site_symmetric,
     )
-    if args.direction == "to-matrix":
-        back = decomposition_to_factorization(kind, dec, (m.shape[0], m.shape[1]), args.tol)
-        report.add("matrix_certificate", kind=back.kind, inner_dim=back.inner_dim, residual=back.residual)
+    if back_entry:
+        back = decomposition_to_factorization(kind, dec, m.shape, args.tol)
+        named = {"kind": back.kind} if back_entry == "matrix_certificate" else {}
+        report.add(back_entry, **named, inner_dim=back.inner_dim, residual=back.residual)
     report.emit(args.json)
     return EXIT_OK
 
@@ -803,12 +800,12 @@ def cmd_experiment(args) -> int:
     elif args.name == "tgon":
         for t in range(3, 51) if args.t is None else args.t:
             slack = slack_matrix_tgon(t)
-            cert = minimal_factorization(slack.entries)
+            rank = numerical_rank(slack.entries)
             zeros = int(np.count_nonzero(~nonzero_mask(slack.entries.ravel())))
             report.add(
                 f"t={t}",
-                rank=cert.inner_dim,
-                psd_rank_lower=ceil(sqrt(cert.inner_dim)),
+                rank=rank,
+                psd_rank_lower=ceil(sqrt(rank)),
                 zero_entries=zeros,
             )
     elif args.name == "mixedw":

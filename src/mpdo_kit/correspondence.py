@@ -63,6 +63,7 @@ from .tensor_core import (
     SignBudgetError,
     SiteSpec,
     UsageError,
+    _gram_residual,
     _resolve_dims,
     contract_train,
     is_diagonal,
@@ -264,7 +265,7 @@ def factorization_to_decomposition(
     else:
         train = _purification_train(first, second, rel_tol)
         dense = contract_train(train)
-        residual = relative_residual(dense @ dense.conj().T, sigma)
+        residual = _gram_residual(dense, sigma)
         # an inner dimension of 0 leaves L with no columns, and Schmidt rank 0
         osr_l = operator_schmidt_rank(dense, train.out_dims, rel_tol, train.in_dims) if dense.size else 0
         payload = PurificationCertificate(train, osr_l, residual)
@@ -370,11 +371,10 @@ def _matrix_certificate(
     Exact routes for minimal, psd, symmetric, cpsdt and hadamard-root; the
     smallest certificate the rank scans (starting at the rank at
     ``rel_tol``) find for nonnegative and cp, None when the cp scan finds
-    none (``NecessaryConditionError`` propagates).  The symmetric kinds
-    need a symmetric m.
+    none (``NecessaryConditionError`` propagates).  Each producer checks
+    its own preconditions: an asymmetric m is a ``UsageError`` for the
+    symmetric and cpsdt kinds and a violated necessary condition for cp.
     """
-    if kind in SYMMETRIC_KINDS and not is_symmetric(m):
-        raise UsageError(f"kind {kind!r} needs a symmetric matrix")
     if kind == "minimal":
         return minimal_factorization(m, rel_tol)
     if kind == "psd":

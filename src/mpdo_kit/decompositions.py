@@ -24,6 +24,7 @@ from .tensor_core import (
     TiSiteTensor,
     UsageError,
     _cuts_widest_first,
+    _gram_residual,
     _resolve_dims,
     _root_sign_walk,
     block_eigvals,
@@ -31,6 +32,7 @@ from .tensor_core import (
     contract_train,
     cyclic_shift_defect,
     is_diagonal,
+    matricize,
     max_abs,
     min_rank_sign_pattern,
     nonzero_mask,
@@ -48,12 +50,6 @@ CERT_RESIDUAL_TOL = 1e-8
 #: rank-16 operator: at ~100 us per dense 5-qubit candidate, 2^20 would
 #: take ~100 s.
 OPERATOR_SIGN_BUDGET = 2**15
-
-#: Rows of ``L L^dag`` formed at a time by the purification's check.
-#: Narrower blocks run BLAS slower: on a 2-vCPU Xeon VM the check of a
-#: 512-side factor takes 9.8 ms in 64-row blocks, 11 ms in 32-row ones,
-#: 14 ms in 16-row ones and 9.9 ms whole.
-GRAM_BLOCK_ROWS = 64
 
 #: Default distance, in the unit-rescaled transfer spectrum, within which an
 #: n-th root of unity counts as present (``periodicity_lower_bound``).
@@ -290,7 +286,7 @@ def local_purification_spectral(
     on the eigenvectors are then freed once the root is built, before the
     sweep.  The root is built with no conjugate copy of the eigenvectors
     (:func:`_psd_root`).  The check ``L L^dag = rho`` is made a block of
-    rows at a time (:func:`_gram_residual`), on the dense factor itself
+    rows at a time (``tensor_core._gram_residual``), on the dense factor itself
     before the sweep frees it: a sweep that screened every cut reproduces
     the factor bit for bit (:func:`mpo_train_form`).  When a cut went to
     the SVD the check is made again, on the contracted train, and that is
@@ -331,26 +327,6 @@ def _psd_root(lam, vec):
     return np.conjugate(root, out=root)
 
 
-def _gram_residual(factor, exact) -> float:
-    """Relative Frobenius residual of ``factor @ factor^dag`` against ``exact``.
-
-    The product is formed ``GRAM_BLOCK_ROWS`` rows at a time, each block
-    as ``conj(rows) @ factor^T`` conjugated in place, then subtracted and
-    summed in place, so neither the product nor a conjugate copy of
-    ``factor`` is held whole.  ``factor`` is complex.
-    """
-    squares = scale = 0.0
-    for lo in range(0, factor.shape[0], GRAM_BLOCK_ROWS):
-        rows = exact[lo : lo + GRAM_BLOCK_ROWS]
-        block = np.conjugate(factor[lo : lo + GRAM_BLOCK_ROWS]) @ factor.T
-        np.conjugate(block, out=block)
-        block -= rows
-        squares += np.vdot(block, block).real
-        scale += np.vdot(rows, rows).real
-        del block  # not held while the next one is formed
-    return float(np.sqrt(squares) / max(np.sqrt(scale), SCALE_FLOOR))
-
-
 def purification_from_separable(cert: SeparableCertificate) -> PurificationCertificate:
     """Build a purification whose Schmidt rank is at most the separable inner dim.
 
@@ -385,7 +361,7 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
     l_train = MpoTrain(tuple(l_cores))
 
     dense_l = contract_train(l_train)
-    residual = relative_residual(dense_l @ dense_l.conj().T, contract_train(train))
+    residual = _gram_residual(dense_l, contract_train(train))
     osr = operator_schmidt_rank(dense_l, train.out_dims, in_dims=l_train.in_dims)
     return PurificationCertificate(l_train, osr, residual)
 
@@ -422,7 +398,6 @@ def q_sqrt_rank(
     ``(rank, SignVector)``.
     """
     dims = rho.sites.dims
-    n = len(dims)
     if is_diagonal(rho) if diagonal is None else diagonal:
         values = clip_psd_spectrum(np.diagonal(rho.data).real).reshape(dims)
         rank, signs = _root_sign_walk(values, sign_budget, rel_tol)
@@ -436,12 +411,9 @@ def q_sqrt_rank(
 
     def build(signs):
         taus = (vec * (signs * roots)[:, None, :]) @ vec.conj().T
-        t = taus.reshape((len(signs),) + dims + dims)
         # one matricized copy per cut, made only when the engine asks for it
         for cut in cuts:
-            left = [1 + k for k in range(cut)] + [1 + n + k for k in range(cut)]
-            right = [1 + k for k in range(cut, n)] + [1 + n + k for k in range(cut, n)]
-            yield t.transpose([0] + left + right).reshape(len(signs), prod(dims[:cut]) ** 2, -1)
+            yield matricize(taus, cut, dims)
 
     rank, signs = min_rank_sign_pattern(r, build, rho.sites.total_dim**2, rel_tol)
     return rank, SignVector(signs)

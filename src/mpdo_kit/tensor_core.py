@@ -41,9 +41,10 @@ SHIFT_TOL = 1e-10
 #: Floor on the scale of a relative quantity, so the zero matrix gets 0.
 SCALE_FLOOR = 1e-300
 
-#: Entries of a matrix copied at a time by the blockwise reductions, the
-#: full-rank screen's Gram matrix and :func:`is_diagonal`'s off-diagonal
-#: mass (1 MiB complex), so neither copies a whole operator.
+#: The one transient block size (1 MiB complex): the blockwise reductions
+#: copy at most this many entries of an operator at a time, and a chunk of
+#: the sign walk stacks at most this many candidate entries, however many
+#: the 2^k patterns.  Larger blocks run no faster at desk-scale sizes.
 BLOCK_ENTRIES = 2**16
 
 
@@ -228,6 +229,27 @@ def relative_residual(approx, exact, overwrite_approx: bool = False) -> float:
     return float(np.linalg.norm(diff) / max(np.linalg.norm(exact), SCALE_FLOOR))
 
 
+def _gram_residual(factor, exact) -> float:
+    """The purification check: :func:`relative_residual` of ``factor @ factor^dag`` against ``exact``.
+
+    The product is formed ``BLOCK_ENTRIES // cols`` rows at a time (cols
+    of ``exact``), each block as ``conj(rows) @ factor^T`` conjugated in
+    place, then subtracted and summed in place, so neither the product nor
+    a conjugate copy of ``factor`` is held whole.  ``factor`` is complex.
+    """
+    step = max(1, BLOCK_ENTRIES // max(exact.shape[1], 1))
+    squares = scale = 0.0
+    for lo in range(0, factor.shape[0], step):
+        rows = exact[lo : lo + step]
+        block = np.conjugate(factor[lo : lo + step]) @ factor.T
+        np.conjugate(block, out=block)
+        block -= rows
+        squares += np.vdot(block, block).real
+        scale += np.vdot(rows, rows).real
+        del block  # not held while the next one is formed
+    return float(np.sqrt(squares) / max(np.sqrt(scale), SCALE_FLOOR))
+
+
 def is_symmetric(m) -> bool:
     """True for a square matrix with max|M - M^T| <= ``SYMMETRY_TOL`` * max|M|."""
     m = np.asarray(m)
@@ -312,13 +334,14 @@ def kron_chain(factors) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def _resolve_dims(op, dims=None, in_dims=None):
+def _resolve_dims(op, dims=None, in_dims=None, stacked=False):
     """``(data, out_dims, in_dims)`` of an operator given as a PsdOperator or raw array.
 
     ``dims`` (a :class:`SiteSpec` or a sequence) gives the per-site out
     dimensions of a raw array and ``in_dims`` its in dimensions, by default
-    equal to ``dims``; a 1-D array is read as a column.  A PsdOperator
-    carries its own square dims.
+    equal to ``dims``; a 1-D array is read as a column, and with
+    ``stacked`` an array of more axes as a ``(..., rows, cols)`` stack of
+    operators.  A PsdOperator carries its own square dims.
     """
     if isinstance(op, PsdOperator):
         return op.data, op.sites.dims, op.sites.dims
@@ -329,7 +352,8 @@ def _resolve_dims(op, dims=None, in_dims=None):
     data = np.asarray(op)
     if data.ndim == 1:
         data = data.reshape(-1, 1)
-    if data.shape != (prod(out_dims), prod(in_dims)):
+    lead = data.shape[:-2] if stacked else ()
+    if data.shape != lead + (prod(out_dims), prod(in_dims)):
         raise UsageError(
             f"shape {data.shape} does not match dims {out_dims} x {in_dims}"
         )
@@ -341,17 +365,20 @@ def matricize(op, cut: int, out_dims=None, in_dims=None) -> np.ndarray:
 
     Rows are indexed by (out, in) indices of the left block, columns by the
     right block, each row-major with out indices before in indices.  The
-    reshape is a pure index permutation of the operator's entries.
+    reshape is a pure index permutation of the operator's entries.  Cut 0
+    groups no site against all of them, one row (the cut
+    :func:`_cuts_widest_first` gives a single site).  A raw ``(..., rows,
+    cols)`` stack is matricized operator by operator, its leading axes kept.
     """
-    data, out_dims, in_dims = _resolve_dims(op, out_dims, in_dims)
+    data, out_dims, in_dims = _resolve_dims(op, out_dims, in_dims, stacked=True)
     n = len(out_dims)
-    if not 1 <= cut < n:
-        raise UsageError(f"cut must be in [1, {n - 1}], got {cut}")
-    t = data.reshape(tuple(out_dims) + tuple(in_dims))
-    left = list(range(cut)) + [n + k for k in range(cut)]
-    right = list(range(cut, n)) + [n + k for k in range(cut, n)]
-    rows = prod(out_dims[:cut]) * prod(in_dims[:cut])
-    return t.transpose(left + right).reshape(rows, -1)
+    if not 0 <= cut < n:
+        raise UsageError(f"cut must be in [0, {n - 1}], got {cut}")
+    t = data.reshape((prod(data.shape[:-2]),) + tuple(out_dims) + tuple(in_dims))
+    left = [1 + k for k in range(cut)] + [1 + n + k for k in range(cut)]
+    right = [1 + k for k in range(cut, n)] + [1 + n + k for k in range(cut, n)]
+    shape = (prod(out_dims[:cut]) * prod(in_dims[:cut]), prod(out_dims[cut:]) * prod(in_dims[cut:]))
+    return t.transpose([0] + left + right).reshape(data.shape[:-2] + shape)
 
 
 def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -365,6 +392,31 @@ def stacked_numerical_rank(stack, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
     return np.count_nonzero(nonzero_mask(s, rel_tol), axis=-1)
 
 
+def _component_labels(mask, offset: int) -> np.ndarray:
+    """Component labels of the graph in which a True ``mask[i, j]`` joins
+    node i to node ``offset + j`` (offset 0: a square mask's own indices;
+    offset p: the rows and columns of a p x q mask).  A node's label is the
+    least node of its component, so a component is a node labelled by itself.
+
+    Min-label propagation with pointer jumping, the neighbours' least
+    labels read by masked reductions over the mask, with no edge list.
+    """
+    p, q = mask.shape
+    size = max(p, offset + q)
+    label = np.arange(size)
+    while True:
+        new = label.copy()
+        rows, cols = new[:p], new[offset : offset + q]
+        across = np.broadcast_to(label[offset : offset + q], mask.shape)  # views
+        down = np.broadcast_to(label[:p, None], mask.shape)
+        np.minimum(rows, across.min(axis=1, where=mask, initial=size), out=rows)
+        np.minimum(cols, down.min(axis=0, where=mask, initial=size), out=cols)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def block_eigvals(matrix) -> np.ndarray:
     """The eigenvalues of a square matrix, taken block by block.
 
@@ -372,22 +424,11 @@ def block_eigvals(matrix) -> np.ndarray:
     as an undirected graph (i ~ j when ``A_ij != 0`` or ``A_ji != 0``).  A
     symmetric permutation makes the matrix block diagonal, so the multiset
     is that of ``np.linalg.eigvals(matrix)``, in another order and always
-    complex.  Components are labeled by min-label propagation with pointer
-    jumping over the nonzero entries; one ``eigvals`` call per distinct
-    block size takes a stack of the blocks.
+    complex.  Components are labeled by :func:`_component_labels`; one
+    ``eigvals`` call per distinct block size takes a stack of the blocks.
     """
     a = np.asarray(matrix)
-    rows, cols = np.nonzero(a)
-    label = np.arange(a.shape[0])
-    while True:
-        low = np.minimum(label[rows], label[cols])
-        new = label.copy()
-        np.minimum.at(new, rows, low)
-        np.minimum.at(new, cols, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
+    label = _component_labels(a != 0, 0)
     # grouped by counts, not by np.unique, whose first call alone added ~1.9 MB
     # of resident memory to the peak of a process that goes on to analyze n = 9
     count = np.bincount(label, minlength=label.size)
@@ -398,12 +439,6 @@ def block_eigvals(matrix) -> np.ndarray:
         idx = order[start[np.flatnonzero(count == size), None] + np.arange(size)]
         parts.append(np.linalg.eigvals(a[idx[:, :, None], idx[:, None, :]]).ravel())
     return np.concatenate(parts)
-
-
-#: Matrix entries per stacked chunk of the sign enumeration (0.5 MB real,
-#: 1 MB complex), so its memory is bounded by a few chunks, not by the 2^k
-#: patterns.  Larger chunks run no faster at desk-scale sizes.
-ENUM_CHUNK_ENTRIES = 2**16
 
 
 def _flip_pivots(k: int, flips) -> np.ndarray:
@@ -457,21 +492,8 @@ def _components(mask) -> int:
     """Components of the bipartite graph whose nodes are the rows and the
     columns of the boolean matrix ``mask`` and whose edges are its True
     entries; a row or column with no True entry is a component of its own."""
-    seen_rows = np.zeros(mask.shape[0], dtype=bool)
-    seen_cols = np.zeros(mask.shape[1], dtype=bool)
-    c = 0
-    for i in range(mask.shape[0]):
-        if seen_rows[i]:
-            continue
-        c += 1
-        new_rows = np.zeros_like(seen_rows)
-        new_rows[i] = True
-        while new_rows.any():
-            seen_rows |= new_rows
-            new_cols = mask[new_rows].any(axis=0) & ~seen_cols
-            seen_cols |= new_cols
-            new_rows = mask[:, new_cols].any(axis=1) & ~seen_rows
-    return c + int(np.count_nonzero(~seen_cols))
+    label = _component_labels(mask, mask.shape[0])
+    return int(np.count_nonzero(label == np.arange(label.size)))
 
 
 def _forest_pins(shape, rows, cols) -> np.ndarray:
@@ -527,7 +549,7 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     """First sign pattern minimizing the numerical rank of a signed candidate.
 
     Patterns s in {+1, -1}^k are walked in lexicographic order, +1 before
-    -1, in chunks of at most ``ENUM_CHUNK_ENTRIES // entries`` patterns.
+    -1, in chunks of at most ``BLOCK_ENTRIES // entries`` patterns.
     ``build`` maps a ``(c, k)`` int array of patterns to an iterable of
     stacked candidates, each ``(c, rows, cols)``, consumed one at a time;
     a pattern's rank is the largest :func:`stacked_numerical_rank` across
@@ -567,7 +589,7 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
         raise UsageError(f"pinned must be a boolean mask of length {k}")
     free = np.flatnonzero(~np.asarray(pinned, dtype=bool))
     total = 2**free.size
-    chunk = max(1, ENUM_CHUNK_ENTRIES // max(entries, 1))
+    chunk = max(1, BLOCK_ENTRIES // max(entries, 1))
     shifts = np.arange(free.size - 1, -1, -1)
     best_rank = None
     best_signs = None

@@ -24,6 +24,7 @@ from mpdo_kit.cli import (
 )
 from mpdo_kit.correspondence import _matrix_certificate
 from mpdo_kit.decompositions import w_state_generators
+from mpdo_kit.nonneg_factorizations import minimal_factorization, slack_matrix_tgon
 
 
 def write_json_matrix(path, matrix):
@@ -178,6 +179,20 @@ def test_analyze_leaves_out_q_sqrt_rank_over_budget(tmp_path, capsys):
     assert code == EXIT_OK
     assert "q_sqrt_rank" not in [entry["name"] for entry in doc["entries"]]
     assert entry_named(doc, "diagonal")["value"] is False
+
+
+@pytest.mark.parametrize("p, r, puri", [(5, 2, [2, 2]), (6, 3, [2, 3])])
+def test_analyze_bounds_puri_by_the_sep_scan(tmp_path, capsys, p, r, puri):
+    # puri <= sep: on diag_embed of a rank-r nonnegative product, the
+    # purification interval ended at the spectral purification's p
+    rng = np.random.default_rng(3)
+    m = rng.uniform(0, 1, (p, r)) @ rng.uniform(0, 1, (r, p))
+    path = write_json_matrix(tmp_path / "op.json", np.diag(m.ravel()))
+    code, doc = run_json(capsys, ["analyze", path, "--sites", f"{p},{p}", "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "sep_rank")["interval"] == [r, r]
+    assert entry_named(doc, "puri_rank")["interval"] == puri
+    assert entry_named(doc, "dimension_bound_puri")["value"] is True
 
 
 def test_analyze_catches_only_the_budget_refusal(tmp_path, capsys, monkeypatch):
@@ -800,6 +815,22 @@ def test_restarts_reaches_the_nonneg_search(tmp_path, capsys, monkeypatch, argv)
     assert seen and set(seen) == {7}
 
 
+@pytest.mark.parametrize(
+    "matrix, condition", [([[1, 2], [3, 4]], "not symmetric"), ([[0, 1], [1, 0]], "not psd")], ids=["asymmetric", "non-psd"]
+)
+def test_cp_preconditions_are_the_search_rejections(tmp_path, capsys, matrix, condition):
+    # the cp producer checks its own preconditions: factorize and convert
+    # --direction to-state reject, and convert --direction both skips
+    path = write_csv_matrix(tmp_path / "m.csv", matrix)
+    for argv in (["factorize", path, "--kind", "cp"], ["convert", path, "--kind", "cp", "--direction", "to-state"]):
+        assert main(argv) == EXIT_REJECTED
+        assert f"rejected: {condition}" in capsys.readouterr().err
+    code, doc = run_json(capsys, ["convert", path, "--kind", "cp", "--json"])
+    assert code == EXIT_OK
+    entry = entry_named(doc, "correspondence")
+    assert (entry["verdict"], entry["note"]) == ("skipped", f"no cp factorization: {condition}")
+
+
 def test_convert_cp_to_state_rejects_a_non_psd_matrix(tmp_path, capsys):
     path = write_csv_matrix(tmp_path / "flip.csv", np.array([[0.0, 1.0], [1.0, 0.0]]))
     code = main(["convert", path, "--kind", "cp", "--direction", "to-state"])
@@ -832,9 +863,13 @@ def test_experiment_wstate(capsys):
 
 
 def test_experiment_tgon(capsys):
-    code, doc = run_json(capsys, ["experiment", "tgon", "--t", "3..12", "--json"])
+    # the rank read by numerical_rank is the minimal factorization's
+    code, doc = run_json(capsys, ["experiment", "tgon", "--t", "3..50", "--json"])
     assert code == EXIT_OK
-    assert all(entry["rank"] == 3 for entry in doc["entries"])
+    for t, entry in zip(range(3, 51), doc["entries"], strict=True):
+        rank = minimal_factorization(slack_matrix_tgon(t).entries).inner_dim
+        assert (entry["name"], entry["rank"], entry["psd_rank_lower"]) == (f"t={t}", rank, 2)
+        assert rank == 3
 
 
 def test_experiment_mixedw(capsys):

@@ -9,7 +9,6 @@ from mpdo_kit import decompositions
 from mpdo_kit.decompositions import (
     MpoTrain,
     SeparableCertificate,
-    _gram_residual,
     _psd_root,
     clipped_spectrum,
     local_purification_spectral,
@@ -30,6 +29,7 @@ from mpdo_kit.tensor_core import (
     SiteSpec,
     TiSiteTensor,
     UsageError,
+    _gram_residual,
     block_eigvals,
     contract_cyclic,
     contract_train,

@@ -122,7 +122,7 @@ LATE_SYMMETRIC = np.array([[1.0, 1.0, 2.0], [1.0, -1.0, 0.0], [2.0, 0.0, 2.0]]) 
 def chunk_entries(request, monkeypatch):
     """Shrink the chunk so instances span several chunks, the last one partial."""
     if request.param is not None:
-        monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", request.param)
+        monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", request.param)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def table_build(table, seen):
 def test_engine_first_minimizer_across_chunks(monkeypatch, chunk):
     # 16 pinned patterns; the minimum 2 first appears at index 9 and again at 12
     table = [4, 3, 4, 3, 3, 4, 3, 3, 4, 2, 3, 4, 2, 3, 2, 4]
-    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", chunk * 16)
+    monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", chunk * 16)
     seen = []
     build, k = table_build(table, seen)
     rank, signs = min_rank_sign_pattern(k, build, entries=16)
@@ -175,7 +175,7 @@ def test_engine_first_minimizer_across_chunks(monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", [1, 3, 4, 7])
 def test_engine_stops_after_the_chunk_reaching_rank_one(monkeypatch, chunk):
     table = [3, 2, 3, 2, 2, 1, 3, 1]
-    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", chunk * 16)
+    monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", chunk * 16)
     seen = []
     build, k = table_build(table, seen)
     rank, signs = min_rank_sign_pattern(k, build, entries=16)
@@ -256,7 +256,7 @@ def test_bounded_walk_matches_the_unbounded_reference(k, stacks, chunk, data):
     )
     build, _ = stacked_table_build(table, [])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", chunk * 16)
+        mp.setattr(tensor_core, "BLOCK_ENTRIES", chunk * 16)
         got = min_rank_sign_pattern(k, build, entries=16)
     assert got == unbounded_reference(table)
 
@@ -264,7 +264,7 @@ def test_bounded_walk_matches_the_unbounded_reference(k, stacks, chunk, data):
 def test_later_stacks_of_a_chunk_are_ranked_only_below_the_best(counted_ranks, monkeypatch):
     # 16 patterns in chunks of 4; stack 0 reaches the best rank, 3, on every
     # pattern, so past the first chunk stacks 1 and 2 are not even built
-    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", 4 * 16)
+    monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", 4 * 16)
     table = [[3, 2, 1]] * 16
     built = []
     build, k = stacked_table_build(table, built)
@@ -276,7 +276,7 @@ def test_later_stacks_of_a_chunk_are_ranked_only_below_the_best(counted_ranks, m
 def test_later_stacks_rank_the_patterns_still_below_the_best(counted_ranks, monkeypatch):
     # stack 1 lifts every pattern to 3; past the first chunk, stack 0 leaves
     # the odd patterns at 2, and only those reach stack 1
-    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", 4 * 16)
+    monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", 4 * 16)
     table = [[3 if i % 2 == 0 else 2, 3] for i in range(16)]
     build, k = stacked_table_build(table, [])
     assert min_rank_sign_pattern(k, build, entries=16) == (3, (1, 1, 1, 1, 1))
@@ -414,6 +414,20 @@ def support_components(mask):
     return len({find(x) for x in range(p + q)})
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 5), (8, 13), (30, 20)])
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.2, 0.6, 1.0])
+def test_component_count_matches_union_find(shape, density):
+    # the labeller against the union-find oracle, empty rows and columns and
+    # the zero mask included; a component is a node labelled by itself
+    rng = np.random.default_rng(shape + (int(100 * density),))
+    for _ in range(5):
+        mask = rng.random(shape) < density
+        mask[rng.integers(shape[0])] = False
+        assert tensor_core._components(mask) == support_components(mask)
+        label = tensor_core._component_labels(mask, shape[0])
+        assert np.array_equal(label[label], label) and (label <= np.arange(label.size)).all()
+
+
 @pytest.mark.parametrize("name,m", list(sqrt_cases().items()), ids=list(sqrt_cases()))
 def test_sqrt_rank_matches_reference(chunk_entries, name, m):
     rank, signs = sqrt_rank(m)
@@ -443,7 +457,7 @@ def test_late_minimizer_lies_in_a_later_chunk(monkeypatch):
     index = int(bits @ (1 << np.arange(bits.size - 1, -1, -1)))
     # 9 entries per pattern and 40 entries per chunk make chunks of 4 patterns
     assert (rank, index) == (2, 18)
-    monkeypatch.setattr(tensor_core, "ENUM_CHUNK_ENTRIES", 40)
+    monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", 40)
     later_rank, later_signs = sqrt_rank(LATE)
     assert later_rank == 2
     assert np.array_equal(later_signs, signs)

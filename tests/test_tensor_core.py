@@ -120,6 +120,37 @@ def test_matricize_cut_out_of_range():
         matricize(np.eye(4), 2, out_dims=(2, 2))
 
 
+@pytest.mark.parametrize("out_dims, in_dims", [((2, 2, 2), None), ((2, 3), (4, 1)), ((3,), None)])
+def test_matricize_a_stack_matrix_by_matrix(out_dims, in_dims):
+    # a (..., rows, cols) stack against matricize applied to each matrix;
+    # cut 0 (the one cut of a single site) is the matrix as one row
+    in_dims = in_dims or out_dims
+    rng = np.random.default_rng(4)
+    shape = (2, 3, prod(out_dims), prod(in_dims))
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for cut in range(len(out_dims)):
+        got = matricize(stack, cut, out_dims, in_dims)
+        want = np.array([[matricize(m, cut, out_dims, in_dims) for m in row] for row in stack])
+        assert np.array_equal(got, want)
+    assert np.array_equal(matricize(stack[0, 0], 0, out_dims, in_dims), stack[0, 0].reshape(1, -1))
+    with pytest.raises(UsageError):
+        matricize(stack[..., :-1], 0, out_dims, in_dims)
+
+
+# ---------------------------------------------------------------------------
+# the purification check
+
+
+@pytest.mark.parametrize("side, cols", [(256, 256), (512, 512), (300, 1), (6, 0), (64, 7)])
+def test_gram_residual_is_the_residual_of_the_product(side, cols):
+    # blocks of BLOCK_ENTRIES // side rows: one block at side 256, four at 512
+    rng = np.random.default_rng(side + cols)
+    factor = rng.normal(size=(side, cols)) + 1j * rng.normal(size=(side, cols))
+    exact = factor @ factor.conj().T + 1e-9 * rand_psd(side, rng)
+    got = tensor_core._gram_residual(factor, exact)
+    assert abs(got - relative_residual(factor @ factor.conj().T, exact)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # numerical_rank / svd_split
 
