@@ -696,8 +696,6 @@ def cmd_factorize(args) -> int:
     report = Report("factorize", args.seed)
     report.input = {"path": args.path, "kind": kind, "shape": list(m.shape)}
 
-    r = args.r if args.r is not None else max(numerical_rank(m, args.tol), 1)
-
     # built per call, so that a rebinding of these module names is seen
     searches = {
         "nonnegative": nonneg_factorization_search,
@@ -705,14 +703,15 @@ def cmd_factorize(args) -> int:
         "cp": cp_factorization_search,
     }
     if kind in searches:
+        # only the searches read r, so only they pay for the rank's SVD
+        r = args.r if args.r is not None else max(numerical_rank(m, args.tol), 1)
         cert = searches[kind](m, r, args.restarts, seed=args.seed)
+        if cert is None:
+            report.add("certificate", found=False, kind=kind, r=r)
+            report.emit(args.json)
+            return EXIT_NOT_FOUND
     else:
         cert = _matrix_certificate(kind, m, rel_tol=args.tol, sign_budget=args.budget)
-
-    if cert is None:
-        report.add("certificate", found=False, kind=kind, r=r)
-        report.emit(args.json)
-        return EXIT_NOT_FOUND
     doc = certificate_doc(m, cert)
     report.add(
         "certificate",
@@ -879,8 +878,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget": dict(
             type=int,
             default=DEFAULT_SIGN_BUDGET,
-            help="most sign patterns one sign walk may rank, counted after its pins: over it, "
-            "sqrt (and convert's q_sqrt_rank) refuses and cpsdt keeps the all-positive root",
+            help="most sign patterns the sqrt and cpsdt sign walks may rank, counted after "
+            "their pins: over it, sqrt refuses (convert --direction both reports it skipped) "
+            "and cpsdt keeps the all-positive root; analyze's q_sqrt_rank has a fixed budget of its own",
         ),
     }
 

@@ -51,6 +51,7 @@ from .tensor_core import (
     nonzero_mask,
     numerical_rank,
     require_sign_budget,
+    root_rank_floor,
 )
 
 #: Acceptance bar for search residuals, relative to max|M|.
@@ -334,18 +335,24 @@ def cpsdt_construct(
     then tr(E_i E_j^T) = |N_ij|^2 = M_ij.  The enumeration pins the first
     sign (a global flip preserves rank), walks the other 2^(k-1) patterns
     in chunks of bounded memory, and keeps the first minimizer in
-    lexicographic order with +1 before -1.  When those 2^(k-1) patterns
-    exceed ``sign_budget`` (the count every sign walk checks) only the
-    all-positive pattern is used.  The reported inner dimension is the
-    rank of the chosen root -- minimal over the enumerated roots, with no
-    optimality claim beyond them.
+    lexicographic order with +1 before -1.  It stops at the first root
+    whose rank reaches ``root_rank_floor`` of the rank of M's kept part,
+    which N o N equals, so no root ranks lower (exact in exact arithmetic;
+    ``tensor_core._root_sign_walk`` states the margin).  The candidates
+    are built exactly symmetric, so they are ranked from ``eigvalsh``
+    (:func:`~mpdo_kit.tensor_core.stacked_numerical_rank`).  When the
+    2^(k-1) patterns exceed ``sign_budget`` (the count every sign walk
+    checks) only the all-positive pattern is used.  The reported inner
+    dimension is the rank of the chosen root -- minimal over the
+    enumerated roots, with no optimality claim beyond them.
     """
     m = as_nonneg(matrix)
     if not is_symmetric(m):
         raise UsageError("cpsdt factorization needs a symmetric matrix")
     m = 0.5 * (m + m.T)
     d = m.shape[0]
-    rows, cols = np.nonzero(np.triu(nonzero_mask(m.ravel(), rel_tol).reshape(d, d)))
+    mask = nonzero_mask(m.ravel(), rel_tol).reshape(d, d)
+    rows, cols = np.nonzero(np.triu(mask))
     k = rows.size
     roots = np.sqrt(m[rows, cols])
 
@@ -361,7 +368,8 @@ def cpsdt_construct(
     except SignBudgetError:  # over budget: the all-positive root
         signs = (1,) * k
     else:
-        signs = min_rank_sign_pattern(k, build, d * d, rel_tol)[1]
+        floor = root_rank_floor(numerical_rank(np.where(mask, m, 0.0), rel_tol))
+        signs = min_rank_sign_pattern(k, build, d * d, rel_tol, floor=floor)[1]
     root = build(np.array([signs], dtype=int))[0][0]
 
     sym = symmetric_factorization(root, rel_tol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -387,9 +387,33 @@ def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def stacked_numerical_rank(stack, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """:func:`numerical_rank` of every matrix in a ``(..., rows, cols)`` stack, by one batched SVD."""
-    s = np.linalg.svd(np.asarray(stack), compute_uv=False)
+    """:func:`numerical_rank` of every matrix in a ``(..., rows, cols)`` stack.
+
+    A square stack that equals its conjugate transpose exactly is ranked
+    from ``abs(eigvalsh)``, the singular values of a Hermitian matrix:
+    ~0.55x the SVD's time on a sign walk's 6 x 6 stacks (2-vCPU Xeon VM).
+    The equality must be exact, since ``eigvalsh`` reads only one
+    triangle.  Any other stack takes one batched SVD.
+    """
+    a = np.asarray(stack)
+    if a.ndim >= 2 and a.shape[-1] == a.shape[-2] and np.array_equal(a, np.swapaxes(a, -1, -2).conj()):
+        s = np.abs(np.linalg.eigvalsh(a))
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
     return np.count_nonzero(nonzero_mask(s, rel_tol), axis=-1)
+
+
+def root_rank_floor(rank: int) -> int:
+    """The least r with r(r + 1)/2 >= ``rank``: no matrix N of rank below it
+    has an entrywise square N o N of rank ``rank``.
+
+    A rank-r N = sum_i a_i b_i^T squares to sum_{i <= j} of the r(r + 1)/2
+    terms (a_i o a_j)(b_i o b_j)^T, the (i, j) and (j, i) terms being equal.
+    """
+    r = isqrt(2 * rank)
+    while r * (r + 1) // 2 < rank:
+        r += 1
+    return r
 
 
 def _component_labels(mask, offset: int) -> np.ndarray:
@@ -545,7 +569,9 @@ def _chunk_ranks(stacks, count: int, bound, rel_tol: float) -> np.ndarray:
     return ranks
 
 
-def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, pinned=None):
+def min_rank_sign_pattern(
+    k: int, build, entries: int, rel_tol: float = DEFAULT_RANK_TOL, pinned=None, floor: int = 1
+):
     """First sign pattern minimizing the numerical rank of a signed candidate.
 
     Patterns s in {+1, -1}^k are walked in lexicographic order, +1 before
@@ -555,17 +581,18 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     a pattern's rank is the largest :func:`stacked_numerical_rank` across
     them (one stack per cut, say).  ``entries`` is the number of matrix
     entries in one pattern's candidate.  The first minimizer is kept, and
-    the walk stops at the first pattern of rank <= 1, which no nonzero
-    candidate can beat.  Returns ``(rank, signs)`` with ``signs`` a tuple
-    of k ints.
+    the walk stops at the first pattern of rank <= ``floor``, a rank the
+    caller knows no candidate goes below (by default 1, which no nonzero
+    candidate can beat), so that pattern is the first minimizer.  Returns
+    ``(rank, signs)`` with ``signs`` a tuple of k ints.
 
     Once a best rank b is known (after the first chunk), a pattern whose
     running maximum over the stacks ranked so far reaches b cannot become
     the new first minimizer, so each later stack of a chunk is ranked only
     on the patterns still below b, and ``build`` is left unconsumed once
     none are.  Such a pattern keeps a rank >= b in place of its exact rank;
-    it is >= 2, as the walk stopped otherwise, so neither the minimizer nor
-    the rank <= 1 stop moves.  Putting the stack most likely to reach b
+    it is above ``floor``, as the walk stopped otherwise, so neither the
+    minimizer nor the stop moves.  Putting the stack most likely to reach b
     first (the cut of largest Schmidt cap, say) drops patterns soonest.
 
     Only one pattern per orbit of a flip group is ranked, the group of 0/1
@@ -580,7 +607,7 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
     lexicographic minimum, because adding a set S of rows sets the smallest
     pivot in S to -1 and leaves every earlier sign alone.  An orbit shares
     one rank, so the full walk's first minimizer and its first pattern of
-    rank <= 1 are pinned, and the pinned walk returns the same pattern.
+    rank <= ``floor`` are pinned, and the pinned walk returns the same pattern.
     Without ``pinned`` only the global flip pins, the first sign.
     """
     if pinned is None:
@@ -598,7 +625,7 @@ def min_rank_sign_pattern(k: int, build, entries: int, rel_tol: float = DEFAULT_
         signs = np.ones((idx.size, k), dtype=int)
         signs[:, free] = 1 - 2 * ((idx[:, None] >> shifts) & 1)
         ranks = _chunk_ranks(build(signs), idx.size, best_rank, rel_tol)
-        done = np.flatnonzero(ranks <= 1)
+        done = np.flatnonzero(ranks <= floor)
         if done.size:
             ranks = ranks[: done[0] + 1]
         j = int(np.argmin(ranks))
@@ -623,6 +650,15 @@ def _root_sign_walk(values, sign_budget: int, rel_tol: float = DEFAULT_RANK_TOL)
     forest's entries (:func:`_forest_pins`).  Otherwise the 1 + sum(d_s)
     flips are eliminated (:func:`_flip_pivots`).  Returns ``(rank, signs)``,
     signs in {-1, 0, +1} of the shape of ``values``.
+
+    At each cut every root squares entrywise to the kept part of ``values``,
+    so no root ranks below the largest :func:`root_rank_floor` of that
+    part's ranks, and the walk stops at the first pattern that reaches it
+    (the engine's ``floor``).  The bound is exact in exact arithmetic.
+    Under the nonzero rule it can fail only at the margin: a root whose
+    smallest kept singular value sits near ``rel_tol`` may square to a
+    matrix of numerical rank above r(r + 1)/2, and the walk may then stop
+    before a later pattern of lower rank.
     """
     dims = values.shape
     mask = nonzero_mask(values.ravel(), rel_tol).reshape(dims)
@@ -637,13 +673,15 @@ def _root_sign_walk(values, sign_budget: int, rel_tol: float = DEFAULT_RANK_TOL)
         require_sign_budget(k, int(np.count_nonzero(pinned)), sign_budget)
     roots = np.sqrt(values[support])
     cuts = _cuts_widest_first(dims)
+    square = np.where(mask, values, 0.0)
+    floor = max(root_rank_floor(numerical_rank(square.reshape(prod(dims[:cut]), -1), rel_tol)) for cut in cuts)
 
     def build(patterns):
         stack = np.zeros((len(patterns),) + dims)
         stack[(slice(None),) + support] = patterns * roots
         return [stack.reshape(len(patterns), prod(dims[:cut]), -1) for cut in cuts]
 
-    rank, best = min_rank_sign_pattern(k, build, values.size, rel_tol, pinned=pinned)
+    rank, best = min_rank_sign_pattern(k, build, values.size, rel_tol, pinned=pinned, floor=floor)
     signs = np.zeros(dims, dtype=int)
     signs[support] = best
     return rank, signs

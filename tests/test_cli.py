@@ -710,6 +710,19 @@ def test_factorize_default_r_is_the_numerical_rank(tmp_path, capsys):
     assert entry_named(doc, "state_certificate")["inner_dim"] == 2
 
 
+@pytest.mark.parametrize("kind", ["minimal", "symmetric", "cpsdt", "sqrt"])
+def test_factorize_ranks_for_the_default_r_only_in_the_searches(tmp_path, capsys, monkeypatch, kind):
+    # only nonnegative, psd and cp read r; the other kinds skip its SVD
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorize ranked the input for an r it does not read")
+
+    monkeypatch.setattr(cli, "numerical_rank", refuse)
+    path = write_csv_matrix(tmp_path / "m.csv", [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    code, doc = run_json(capsys, ["factorize", path, "--kind", kind, "--json"])
+    assert code == EXIT_OK
+    assert entry_named(doc, "certificate")["found"] is True
+
+
 def test_factorize_unknown_kind(tmp_path, capsys):
     path = write_csv_matrix(tmp_path / "m.csv", np.eye(2))
     code = main(["factorize", path, "--kind", "bogus"])

@@ -142,6 +142,89 @@ def test_stacked_rank_matches_numerical_rank():
         stacked_numerical_rank(stack, rel_tol=1.0)
 
 
+def svd_ranks(stack, rel_tol=1e-10):
+    """The oracle: one SVD per member, ranked by the nonzero rule."""
+    out = []
+    for member in stack:
+        s = np.linalg.svd(member, compute_uv=False)
+        out.append(int(np.count_nonzero(s > rel_tol * s.max(initial=0.0))))
+    return out
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Record ``(name, ndim)`` of every ``np.linalg.svd`` and ``eigvalsh`` call."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.ndim(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+#: Eigenvalues of the Hermitian stacks below relative to a member's largest,
+#: +-1: kept ones down to 1.5x the nonzero rule's 1e-10, dropped ones up to
+#: half of it, and zeros.
+SPECTRUM_VALUES = (1.0, -1.0, 0.3, -2e-3, 1.5e-10, -4e-10, 5e-11, -3e-11, 0.0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    size=st.integers(1, 6),
+    count=st.integers(1, 4),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_hermitian_stack_ranks_match_the_svd(size, count, complex_, seed, data):
+    # real-symmetric and complex-Hermitian members of random rank, the zero
+    # matrix, 1 x 1, and kept eigenvalues near rel_tol, all on eigvalsh
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((count, size, size), dtype=complex if complex_ else float)
+    for member in stack:
+        top = data.draw(st.sampled_from((0.0, 1.0, 1e-3, 1e6)))
+        rest = data.draw(st.lists(st.sampled_from(SPECTRUM_VALUES), min_size=size - 1, max_size=size - 1))
+        w = top * np.array([data.draw(st.sampled_from((1.0, -1.0)))] + rest)
+        x = rng.normal(size=(size, size)) + (1j * rng.normal(size=(size, size)) if complex_ else 0)
+        q, _ = np.linalg.qr(x)
+        h = (q * w) @ q.conj().T
+        member[...] = (h + h.conj().T) / 2  # exactly Hermitian
+    expected = svd_ranks(stack)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        real = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.ndim(a))
+            return real(a, *args, **kwargs)
+
+        mp.setattr(np.linalg, "svd", spy)
+        got = stacked_numerical_rank(stack).tolist()
+    assert calls == []
+    assert got == expected
+
+
+def test_non_hermitian_stacks_stay_on_the_svd(linalg_calls):
+    rng = np.random.default_rng(15)
+    square = rng.normal(size=(5, 4, 4))
+    sym = square + np.swapaxes(square, 1, 2)
+    # one member off in one entry of one triangle, which eigvalsh would not read
+    one_off = sym.copy()
+    one_off[2, 0, 3] += 1.0
+    # complex symmetric, not Hermitian
+    csym = sym + 1j * sym
+    hermitian = sym + 1j * (square - np.swapaxes(square, 1, 2))
+    for stack, route in [(square, "svd"), (one_off, "svd"), (csym, "svd"), (sym, "eigvalsh"), (hermitian, "eigvalsh")]:
+        expected = svd_ranks(stack)
+        linalg_calls.clear()
+        assert stacked_numerical_rank(stack).tolist() == expected
+        assert linalg_calls == [(route, 3)]
+
+
 def table_build(table, seen):
     """Candidates whose rank is read off ``table`` by pattern index."""
     k = int(np.log2(len(table))) + 1
@@ -193,16 +276,16 @@ def test_engine_k0_ranks_the_single_empty_pattern():
 # the engine's bound across stacks
 
 
-def unbounded_reference(table):
+def unbounded_reference(table, floor=1):
     """The global-flip walk over ``table[pattern][stack]`` ranks: every stack
-    ranked, the first minimizer of the largest kept, stop at rank <= 1."""
+    ranked, the first minimizer of the largest kept, stop at rank <= floor."""
     k = int(np.log2(len(table))) + 1
     best = None
     for index, row in enumerate(table):
         rank = max(row)
         if best is None or rank < best[0]:
             best = (rank, (1,) + tuple(1 - 2 * ((index >> np.arange(k - 2, -1, -1)) & 1)))
-            if rank <= 1:
+            if rank <= floor:
                 break
     return best
 
@@ -227,11 +310,13 @@ def stacked_table_build(table, built):
 
 @pytest.fixture
 def counted_ranks(monkeypatch):
-    """Record the number of candidates each stacked rank call takes."""
+    """Record the number of candidates each stacked rank call takes; a
+    2-D matrix is no stack of candidates but a rank the walk's floor reads."""
     calls = []
 
     def counting(stack, rel_tol):
-        calls.append(len(stack))
+        if np.ndim(stack) == 3:
+            calls.append(len(stack))
         return stacked_numerical_rank(stack, rel_tol)
 
     monkeypatch.setattr(tensor_core, "stacked_numerical_rank", counting)
@@ -243,10 +328,11 @@ def counted_ranks(monkeypatch):
     k=st.integers(1, 6),
     stacks=st.integers(1, 4),
     chunk=st.integers(1, 4),
+    floor=st.integers(1, 4),
     data=st.data(),
 )
-def test_bounded_walk_matches_the_unbounded_reference(k, stacks, chunk, data):
-    # ranks 0..4 over few values: ties, and stops at rank <= 1 anywhere
+def test_bounded_walk_matches_the_unbounded_reference(k, stacks, chunk, floor, data):
+    # ranks 0..4 over few values: ties, and stops at rank <= floor anywhere
     table = data.draw(
         st.lists(
             st.lists(st.integers(0, 4), min_size=stacks, max_size=stacks),
@@ -254,11 +340,15 @@ def test_bounded_walk_matches_the_unbounded_reference(k, stacks, chunk, data):
             max_size=2 ** (k - 1),
         )
     )
-    build, _ = stacked_table_build(table, [])
+    # the same ranks raised to the floor: one no pattern ranks below, which
+    # must leave the answer of the walk that stops only at rank <= 1
+    certified = [[max(rank, floor) for rank in row] for row in table]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor_core, "BLOCK_ENTRIES", chunk * 16)
-        got = min_rank_sign_pattern(k, build, entries=16)
-    assert got == unbounded_reference(table)
+        got = min_rank_sign_pattern(k, stacked_table_build(table, [])[0], entries=16, floor=floor)
+        got_certified = min_rank_sign_pattern(k, stacked_table_build(certified, [])[0], entries=16, floor=floor)
+    assert got == unbounded_reference(table, floor)
+    assert got_certified == unbounded_reference(certified)
 
 
 def test_later_stacks_of_a_chunk_are_ranked_only_below_the_best(counted_ranks, monkeypatch):
@@ -440,8 +530,10 @@ def test_sqrt_rank_matches_reference(chunk_entries, name, m):
     "name", ["random0", "random3", "three-blocks", "late-minimizer-beside-a-block", "zero-row",
              "zero-column", "zero-row-and-column", "late-minimizer", "dense-4x5"]
 )
-def test_sqrt_rank_walks_one_pattern_per_row_and_column_flip_orbit(counted_ranks, name):
-    # no root of these is rank <= 1 (M is not rank 1), so the walk never stops early
+def test_sqrt_rank_walks_one_pattern_per_row_and_column_flip_orbit(counted_ranks, monkeypatch, name):
+    # with the floor stop off, the stop is rank <= 1, and no root of these
+    # is rank <= 1 (M is not rank 1), so the walk never stops early
+    monkeypatch.setattr(tensor_core, "root_rank_floor", lambda rank: 1)
     m = sqrt_cases()[name] if name != "dense-4x5" else np.random.default_rng(8).uniform(0.25, 4.0, (4, 5))
     mask = m > 0
     k = int(mask.sum())
@@ -449,6 +541,69 @@ def test_sqrt_rank_walks_one_pattern_per_row_and_column_flip_orbit(counted_ranks
     assert np.linalg.matrix_rank(m) > 1
     sqrt_rank(m)
     assert sum(counted_ranks) == 2 ** (k - pins)
+
+
+def squared_distances(n):
+    """(i - j)^2, n x n: rank 3, and the root i - j of sign (i - j) has rank 2."""
+    i = np.arange(n, dtype=float)
+    return (i[:, None] - i[None, :]) ** 2
+
+
+@pytest.mark.parametrize("n,chunk,ranked", [(5, 1, 312), (6, None, 20 * 1820)])
+def test_sqrt_rank_stops_at_the_certified_floor(counted_ranks, monkeypatch, n, chunk, ranked):
+    # rank 3 has the floor 2 (2 * 3 / 2 >= 3), which the first rank-2 root
+    # reaches: pattern 312 of 2^11 at n = 5 (chunks of one pattern), pattern
+    # 36,080 of 2^19 at n = 6, in the 20th chunk of 1820
+    m = squared_distances(n)
+    if chunk is not None:
+        monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", chunk * m.size)
+    assert tensor_core.root_rank_floor(numerical_rank(m)) == 2
+    rank, signs = sqrt_rank(m)
+    assert rank == 2 and sum(counted_ranks) == ranked
+    assert numerical_rank(signs * np.sqrt(m)) == 2
+    if n == 5:
+        # without the floor no root is of rank <= 1, so all 2^11 are ranked
+        counted_ranks.clear()
+        monkeypatch.setattr(tensor_core, "root_rank_floor", lambda rank: 1)
+        full_rank, full_signs = sqrt_rank(m)
+        assert full_rank == rank and np.array_equal(full_signs, signs)
+        assert sum(counted_ranks) == 2**11
+
+
+@pytest.mark.parametrize("rank", range(0, 30))
+def test_root_rank_floor_is_the_least_r_whose_square_can_reach_the_rank(rank):
+    r = tensor_core.root_rank_floor(rank)
+    assert r * (r + 1) // 2 >= rank
+    assert r == 0 or (r - 1) * r // 2 < rank
+
+
+def margin_roots():
+    """Roots of rank 2 or 3 whose smallest kept singular value sits near the
+    nonzero rule's 1e-10, or whose next one lies just below it."""
+    cases = {}
+    for shape in ((3, 3), (3, 4), (4, 4)):
+        for smallest in (1.5e-10, 3e-10, 1e-9, 8e-11, 5e-11):
+            for seed in range(3):
+                rng = np.random.default_rng([seed, *shape])
+                u, _ = np.linalg.qr(rng.normal(size=(shape[0], shape[0])))
+                v, _ = np.linalg.qr(rng.normal(size=(shape[1], shape[1])))
+                spectrum = np.zeros(shape[0])
+                spectrum[:3] = [1.0, 0.6, smallest]
+                cases[f"{shape[0]}x{shape[1]}-{smallest:g}-{seed}"] = (u * spectrum) @ v[:, : shape[0]].T
+    return cases
+
+
+@pytest.mark.parametrize("name,root", list(margin_roots().items()), ids=list(margin_roots()))
+def test_floor_stop_at_the_margin(monkeypatch, name, root):
+    # the entrywise square of these roots has numerical rank within
+    # r(r + 1)/2 of the least root's, so the floor stop keeps the walk's
+    # answer, sign for sign
+    m = root * root
+    rank, signs = sqrt_rank(m)
+    assert tensor_core.root_rank_floor(numerical_rank(m)) <= rank
+    monkeypatch.setattr(tensor_core, "root_rank_floor", lambda rank: 1)
+    full_rank, full_signs = sqrt_rank(m)
+    assert rank == full_rank and np.array_equal(signs, full_signs)
 
 
 def test_late_minimizer_lies_in_a_later_chunk(monkeypatch):
@@ -493,6 +648,46 @@ def test_cpsdt_falls_back_to_the_positive_root_above_budget():
     m[0, 1] = m[1, 0] = 4.0
     cert = cpsdt_construct(m, sign_budget=2)
     assert np.array_equal(cert.payload["root"], np.sqrt(m))
+
+
+def svd_only_rank(stack, rel_tol=1e-10):
+    """``stacked_numerical_rank`` as it was before the eigvalsh route: one batched SVD."""
+    sv = np.linalg.svd(np.asarray(stack), compute_uv=False)
+    return np.count_nonzero(tensor_core.nonzero_mask(sv, rel_tol), axis=-1)
+
+
+def random_symmetric_supports():
+    rng = np.random.default_rng(16)
+    cases = []
+    for t in range(12):
+        d = int(rng.integers(2, 7))
+        rows, cols = np.triu_indices(d)
+        pick = rng.choice(rows.size, int(rng.integers(1, min(rows.size, 11) + 1)), replace=False)
+        m = np.zeros((d, d))
+        m[rows[pick], cols[pick]] = m[cols[pick], rows[pick]] = rng.uniform(0.25, 4.0, pick.size)
+        cases.append(m)
+    return cases
+
+
+@pytest.mark.parametrize("m", random_symmetric_supports())
+def test_cpsdt_is_bit_identical_to_the_svd_only_route(monkeypatch, m):
+    cert = cpsdt_construct(m)
+    monkeypatch.setattr(tensor_core, "stacked_numerical_rank", svd_only_rank)
+    ref = cpsdt_construct(m)
+    assert cert.inner_dim == ref.inner_dim
+    assert cert.residual == ref.residual
+    assert np.array_equal(cert.payload["root"], ref.payload["root"])
+    assert all(np.array_equal(a, b) for a, b in zip(cert.payload["E"], ref.payload["E"], strict=True))
+
+
+def test_cpsdt_walk_takes_no_batched_svd(linalg_calls):
+    # the walk's candidates are built exactly symmetric, so every chunk is
+    # ranked by eigvalsh; a build that loses the symmetry fails here
+    m = random_symmetric_supports()[3]
+    assert np.count_nonzero(np.triu(m)) == 10
+    cpsdt_construct(m)
+    assert ("eigvalsh", 3) in linalg_calls
+    assert not [call for call in linalg_calls if call[0] == "svd" and call[1] >= 3]
 
 
 def diagonal_cases():
@@ -592,7 +787,8 @@ def test_q_sqrt_diagonal_walks_one_pattern_per_site_flip_orbit(monkeypatch):
     ranked = []
 
     def counting(stack, rel_tol):
-        ranked.append(len(stack))
+        if np.ndim(stack) == 3:  # candidates, not the floor's ranks of the diagonal
+            ranked.append(len(stack))
         return stacked_numerical_rank(stack, rel_tol)
 
     monkeypatch.setattr(tensor_core, "stacked_numerical_rank", counting)
@@ -606,7 +802,8 @@ def test_q_sqrt_rank_ranks_the_cut_of_largest_schmidt_cap_first(monkeypatch):
     shapes = []
 
     def recording(stack, rel_tol):
-        shapes.append(stack.shape[1:])
+        if np.ndim(stack) == 3:  # candidates, not the floor's ranks of the diagonal
+            shapes.append(stack.shape[1:])
         return stacked_numerical_rank(stack, rel_tol)
 
     monkeypatch.setattr(tensor_core, "stacked_numerical_rank", recording)
@@ -716,7 +913,7 @@ def test_sign_budget_count_is_the_walk_of_the_row_and_column_flips(name, mask, m
     # the walk hands the engine those pins, within a budget of exactly 2^free
     handed = []
 
-    def engine(k, build, entries, rel_tol, pinned=None):
+    def engine(k, build, entries, rel_tol, pinned=None, floor=1):
         handed.append(pinned)
         return 0, (1,) * k
 
