@@ -639,7 +639,7 @@ def cmd_analyze(args) -> int:
     # handed the only reference and frees them before its sweep
     spectrum = [clipped_spectrum(op, args.tol)]
     try:
-        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum[0], diagonal=diagonal)
+        q_rank, _ = q_sqrt_rank(op, rel_tol=args.tol, spectrum=spectrum[0], diagonal=diagonal, osr=osr)
     except SignBudgetError:  # its walk is over budget: no entry
         q_rank = None
     puri = local_purification_spectral(op, rel_tol=args.tol, spectrum=spectrum.pop())

@@ -376,6 +376,7 @@ def q_sqrt_rank(
     rel_tol: float = DEFAULT_RANK_TOL,
     spectrum=None,
     diagonal: bool | None = None,
+    osr: int | None = None,
 ):
     """Minimal Schmidt rank over sign choices of the Hermitian square roots.
 
@@ -396,6 +397,20 @@ def q_sqrt_rank(
     path reads it.  ``diagonal`` is :func:`is_diagonal` of rho, for a
     caller that already tested it; by default it is tested here.  Returns
     ``(rank, SignVector)``.
+
+    A Hermitian root tau of rho has ``rank_c(tau)^2 >= rank_c(rho)`` at
+    every cut c, since ``rho = tau tau`` and the Schmidt rank of a product
+    is at most the product of the ranks.  So no candidate ranks below
+    ``ceil(sqrt(osr(rho)))``, the largest of these per-cut floors, and the
+    non-diagonal walk stops at the first pattern that reaches it (the
+    engine's ``floor``).  ``osr`` is :func:`operator_schmidt_rank` of rho
+    at the same tolerance, for a caller that already has it; by default it
+    is computed here once the budget check has passed.  The bound is exact
+    in exact arithmetic.  Under the nonzero rule it can fail only at the
+    margin: ``osr`` is rho's own while the candidates square to its kept
+    part, and a root whose smallest kept singular values sit near
+    ``rel_tol`` may square to a matrix of numerical rank above its own
+    squared, so the walk may then stop before a later pattern of lower rank.
     """
     dims = rho.sites.dims
     if is_diagonal(rho) if diagonal is None else diagonal:
@@ -406,6 +421,8 @@ def q_sqrt_rank(
     lam, vec = spectrum if spectrum is not None else clipped_spectrum(rho, rel_tol)
     r = lam.size
     require_sign_budget(r, 1, sign_budget, "nonzero eigenvalues")
+    if osr is None:
+        osr = operator_schmidt_rank(rho, rel_tol=rel_tol)
     roots = np.sqrt(lam)
     cuts = _cuts_widest_first(dims)
 
@@ -415,7 +432,8 @@ def q_sqrt_rank(
         for cut in cuts:
             yield matricize(taus, cut, dims)
 
-    rank, signs = min_rank_sign_pattern(r, build, rho.sites.total_dim**2, rel_tol)
+    floor = max(ceil(sqrt(osr)), 1)
+    rank, signs = min_rank_sign_pattern(r, build, rho.sites.total_dim**2, rel_tol, floor=floor)
     return rank, SignVector(signs)
 
 

@@ -393,14 +393,34 @@ def stacked_numerical_rank(stack, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
     from ``abs(eigvalsh)``, the singular values of a Hermitian matrix:
     ~0.55x the SVD's time on a sign walk's 6 x 6 stacks (2-vCPU Xeon VM).
     The equality must be exact, since ``eigvalsh`` reads only one
-    triangle.  Any other stack takes one batched SVD.
+    triangle.  Any other stack of at least ``SCREEN_MIN_ENTRIES`` entries
+    in all is first put to :func:`_full_rank_screen`.  When it proves every
+    matrix full rank, each is ranked ``min(rows, cols)`` with no SVD: the
+    screen's rounding argument holds matrix by matrix, and its pass means
+    the nonzero rule would keep every singular value.  Every other stack
+    takes one batched SVD.  A stack with a non-finite entry has no rank
+    (:class:`UsageError`), read off the few values LAPACK returns.
     """
+    _check_rel_tol(rel_tol)
     a = np.asarray(stack)
-    if a.ndim >= 2 and a.shape[-1] == a.shape[-2] and np.array_equal(a, np.swapaxes(a, -1, -2).conj()):
-        s = np.abs(np.linalg.eigvalsh(a))
-    else:
-        s = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(nonzero_mask(s, rel_tol), axis=-1)
+    hermitian = a.ndim >= 2 and a.shape[-1] == a.shape[-2] and np.array_equal(a, np.swapaxes(a, -1, -2).conj())
+    if not hermitian and a.size >= SCREEN_MIN_ENTRIES and _full_rank_screen(a, rel_tol):
+        return np.full(a.shape[:-2], min(a.shape[-2:]), dtype=np.intp)
+    try:
+        s = np.abs(np.linalg.eigvalsh(a)) if hermitian else np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as err:  # a NaN entry stops LAPACK's iteration
+        raise UsageError(f"cannot rank a stack of shape {a.shape}: {err}") from err
+    return np.count_nonzero(nonzero_mask(_finite(s), rel_tol), axis=-1)
+
+
+def _finite(values) -> np.ndarray:
+    """``values``, singular values or eigenvalues, when all are finite, and
+    :class:`UsageError` otherwise: LAPACK returns NaN for a matrix with an
+    infinite entry.  A NaN entry never takes the ``eigvalsh`` route, which
+    can return finite values for it, since NaN differs from itself."""
+    if not np.isfinite(values).all():
+        raise UsageError("a matrix with a non-finite entry has no numerical rank")
+    return values
 
 
 def root_rank_floor(rank: int) -> int:
@@ -687,12 +707,13 @@ def _root_sign_walk(values, sign_budget: int, rel_tol: float = DEFAULT_RANK_TOL)
     return rank, signs
 
 
-#: Splits of fewer matrix entries than this go straight to the SVD in
-#: :func:`svd_split`, without the full-rank screen.  On a 2-vCPU Xeon VM a
-#: screen that fails (a rank-deficient split) adds 65-80% to the SVD split
-#: of 64 or fewer entries and 12-31% at 4096; one that passes saves 28-85%
-#: of the split at 4096 entries and more above.  The `experiment bounds`
-#: sweep makes ~1,500 splits of 16 to 64 entries, almost all rank-deficient.
+#: Stacks of fewer matrix entries than this, counted over the whole stack,
+#: go straight to the SVD in :func:`svd_split` and
+#: :func:`stacked_numerical_rank`, without the full-rank screen.  The
+#: threshold rests on cost alone: on a 2-vCPU Xeon VM a screen that fails
+#: (a rank-deficient matrix) adds 65-80% to the SVD split of 64 or fewer
+#: entries and 12-31% at 4096, and one that passes saves 28-85% of the
+#: split at 4096 entries and more above.
 SCREEN_MIN_ENTRIES = 4096
 
 #: Multiple of ``(k + m + 2) * eps * tr(G)`` in the shift of the full-rank
@@ -701,28 +722,31 @@ SCREEN_MIN_ENTRIES = 4096
 SCREEN_ROUNDOFF = 8
 
 
-def _full_rank_screen(matrix, rel_tol: float) -> bool:
-    """True only when every singular value of ``matrix`` is at least
-    ``2 * rel_tol`` times the largest, in exact arithmetic.
+def _full_rank_screen(stack, rel_tol: float) -> bool:
+    """True only when, in every matrix of a ``(..., rows, cols)`` stack (a
+    2-D matrix is a stack of one), every singular value is at least
+    ``2 * rel_tol`` times that matrix's largest, in exact arithmetic.
 
-    G is the small Gram matrix, ``A A^dag`` (m x m, inner length k = cols)
-    for a wide A and ``A^dag A`` (m = cols, k = rows) for a tall one; its
-    eigenvalues are the squared singular values.  G is summed over blocks
-    of at most ``BLOCK_ENTRIES`` entries along the long side, columns of a
-    wide A and rows of a tall one, so only one block's conjugate is ever
-    copied, never the whole matrix.  The screen asks for a Cholesky
-    factorization of ``G - tau I`` with
+    Each matrix A has its small Gram matrix G, ``A A^dag`` (m x m, inner
+    length k = cols) for wide matrices and ``A^dag A`` (m = cols, k = rows)
+    for tall ones; its eigenvalues are A's squared singular values.  The
+    Gram matrices are summed over blocks along the long side, columns of
+    wide matrices and rows of tall ones, each block holding at most
+    ``BLOCK_ENTRIES`` entries of the whole stack, so only one block's
+    conjugate is ever copied, never the stack.  The screen asks for a
+    Cholesky factorization of every ``G - tau I``, all in one batched call,
+    with the matrix's own shift
 
         tau = (4 rel_tol^2 + SCREEN_ROUNDOFF (k + m + 2) eps) tr(G),
 
-    tr(G) read off the computed Gram matrix.  The error bound: each entry of
-    the computed Gram matrix is still one complex inner product of length
-    k, only summed in another order, block partial sums first, and the
-    bound holds for any order of the sum: the entry is within about
-    ``2 sqrt(2) (k + 1) eps/2`` of its exact value relative to ``|a_i|
-    |a_j|`` (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    sections 3.1 and 3.6), which puts the whole Gram matrix within that
-    multiple of tr(G) in norm.  A Cholesky factorization
+    tr(G) read off the computed Gram matrix.  The error bound, matrix by
+    matrix: each entry of the computed Gram matrix is still one complex
+    inner product of length k, only summed in another order, block partial
+    sums first, and the bound holds for any order of the sum: the entry is
+    within about ``2 sqrt(2) (k + 1) eps/2`` of its exact value relative to
+    ``|a_i| |a_j|`` (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sections 3.1 and 3.6), which puts the whole Gram matrix within
+    that multiple of tr(G) in norm.  A Cholesky factorization
     that runs to completion on an m x m matrix H factors H + dH exactly,
     with ``|dH| <= gamma |R^dag| |R|`` entrywise (Higham, theorem 10.3), so
     ``||dH|| <= 2 sqrt(2) (m + 1) eps/2 tr(H)`` in norm for complex entries.
@@ -730,36 +754,39 @@ def _full_rank_screen(matrix, rel_tol: float) -> bool:
     ``(k + m) eps/2`` relative.  SCREEN_ROUNDOFF = 8 covers the sum of these
     terms with fivefold room.  Asking ``tr(G) >= tiny / eps`` keeps the
     absolute rounding of subnormal products below ``eps tr(G)``, and an
-    overflow or a NaN fails that trace test.
+    overflow or a NaN fails that trace test; one matrix that fails it, or
+    whose factorization stops, fails the stack.
 
     So success gives ``lambda_min(G) >= 4 rel_tol^2 tr(G) >= 4 rel_tol^2
-    sigma_max^2``, i.e. ``sigma_min >= 2 rel_tol sigma_max``.  The SVD's own
-    singular values are within a small multiple of ``eps sigma_max`` of the
-    exact ones, far less than ``rel_tol sigma_max`` here (tau alone asks for
-    ``sigma_min / sigma_max`` above about ``sqrt(8 (k + m) eps)``), so the
-    nonzero rule on them would keep every one: the rank is ``min(rows,
-    cols)``.  Cholesky stops at the first pivot that is not positive, so a
-    rank-deficient matrix fails after about its rank's worth of columns.
+    sigma_max^2``, i.e. ``sigma_min >= 2 rel_tol sigma_max``, for each
+    matrix.  The SVD's own singular values are within a small multiple of
+    ``eps sigma_max`` of the exact ones, far less than ``rel_tol
+    sigma_max`` here (tau alone asks for ``sigma_min / sigma_max`` above
+    about ``sqrt(8 (k + m) eps)``), so the nonzero rule on them would keep
+    every one: each rank is ``min(rows, cols)``.  Cholesky stops at the
+    first pivot that is not positive, so a rank-deficient matrix fails
+    after about its rank's worth of columns.
     """
-    rows, cols = matrix.shape
+    *lead, rows, cols = stack.shape
     wide = rows <= cols
     size, length = (rows, cols) if wide else (cols, rows)
-    step = max(1, BLOCK_ENTRIES // max(size, 1))
-    gram = np.zeros((size, size), dtype=np.result_type(matrix, 1.0))
+    step = max(1, BLOCK_ENTRIES // max(prod(lead) * size, 1))
+    gram = np.zeros((*lead, size, size), dtype=np.result_type(stack, 1.0))
     with np.errstate(over="ignore", invalid="ignore"):  # fails the trace test below
         for lo in range(0, length, step):
             if wide:
-                block = matrix[:, lo : lo + step]
-                gram += block @ block.conj().T
+                block = stack[..., lo : lo + step]
+                gram += block @ np.swapaxes(block.conj(), -1, -2)
             else:
-                block = matrix[lo : lo + step]
-                gram += block.conj().T @ block
-    trace = float(np.trace(gram).real)
+                block = stack[..., lo : lo + step, :]
+                gram += np.swapaxes(block.conj(), -1, -2) @ block
+    trace = np.trace(gram, axis1=-2, axis2=-1).real
     eps = np.finfo(float).eps
-    if not np.finfo(float).tiny / eps <= trace < np.inf:
+    if not np.all((np.finfo(float).tiny / eps <= trace) & (trace < np.inf)):
         return False
     tau = (4.0 * rel_tol**2 + SCREEN_ROUNDOFF * (length + size + 2) * eps) * trace
-    gram.flat[:: size + 1] -= tau
+    diag = np.arange(size)
+    gram[..., diag, diag] -= tau[..., None]
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -783,22 +810,26 @@ def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     full rank included, is split by the SVD: ``left`` holds the kept left
     singular vectors and ``right`` is ``S @ Vh``.
     :func:`~mpdo_kit.decompositions.mpo_train_form` hands every full-rank
-    cut over from its wide side.
+    cut over from its wide side.  A matrix with a non-finite entry, which
+    the screen refuses, raises :class:`UsageError`.
     """
     matrix = np.asarray(matrix, dtype=complex)
     _check_rel_tol(rel_tol)
     rows, cols = matrix.shape
     if rows <= cols and rows * cols >= SCREEN_MIN_ENTRIES and _full_rank_screen(matrix, rel_tol):
         return np.eye(rows, dtype=complex), matrix, rows
-    if rows < cols:
-        # LAPACK's wide path runs 2-3x slower than its tall path on the
-        # transpose (a 256 x 1024 split: 0.17 s against 0.08 s, 2-vCPU Xeon);
-        # matrix.T = A S B^dag gives matrix = conj(B) S A^T
-        a, s, bh = np.linalg.svd(matrix.T, full_matrices=False)
-        u, vh = bh.T, a.T
-    else:
-        u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    r = int(np.count_nonzero(nonzero_mask(s, rel_tol)))
+    try:
+        if rows < cols:
+            # LAPACK's wide path runs 2-3x slower than its tall path on the
+            # transpose (a 256 x 1024 split: 0.17 s against 0.08 s, 2-vCPU Xeon);
+            # matrix.T = A S B^dag gives matrix = conj(B) S A^T
+            a, s, bh = np.linalg.svd(matrix.T, full_matrices=False)
+            u, vh = bh.T, a.T
+        else:
+            u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError as err:  # a NaN entry stops LAPACK's iteration
+        raise UsageError(f"cannot split a {rows} x {cols} matrix: {err}") from err
+    r = int(np.count_nonzero(nonzero_mask(_finite(s), rel_tol)))
     return u[:, :r], s[:r, None] * vh[:r], r
 
 

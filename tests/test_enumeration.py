@@ -839,6 +839,91 @@ def test_q_sqrt_dense_matches_reference(chunk_entries, name, case):
     assert (rank, signs.signs) == reference_q_sqrt_dense(rho, dims)
 
 
+def hermitian_sum_of_products(rng, dims, terms):
+    """A Hermitian operator of operator Schmidt rank <= ``terms`` at every
+    cut: a sum of ``terms`` Kronecker products of Hermitian factors."""
+    total = 0
+    for _ in range(terms):
+        factors = [x + x.conj().T for x in (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims)]
+        total = total + functools.reduce(np.kron, factors)
+    return total
+
+
+def spectral_floor_cases():
+    rng = np.random.default_rng(46)
+    cases = {}
+    for t, dims in enumerate([(2, 2), (2, 2, 2), (2, 3), (3, 2, 2), (2, 2, 2), (2, 2)]):
+        d = prod(dims)
+        r = int(rng.integers(2, min(d, 7) + 1))
+        x = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        cases[f"random{t}-{'x'.join(map(str, dims))}-r{r}"] = (x @ x.conj().T, dims)
+    # rho = tau^2 for a Hermitian tau of osr 2: some root reaches the floor
+    for t, dims in enumerate([(2, 2, 2), (2, 3), (2, 2, 2)]):
+        tau = hermitian_sum_of_products(rng, dims, 2)
+        cases[f"planted{t}-{'x'.join(map(str, dims))}"] = (tau @ tau, dims)
+    return cases
+
+
+@pytest.mark.parametrize("name,case", list(spectral_floor_cases().items()), ids=list(spectral_floor_cases()))
+def test_spectral_floor_walk_equals_the_floor_one_walk(chunk_entries, name, case):
+    # osr = 1 gives the floor ceil(sqrt(1)) = 1, the walk before the floor
+    rho, dims = case
+    op = PsdOperator(SiteSpec(dims), rho)
+    rank, signs = q_sqrt_rank(op)
+    assert (rank, signs) == q_sqrt_rank(op, osr=1)
+    assert rank >= np.ceil(np.sqrt(operator_schmidt_rank(op)))
+
+
+def test_a_planted_low_osr_root_stops_the_spectral_walk_early(monkeypatch):
+    # rho = tau^2 with osr(tau) = 2 and osr(rho) = 4: the floor is 2, so the
+    # walk stops at the first root of rank 2; the floor-1 walk ranks all 2^7
+    rng = np.random.default_rng(47)
+    tau = hermitian_sum_of_products(rng, (2, 2, 2), 2)
+    op = PsdOperator(SiteSpec((2, 2, 2)), tau @ tau)
+    assert (numerical_rank(tau), operator_schmidt_rank(tau, (2, 2, 2)), operator_schmidt_rank(op)) == (8, 2, 4)
+    monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", 4 * 64)  # chunks of 4 patterns
+    ranked = []
+
+    def counting(stack, rel_tol):
+        ranked.append(len(stack))
+        return stacked_numerical_rank(stack, rel_tol)
+
+    monkeypatch.setattr(tensor_core, "stacked_numerical_rank", counting)
+    floored = q_sqrt_rank(op)
+    floored_count = sum(ranked)
+    ranked.clear()
+    assert q_sqrt_rank(op, osr=1) == floored
+    assert floored[0] == 2
+    assert floored_count < sum(ranked)
+    assert sum(ranked) >= 2**7
+
+
+def test_the_walks_are_identical_with_the_screen_off(monkeypatch):
+    rng = np.random.default_rng(48)
+    x = rng.normal(size=(32, 10)) + 1j * rng.normal(size=(32, 10))
+    op = PsdOperator(SiteSpec((2,) * 5), x @ x.conj().T)
+    m = rng.uniform(0.25, 4.0, (5, 5))  # 2^16 patterns, in stacks above SCREEN_MIN_ENTRIES
+    sym = random_symmetric_supports()[3]
+    decisions = []
+    screen = tensor_core._full_rank_screen
+
+    def recording(stack, rel_tol):
+        decisions.append(screen(stack, rel_tol))
+        return decisions[-1]
+
+    def walks():
+        (q_rank, q_signs), (rank, signs), cert = q_sqrt_rank(op), sqrt_rank(m), cpsdt_construct(sym)
+        return (q_rank, q_signs.signs, rank, signs.tolist(), cert.inner_dim, cert.residual,
+                cert.payload["root"].tolist(), [e.tolist() for e in cert.payload["E"]])
+
+    monkeypatch.setattr(tensor_core, "_full_rank_screen", recording)
+    on = walks()
+    # the screen proved q_sqrt_rank's rank-10 stacks and sqrt_rank's full-rank ones
+    assert decisions.count(True) >= 8
+    monkeypatch.setattr(tensor_core, "_full_rank_screen", lambda stack, rel_tol: False)
+    assert walks() == on
+
+
 def test_q_sqrt_zero_operator():
     rank, signs = q_sqrt_rank(PsdOperator(SiteSpec((2, 2)), np.zeros((4, 4))))
     assert (rank, signs.signs) == (0, ())

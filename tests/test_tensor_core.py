@@ -1,5 +1,7 @@
+import ast
 from contextlib import nullcontext
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from mpdo_kit.tensor_core import (
     numerical_rank,
     psd_gram_factor,
     relative_residual,
+    stacked_numerical_rank,
     svd_split,
 )
 
@@ -203,6 +206,46 @@ def test_svd_split_rejects_a_bad_rel_tol_before_the_screen():
         svd_split(np.eye(64, 128), rel_tol=0.0)
 
 
+NON_FINITE = {
+    # inf on the diagonal of an exactly Hermitian matrix: the eigvalsh route
+    "inf-hermitian": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "inf": np.array([[np.inf, 1.0], [0.0, 1.0]]),
+    "minus-inf": np.array([[1.0, 0.0], [-np.inf, 1.0]]),
+    # LAPACK's SVD does not converge on a NaN entry
+    "nan": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    "complex-nan": np.array([[1.0, 2.0], [complex(0.0, np.nan), 1.0]]),
+}
+
+
+@pytest.mark.parametrize("a", list(NON_FINITE.values()), ids=list(NON_FINITE))
+def test_a_non_finite_matrix_has_no_rank(a):
+    # numerical_rank returned 0 for inf, and NaN raised numpy's LinAlgError
+    with pytest.raises(UsageError):
+        numerical_rank(a)
+    with pytest.raises(UsageError):
+        svd_split(a)
+    for wide_or_tall in (np.hstack([a, a]), np.vstack([a, a])):
+        with pytest.raises(UsageError):
+            svd_split(wide_or_tall)
+    stack = np.stack([np.eye(2), a, np.eye(2)])
+    with pytest.raises(UsageError):
+        stacked_numerical_rank(stack)
+
+
+def test_a_non_finite_member_fails_the_screen_and_the_stack_has_no_rank():
+    # above SCREEN_MIN_ENTRIES, so the screen sees the stack first
+    rng = np.random.default_rng(43)
+    for bad in (np.nan, np.inf):
+        stack = rng.standard_normal((8, 16, 64))
+        stack[5, 3, 7] = bad
+        assert stack.size >= tensor_core.SCREEN_MIN_ENTRIES
+        assert not tensor_core._full_rank_screen(stack, 1e-10)
+        with pytest.raises(UsageError):
+            stacked_numerical_rank(stack)
+        with pytest.raises(UsageError):
+            svd_split(stack[5].T @ stack[5])
+
+
 # ---------------------------------------------------------------------------
 # the full-rank screen of svd_split
 
@@ -359,14 +402,186 @@ def test_blocked_and_unblocked_screens_decide_alike(monkeypatch, shape, is_compl
         assert decisions == [expected] * 3
 
 
-def test_full_rank_screen_copies_one_block_not_the_matrix(traced_memory):
-    # the conjugate of a 4 x 65536 split was a copy as large as the split
+@pytest.mark.parametrize("shape", [(4, 2**16), (16, 4, 4096), (16, 4096, 4)])
+def test_full_rank_screen_copies_one_block_not_the_matrix(traced_memory, shape):
+    # the conjugate of a 4 x 65536 split was a copy as large as the split;
+    # a stack's blocks count the entries of all its matrices
     rng = np.random.default_rng(40)
-    a = rng.standard_normal((4, 2**16)) + 1j * rng.standard_normal((4, 2**16))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     with traced_memory() as mem:
         assert tensor_core._full_rank_screen(a, 1e-10)
-    assert a.size > 2 * tensor_core.BLOCK_ENTRIES
+    assert a.size >= 4 * tensor_core.BLOCK_ENTRIES
     assert mem.peak - mem.base < 0.3 * a.nbytes
+
+
+#: Members of a stack for the stacked screen, with whether each passes it on
+#: its own: singular values in [0.5, 1]; some of them zero; the zero matrix;
+#: one NaN or infinite entry; a smallest squared singular value at 1 +- 1e-4
+#: of the shift (rel_tol = 1e-3 and two singular values or more only, far
+#: from the rounding of the Gram sums).
+MEMBER_PASSES = {"full": True, "deficient": False, "zero": False, "nan": False, "inf": False,
+                 "above": True, "below": False}
+
+
+def stack_member(kind, shape, rel_tol, rng, is_complex):
+    k = min(shape)
+    if kind in ("above", "below"):
+        return screen_margin_case(shape, 1 + 1e-4 if kind == "above" else 1 - 1e-4, rel_tol, rng, is_complex)
+    s = rng.uniform(0.5, 1.0, k)
+    if kind == "zero":
+        s[:] = 0.0
+    elif kind == "deficient":
+        s[rng.integers(k) :] = 0.0  # at least the smallest
+    a = planted_singular_values(shape, s, rng, is_complex)
+    if kind in ("nan", "inf"):
+        a[tuple(rng.integers(shape))] = np.nan if kind == "nan" else -np.inf
+    return a
+
+
+@st.composite
+def planted_stack(draw):
+    """A ``(count, rows, cols)`` stack of :func:`stack_member` kinds, mostly
+    full rank, with its rel_tol and the kinds."""
+    shape = draw(st.integers(1, 24)), draw(st.integers(1, 48))
+    shape = shape if draw(st.booleans()) else shape[::-1]
+    rel_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-3]))
+    margins = rel_tol == 1e-3 and min(shape) > 1  # a 1 x 1 matrix has no margin below its largest
+    kinds = ["full", "deficient", "zero", "nan", "inf"] + (["above", "below"] if margins else [])
+    mostly_full = st.sampled_from(["full"] * len(kinds) + kinds)
+    members = draw(st.lists(mostly_full, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    is_complex = draw(st.booleans())
+    stack = np.stack([stack_member(kind, shape, rel_tol, rng, is_complex) for kind in members])
+    return stack, rel_tol, members
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(planted_stack())
+def test_stacked_screen_is_sound_against_the_svd(monkeypatch, case):
+    stack, rel_tol, members = case
+    passed = tensor_core._full_rank_screen(stack, rel_tol)
+    # a full-rank member passes on its own, and the stack passes only when every member does
+    assert passed == all(MEMBER_PASSES[kind] for kind in members)
+    if not passed:
+        return
+    k = min(stack.shape[1:])
+    for member in stack:
+        s = np.linalg.svd(member, compute_uv=False)
+        assert np.count_nonzero(s > rel_tol * s[0]) == k
+    monkeypatch.setattr(tensor_core, "SCREEN_MIN_ENTRIES", 0)
+    assert stacked_numerical_rank(stack, rel_tol).tolist() == [k] * len(members)
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 512), (6, 512, 8), (3, 64, 256), (40, 3, 50), (1, 8, 4096)])
+@pytest.mark.parametrize("is_complex", [True, False])
+def test_blocked_and_unblocked_stacked_screens_decide_alike(monkeypatch, shape, is_complex):
+    # Gram matrices summed over long-side blocks of the whole stack against
+    # one product per matrix, down to one column (row) per block: the same
+    # decision on full-rank stacks, stacks with one deficient member and
+    # stacks whose members sit at 1e-4 of the shift either way
+    rng = np.random.default_rng(shape)
+    count, size = shape[0], shape[1:]
+
+    def stack_of(kinds, rel_tol):
+        return np.stack([stack_member(kind, size, rel_tol, rng, is_complex) for kind in kinds])
+
+    one = count // 2
+    cases = [
+        (stack_of(["full"] * count, 1e-10), 1e-10, True),
+        (stack_of(["full"] * one + ["deficient"] + ["full"] * (count - one - 1), 1e-10), 1e-10, False),
+        (stack_of(["above"] * count, 1e-3), 1e-3, True),
+        (stack_of(["above"] * one + ["below"] + ["above"] * (count - one - 1), 1e-3), 1e-3, False),
+    ]
+    for stack, rel_tol, expected in cases:
+        decisions = []
+        for block in (2**40, tensor_core.BLOCK_ENTRIES, 2**10, 1):
+            monkeypatch.setattr(tensor_core, "BLOCK_ENTRIES", block)
+            decisions.append(tensor_core._full_rank_screen(stack, rel_tol))
+        assert decisions == [expected] * 4
+        assert [tensor_core._full_rank_screen(member, rel_tol) for member in stack].count(False) == (not expected)
+
+
+def test_a_screened_stack_is_ranked_with_no_svd(monkeypatch):
+    rng = np.random.default_rng(45)
+    stack = rng.standard_normal((64, 16, 64)) + 1j * rng.standard_normal((64, 16, 64))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert stacked_numerical_rank(stack).tolist() == [16] * 64
+    assert stacked_numerical_rank(np.swapaxes(stack, 1, 2)).tolist() == [16] * 64
+    assert calls == []
+    # one rank-deficient member sends the whole stack to one batched SVD
+    stack[9, 15] = stack[9, 14]
+    assert stacked_numerical_rank(stack).tolist() == [16] * 9 + [15] + [16] * 54
+    assert calls == [stack.shape]
+    # below SCREEN_MIN_ENTRIES in all, no screen is tried
+    monkeypatch.setattr(tensor_core, "_full_rank_screen", None)
+    assert stacked_numerical_rank(stack[:3, :8, :8]).tolist() == [8, 8, 8]
+    assert stack[:3, :8, :8].size < tensor_core.SCREEN_MIN_ENTRIES
+
+
+# tooling guard: one Cholesky, in the one screen, behind the two rankers
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mpdo_kit"
+
+#: Callee -> the only ``(module, function)`` places allowed to call it.
+SCREEN_CALLERS = {
+    "cholesky": {("tensor_core", "_full_rank_screen")},
+    "_full_rank_screen": {("tensor_core", "svd_split"), ("tensor_core", "stacked_numerical_rank")},
+}
+
+
+def screen_calls(source: str, module: str):
+    """``(module, enclosing function path, callee)`` of every call to a name of ``SCREEN_CALLERS``."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in SCREEN_CALLERS:
+                    found.append((module, ".".join(path) or "<module>", name))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_screen_factors_and_only_the_rankers_screen():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(screen_calls(path.read_text(encoding="utf-8"), path.stem))
+    # no call elsewhere, and each allowed caller does call
+    assert found == {(module, function, name) for name, places in SCREEN_CALLERS.items() for module, function in places}
+
+
+def test_screen_guard_flags_calls_outside_their_places():
+    source = (
+        "def _full_rank_screen(a):\n"
+        "    return np.linalg.cholesky(a)\n"
+        "def svd_split(a):\n"
+        "    return _full_rank_screen(a)\n"
+        "def numerical_rank(a):\n"
+        "    def inner():\n"
+        "        return cholesky(a)\n"
+        "    return tensor_core._full_rank_screen(a)\n"
+        "cholesky_like(a)\n"
+    )
+    found = screen_calls(source, "tensor_core")
+    assert [(function, name) for module, function, name in found if (module, function) not in SCREEN_CALLERS[name]] == [
+        ("numerical_rank.inner", "cholesky"),
+        ("numerical_rank", "_full_rank_screen"),
+    ]
 
 
 def test_full_rank_sweep_records_every_cut_screened_and_reproduces_its_input():
