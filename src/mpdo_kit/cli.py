@@ -91,12 +91,16 @@ def _byte_offset(text: str, pos: int) -> int:
 # ingestion and JSON helpers
 
 
-#: Bytes read from an input file at a time.  A JSON document is parsed from
-#: a window of its text (:class:`_JsonWindow`), so neither its bytes nor
-#: its text is ever held whole.
+#: Bytes read from an input file at a time.  A JSON or CSV document is
+#: parsed from a window of its text (:class:`_JsonWindow`), so neither its
+#: bytes nor its text is ever held whole.
 READ_CHUNK_BYTES = 2**20
 
 _START_SPACE = re.compile(r"\s*")
+_CSV_BREAKS = r"\n\v\f\r\x1c-\x1e\x85\u2028\u2029"
+#: A CSV line and its break, as ``str.splitlines`` cuts them: ``\r\n`` is
+#: one break.
+_CSV_LINE = re.compile(rf"[^{_CSV_BREAKS}]*(?:\r\n?|[{_CSV_BREAKS}])?")
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 _JSON_DECODER = json.JSONDecoder()
 
@@ -182,29 +186,34 @@ class _JsonWindow:
     def error(self, exc: _ParseError) -> InputError:
         return InputError(f"{exc.before} at byte {self.byte_offset(exc.pos)}{exc.after}")
 
-    def rest(self) -> str:
-        """The file's whole text; only before anything has been dropped."""
-        return self.text + self.decoder.decode(self.fh.read(), final=True)
-
 
 def _read_input(path: str):
-    """Parse an input file once.
+    """Parse an input file once, a window at a time.
 
     Returns the members of a JSON object document, its ``"data"`` already
-    an array, or the matrix of headerless CSV, which is read whole.
+    an array, or the matrix of headerless CSV.  A leading UTF-8 byte-order
+    mark is skipped in both; byte offsets still count it.
     """
     with open(path, "rb") as fh:
         window = _JsonWindow(fh)
-        if not window.step(_json_start):
-            return _csv_matrix(window.rest())
-        window.pos = 0  # the start test skips \s, wider than JSON's whitespace
-        return _json_object(window)
+        # the start test skips \s, wider than JSON's whitespace and part of
+        # CSV's first line: parsing resumes just past the mark
+        is_json, window.pos = window.step(_json_start)
+        if is_json:
+            return _json_object(window)
+        matrix = decode_matrix(_CsvRows(window), "CSV")
+        if not matrix.size:
+            raise InputError("empty input file")
+        return matrix
 
 
 def _json_start(text: str, pos: int):
-    """Whether the document is JSON, a ``{`` past leading whitespace."""
-    end = _START_SPACE.match(text, pos).end()
-    return text.startswith("{", end), end
+    """Whether the document is JSON, a ``{`` past a byte-order mark and
+    leading whitespace, with the offset just past the mark; and the offset
+    of the ``{``."""
+    start = pos + text.startswith("\ufeff", pos)
+    end = _START_SPACE.match(text, start).end()
+    return (text.startswith("{", end), start), end
 
 
 def _json_value(text: str, pos: int):
@@ -251,23 +260,31 @@ def _row_start(text: str, pos: int):
     return (start, row), end
 
 
-class _JsonRows:
-    """The rows of the JSON array at the cursor of a window, decoded one at
-    a time; once every row has been read the cursor is just past the array.
+class _Rows:
+    """The rows of a matrix in an input file, read one at a time from a
+    window.
 
     ``offset`` is the window offset of the row last read, valid while it is
     being decoded: no step is taken between a row and its decoding.
     """
 
     def __init__(self, window: _JsonWindow):
-        window.step(_json_space)
         self.window, self.offset = window, window.pos
-        if not window.text.startswith("[", window.pos):
-            raise window.error(_ParseError(window.pos, "data must be a list of rows,"))
 
     def byte_offset(self) -> int:
         """The offset in the file of the row last read."""
         return self.window.byte_offset(self.offset)
+
+
+class _JsonRows(_Rows):
+    """The rows of the JSON array at the cursor of a window; once every row
+    has been read the cursor is just past the array."""
+
+    def __init__(self, window: _JsonWindow):
+        window.step(_json_space)
+        super().__init__(window)
+        if not window.text.startswith("[", window.pos):
+            raise window.error(_ParseError(window.pos, "data must be a list of rows,"))
 
     def __iter__(self):
         window = self.window
@@ -281,6 +298,48 @@ class _JsonRows:
             self.offset, row = window.step(_row_start)
             yield row
             char = window.step(_tokens(",]"))
+
+
+def _csv_line(text: str, pos: int):
+    r"""``(pos, line)``, the line at ``pos`` with its break as
+    ``str.splitlines`` cuts it, and the offset just past it.  A line with no
+    break in the window, or a ``\r`` that may be the first half of
+    ``\r\n``, ends at the window's edge, so :meth:`_JsonWindow.step`
+    retries it on a longer window."""
+    end = _CSV_LINE.match(text, pos).end()
+    return (pos, text[pos:end]), end
+
+
+def _bad_cell(pos: int, cells: list[str]) -> _ParseError:
+    """The error of the first of ``cells``, the cells of a line at ``pos``,
+    that ``float`` refuses."""
+    for cell in cells:
+        try:
+            float(cell)
+        except ValueError:
+            return _ParseError(pos, "CSV parse error", f": {cell.strip()!r}")
+        pos += len(cell) + 1
+
+
+class _CsvRows(_Rows):
+    """The rows of headerless CSV from the cursor of a window to the end of
+    its file, as lists of floats; blank lines are skipped."""
+
+    def __iter__(self):
+        window = self.window
+        while window.pos < len(window.text) or not window.eof:
+            self.offset, line = window.step(_csv_line)
+            # the break stays on the line: isspace and float read it as
+            # space, but float refuses \x1c-\x1e, so a number before one
+            # is a bad cell
+            if not line or line.isspace():
+                continue
+            cells = line.split(",")
+            try:
+                row = list(map(float, cells))
+            except ValueError:
+                raise window.error(_bad_cell(self.offset, cells)) from None
+            yield row
 
 
 def _json_object(window: _JsonWindow) -> dict:
@@ -340,37 +399,6 @@ def _json_matrix(doc: dict) -> np.ndarray:
     return _real_valued(out)
 
 
-def _csv_matrix(text: str) -> np.ndarray:
-    """The matrix of headerless CSV text."""
-    values = []
-    offset = 0
-    width = None
-    for line in text.splitlines(keepends=True):
-        body = line.rstrip("\r\n")
-        if body.strip():
-            row = []
-            col_offset = 0
-            for cell in body.split(","):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise InputError(
-                        f"CSV parse error at byte {_byte_offset(text, offset + col_offset)}: {cell.strip()!r}"
-                    ) from None
-                col_offset += len(cell) + 1
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InputError(f"ragged CSV row at byte {_byte_offset(text, offset)}")
-            if not np.isfinite(row).all():
-                raise InputError(f"non-finite entry in the CSV row at byte {_byte_offset(text, offset)}")
-            values.append(row)
-        offset += len(line)
-    if not values:
-        raise InputError("empty input file")
-    return np.asarray(values, dtype=float)
-
-
 def _bounded(matrix: np.ndarray, what: str) -> np.ndarray:
     """``matrix``, refused when its Frobenius norm overflows, as its SVD would."""
     with np.errstate(over="ignore"):
@@ -394,14 +422,14 @@ def decode_matrix(rows, field: str, shape=None) -> np.ndarray:
     pairs (complex).
 
     ``rows`` is a parsed list of rows, or the rows of an input file as
-    :class:`_JsonRows` reads them.  Each row converts in one ``np.array``
-    call; a row that mixes numbers and pairs goes entry by entry.  The
-    result is complex when any row is.  A row that is not a list, a bad or
+    :class:`_JsonRows` or :class:`_CsvRows` reads them.  Each row converts
+    in one ``np.array`` call; a row that mixes numbers and pairs goes entry
+    by entry.  The result is complex when any row is.  A row that is not a list, a bad or
     non-finite entry, or rows that are ragged or not of ``shape`` (when
     given) raise ``InputError`` naming ``field``, the row and, for rows
     read from a file, the row's byte offset.
     """
-    stream = rows if isinstance(rows, _JsonRows) else None
+    stream = rows if isinstance(rows, _Rows) else None
     if stream is None and not isinstance(rows, list):
         raise InputError(f"{field} must be a list of rows")
 
@@ -872,11 +900,11 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand registers only the options it reads
     options = {
         "--json": dict(action="store_true", help="emit the JSON report"),
-        "--seed": dict(type=int, default=0, help="seed for randomized procedures"),
+        "--seed": dict(type=_nonneg_int, default=0, help="seed for randomized procedures"),
         "--tol": dict(type=float, default=DEFAULT_RANK_TOL, help="relative rank tolerance"),
         "--restarts": dict(type=_nonneg_int, default=SEARCH_RESTARTS),
         "--budget": dict(
-            type=int,
+            type=_nonneg_int,
             default=DEFAULT_SIGN_BUDGET,
             help="most sign patterns the sqrt and cpsdt sign walks may rank, counted after "
             "their pins: over it, sqrt refuses (convert --direction both reports it skipped) "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -360,10 +361,10 @@ NAN_4X4_CSV = "1,0,0,0\n0,1,0,0\n0,0,nan,0\n0,0,0,1\n"
 @pytest.mark.parametrize(
     "name, text, argv, message",
     [
-        ("m.csv", "1,inf\n2,3\n", ["factorize", "--kind", "minimal"], "the CSV row at byte 0"),
+        ("m.csv", "1,inf\n2,3\n", ["factorize", "--kind", "minimal"], "CSV row 0 at byte 0"),
         ("m.json", '{"rows": 1, "cols": 1, "data": [[NaN]]}', ["factorize", "--kind", "minimal"],
          "data row 0 at byte 32"),
-        ("op.csv", NAN_4X4_CSV, ["analyze"], "the CSV row at byte 16"),
+        ("op.csv", NAN_4X4_CSV, ["analyze"], "CSV row 2 at byte 16"),
     ],
     ids=["csv-inf-factorize", "json-nan-factorize", "csv-nan-analyze"],
 )
@@ -664,9 +665,37 @@ def test_factorize_search_exhausted(tmp_path, capsys):
     assert code == EXIT_NOT_FOUND
 
 
+#: A valid command line of each subcommand, to which a bad option is added.
+SUBCOMMAND_ARGV = {
+    "analyze": ["analyze", "op.json"],
+    "factorize": ["factorize", "m.csv", "--kind", "nonneg"],
+    "convert": ["convert", "m.csv", "--kind", "sqrt"],
+    "experiment": ["experiment", "bounds"],
+}
+
+
+def registered(option):
+    """The subcommands whose parser registers ``option``."""
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(SUBCOMMAND_ARGV)
+    return [name for name, p in subparsers.choices.items() if option in p._option_string_actions]
+
+
+#: A negative seed reached numpy's generator, whose traceback ended the
+#: command with exit 1; a negative budget refused every sign walk.
+NEGATIVE_SEED_AND_BUDGET = [
+    (command, option, value)
+    for option in ("--seed", "--budget")
+    for command in registered(option)
+    for value in ("-1", "-5")
+]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
+        *(([*SUBCOMMAND_ARGV[c], o, v], f"argument {o}: expected an integer >= 0, got {v}")
+          for c, o, v in NEGATIVE_SEED_AND_BUDGET),
         (["factorize", "m.csv", "--kind", "nonneg", "--restarts", "-3"], "expected an integer >= 0"),
         (["convert", "m.csv", "--kind", "cp", "--restarts", "-1"], "expected an integer >= 0"),
         (["analyze", "op.json", "--restarts", "-1"], "expected an integer >= 0"),
@@ -674,7 +703,8 @@ def test_factorize_search_exhausted(tmp_path, capsys):
         (["experiment", "tgon", "--t", "5..3"], "expected a range lo..hi with hi >= lo, got 5..3"),
         (["experiment", "wstate", "--n", "4..3"], "expected a range lo..hi with hi >= lo, got 4..3"),
     ],
-    ids=["factorize-restarts", "convert-restarts", "analyze-restarts", "bounds-count", "tgon-reversed-range",
+    ids=[*(f"{c}-{o[2:]}{v}" for c, o, v in NEGATIVE_SEED_AND_BUDGET),
+         "factorize-restarts", "convert-restarts", "analyze-restarts", "bounds-count", "tgon-reversed-range",
          "wstate-reversed-range"],
 )
 def test_negative_counts_are_refused_at_parse_time(tmp_path, capsys, argv, message):
@@ -682,7 +712,8 @@ def test_negative_counts_are_refused_at_parse_time(tmp_path, capsys, argv, messa
     write_csv_matrix(tmp_path / "m.csv", np.eye(3))
     argv = [str(tmp_path / a) if a in ("m.csv", "op.json") else a for a in argv]
     assert main(argv) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_zero_counts_are_accepted(tmp_path, capsys):
