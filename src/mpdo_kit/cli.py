@@ -103,6 +103,10 @@ _CSV_BREAKS = r"\n\v\f\r\x1c-\x1e\x85\u2028\u2029"
 _CSV_LINE = re.compile(rf"[^{_CSV_BREAKS}]*(?:\r\n?|[{_CSV_BREAKS}])?")
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 _JSON_DECODER = json.JSONDecoder()
+#: Characters before the window's edge within which a failed step may have
+#: been cut by it: a cut number, literal (``-Infinity``) or ``\uXXXX``
+#: escape fails at most this far back.
+_CUT_REACH = 16
 
 
 class _ParseError(Exception):
@@ -157,26 +161,30 @@ class _JsonWindow:
         """The value of ``parse(text, pos) -> (value, end)`` at the cursor,
         which moves to ``end``.
 
-        A step that raises :class:`_ParseError` or ``json.JSONDecodeError``,
-        or ends at the edge of the window, may have been cut short by it:
-        before end of file it is retried on a longer window.  At end of file
-        a failure is an ``InputError`` naming its byte offset in the file.
-        So a malformed file is read to its end, the window holding the text
-        from the failed step on, before its error is raised.
+        A step that ends at the edge of the window may have been cut short
+        by it, and so may one that raises :class:`_ParseError` or
+        ``json.JSONDecodeError`` within ``_CUT_REACH`` characters of the
+        edge or on an unterminated string: before end of file these are
+        retried on a longer window.  Any other failure, and every failure at
+        end of file, is an ``InputError`` naming its byte offset in the file,
+        so a syntax error early in a large file is raised without reading
+        the rest of it.
         """
         while True:
             try:
                 value, end = parse(self.text, self.pos)
             except json.JSONDecodeError as exc:
-                if self.eof:
-                    raise self.error(_ParseError(exc.pos, "JSON parse error", f": {exc.msg}")) from None
+                failure = _ParseError(exc.pos, "JSON parse error", f": {exc.msg}")
+                cut = exc.msg == "Unterminated string starting at"
             except _ParseError as exc:
-                if self.eof:
-                    raise self.error(exc) from None
+                failure, cut = exc, False
             else:
                 if end < len(self.text) or self.eof:
                     self.pos = end
                     return value
+                failure = None
+            if failure is not None and (self.eof or not (cut or len(self.text) - failure.pos <= _CUT_REACH)):
+                raise self.error(failure) from None
             self._refill()
 
     def byte_offset(self, pos: int) -> int:

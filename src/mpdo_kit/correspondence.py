@@ -63,6 +63,7 @@ from .tensor_core import (
     SignBudgetError,
     SiteSpec,
     UsageError,
+    _diagonal_train,
     _gram_residual,
     _resolve_dims,
     contract_train,
@@ -149,9 +150,10 @@ def diag_embed(matrix) -> PsdOperator:
 
 
 def diag_extract(sigma, sites=None) -> np.ndarray:
-    """Read the nonnegative matrix back off a diagonal bipartite operator.
+    """Read the matrix back off the diagonal of a diagonal bipartite operator.
 
-    Inverse of :func:`diag_embed` bit-exactly.  Raises on more or fewer
+    Inverse of :func:`diag_embed` bit-exactly; on a diagonal square root
+    of sigma it reads the signed root.  Raises on more or fewer
     than two sites and on an operator that fails
     :func:`~mpdo_kit.tensor_core.is_diagonal`, the predicate ``analyze``
     reports as ``diagonal``.
@@ -166,19 +168,6 @@ def diag_extract(sigma, sites=None) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # matrix side -> state side
-
-
-def _diag_cores_train(left, right) -> MpoTrain:
-    """Two-site train with diagonal cores from the columns/rows of a factorization."""
-    left = np.asarray(left)
-    right = np.asarray(right)
-    d1, r = left.shape
-    d2 = right.shape[1]
-    core1 = np.zeros((1, d1, d1, r), dtype=complex)
-    core2 = np.zeros((r, d2, d2, 1), dtype=complex)
-    core1[0, np.arange(d1), np.arange(d1), :] = left
-    core2[:, np.arange(d2), np.arange(d2), 0] = right
-    return MpoTrain((core1, core2))
 
 
 def _gram_vectors(mats, rel_tol: float) -> np.ndarray:
@@ -204,15 +193,7 @@ def _purification_train(e_list, f_list, rel_tol: float = DEFAULT_RANK_TOL) -> Mp
     """
     he = _gram_vectors(e_list, rel_tol)  # (p, r, s_e)
     hf = _gram_vectors(f_list, rel_tol)  # (q, r, s_f)
-    p, r, s_e = he.shape
-    q, _, s_f = hf.shape
-    core1 = np.zeros((p, p, s_e, r), dtype=complex)
-    core2 = np.zeros((r, q, q, s_f), dtype=complex)
-    core1[np.arange(p), np.arange(p)] = he.transpose(0, 2, 1)
-    core2[:, np.arange(q), np.arange(q)] = hf.transpose(1, 0, 2)
-    core1 = core1.reshape(1, p, p * s_e, r)
-    core2 = core2.reshape(r, q, q * s_f, 1)
-    return MpoTrain((core1, core2))
+    return _diagonal_train((he.transpose(0, 2, 1)[None], hf.transpose(1, 0, 2)[..., None]))
 
 
 def _factor_sides(kind: str, payload: dict):
@@ -259,7 +240,8 @@ def factorization_to_decomposition(
 
     first, second = _factor_sides(kind, cert.payload)
     if kind in PRODUCT_KINDS:
-        train = _diag_cores_train(first, second)
+        # bond k carries column k of the left factor and row k of the right
+        train = _diagonal_train((np.asarray(first)[None, :, None], np.asarray(second)[:, :, None, None]))
         residual = relative_residual(contract_train(train), sigma)
         payload = SeparableCertificate(train, cert.inner_dim, residual) if kind in SEPARABLE_KINDS else train
     else:
@@ -294,7 +276,8 @@ def decomposition_to_factorization(
     purification certificate, dense root).  The rule per kind follows the
     constructive correspondence: diagonal matrix elements of the cores for
     the train kinds, Gram matrices of the factor slices for purifications,
-    the reshaped diagonal for the square root, whose rank is read at
+    the diagonal of the square root read by :func:`diag_extract` on the two
+    sites ``sites`` (required for a dense root), whose rank is read at
     ``rel_tol``.  A symmetric kind keeps the first site's factor and
     mirrors it.  The recorded residual is that of the returned payload
     against the diagonal of the operator the decomposition itself
@@ -335,19 +318,7 @@ def decomposition_to_factorization(
         return FactorCertificate(kind, r, payload, residual)
 
     # hadamard-root: diagonal Hermitian root -> sign pattern and root matrix
-    tau = np.asarray(obj)
-    if sites is None:
-        side = tau.shape[0]
-        root_side = int(round(sqrt(side)))
-        if root_side * root_side != side:
-            raise UsageError("site dimensions required to reshape the root")
-        sites = (root_side, root_side)
-    tau, dims, _ = _resolve_dims(tau, sites)
-    if len(dims) != 2:
-        raise UsageError("square-root conversion needs a bipartite root")
-    if not is_diagonal(tau):
-        raise UsageError("Hermitian root is not diagonal in the computational basis")
-    root = np.diagonal(tau).real.reshape(dims)
+    root = diag_extract(obj, sites)
     signs = np.sign(root).astype(int)
     rank = numerical_rank(root, rel_tol)
     return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, 0.0)

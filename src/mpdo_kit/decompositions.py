@@ -24,6 +24,7 @@ from .tensor_core import (
     TiSiteTensor,
     UsageError,
     _cuts_widest_first,
+    _diagonal_train,
     _gram_residual,
     _resolve_dims,
     _root_sign_walk,
@@ -513,6 +514,21 @@ def periodicity_lower_bound(site: TiSiteTensor, n: int, tol: float = PERIODICITY
 # W-state family and its mixed diagonal variant
 
 
+#: The site matrices A^0 = I and A^1 of the W word, stacked ``(i, bond,
+#: bond)``: the bond reads 1 once the word's one flip is placed.
+_W_SITE = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+
+def _w_word(n: int, norm: float) -> tuple[np.ndarray, ...]:
+    """The n ``(left, i, 1, right)`` sites of the open word ``tr(B A^{i_1}
+    ... A^{i_n}) / norm``: B's two entries pick the first site's bond row 0
+    and the last site's bond column 1."""
+    first = _W_SITE[None, :, 0, None, :] / norm
+    mid = _W_SITE.transpose(1, 0, 2)[:, :, None, :]
+    last = _W_SITE[:, :, 1].T[:, :, None, None]
+    return (first,) + (mid,) * (n - 2) + (last,)
+
+
 def _w_vector(n: int) -> np.ndarray:
     v = np.zeros(2**n)
     for j in range(n):
@@ -530,18 +546,9 @@ def w_state_generators(n: int) -> WStateFamily:
     """
     if n < 2:
         raise UsageError(f"W state needs n >= 2, got {n}")
-    a0 = np.eye(2)
-    a1 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    a0, a1 = _W_SITE.copy()
     b = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-    site_a = np.stack([a0, a1])  # (i, bond, bond)
-    first = np.zeros((1, 2, 1, 2), dtype=complex)
-    first[0, :, 0, :] = site_a[:, 0, :] / np.sqrt(n)
-    mid = np.zeros((2, 2, 1, 2), dtype=complex)
-    mid[:, :, 0, :] = site_a.transpose(1, 0, 2)
-    last = np.zeros((2, 2, 1, 1), dtype=complex)
-    last[:, :, 0, 0] = site_a[:, :, 1].T
-    open_train = MpoTrain((first,) + (mid,) * (n - 2) + (last,))
+    open_train = MpoTrain(_w_word(n, np.sqrt(n)))
 
     bond = 2 * n
     cyc = np.zeros((bond, 2, 1, bond), dtype=complex)
@@ -572,25 +579,10 @@ def mixed_w_generator(n: int):
     """
     if n < 2:
         raise UsageError(f"need n >= 2, got {n}")
-    dim = 2**n
-    data = np.zeros((dim, dim))
-    for j in range(n):
-        idx = 1 << (n - 1 - j)
-        data[idx, idx] = 1.0 / n
+    weights = np.zeros(2**n)
+    weights[1 << np.arange(n)] = 1.0 / n
+    data = np.diag(weights)
     rho = PsdOperator(SiteSpec((2,) * n), data)
-
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    first = np.zeros((1, 2, 2, 2), dtype=complex)
-    first[0, :, :, 0] = p0 / n
-    first[0, :, :, 1] = p1 / n
-    mid = np.zeros((2, 2, 2, 2), dtype=complex)
-    mid[0, :, :, 0] = p0
-    mid[0, :, :, 1] = p1
-    mid[1, :, :, 1] = p0
-    last = np.zeros((2, 2, 2, 1), dtype=complex)
-    last[0, :, :, 0] = p1
-    last[1, :, :, 0] = p0
-    train = MpoTrain((first,) + (mid,) * (n - 2) + (last,))
-
+    # the W word at norm n on the diagonal: the W state's squared amplitudes
+    train = _diagonal_train(_w_word(n, n))
     return rho, SeparableCertificate(train, 2, relative_residual(contract_train(train), data))

@@ -833,6 +833,24 @@ def svd_split(matrix, rel_tol: float = DEFAULT_RANK_TOL):
     return u[:, :r], s[:r, None] * vh[:r], r
 
 
+def _diagonal_train(factors) -> MpoTrain:
+    """Train whose cores sit on the diagonal of their physical legs.
+
+    Site l's factor is a ``(left, d, aux, right)`` array and its core the
+    ``(left, d, d * aux, right)`` array with ``core[a, i, i*aux:(i+1)*aux, b]
+    = factor[a, i, :, b]``, zero elsewhere.  With aux = 1 the cores are
+    diagonal matrices (the trains of a product factorization, the mixed W
+    state); with aux = s index i carries its s Gram columns (a purification).
+    """
+    cores = []
+    for factor in factors:
+        left, d, aux, right = factor.shape
+        core = np.zeros((left, d, d, aux, right), dtype=complex)
+        core[:, np.arange(d), np.arange(d)] = factor
+        cores.append(core.reshape(left, d, d * aux, right))
+    return MpoTrain(tuple(cores))
+
+
 def _absorb_core(block, core):
     """Contract the right bond of a ``(left, rows, cols, bond)`` block with a core.
 

@@ -23,9 +23,9 @@ from mpdo_kit.cli import (
     load_matrix,
     main,
 )
-from mpdo_kit.correspondence import _matrix_certificate
+from mpdo_kit.correspondence import _matrix_certificate, verify_correspondence
 from mpdo_kit.decompositions import w_state_generators
-from mpdo_kit.nonneg_factorizations import minimal_factorization, slack_matrix_tgon
+from mpdo_kit.nonneg_factorizations import minimal_factorization, scan_cp_certificate, slack_matrix_tgon
 
 
 def write_json_matrix(path, matrix):
@@ -880,6 +880,57 @@ def test_convert_cp_to_state_rejects_a_non_psd_matrix(tmp_path, capsys):
     code = main(["convert", path, "--kind", "cp", "--direction", "to-state"])
     assert code == EXIT_REJECTED
     assert "not psd" in capsys.readouterr().err
+
+
+#: Doubly nonnegative but not completely positive: its support is a 5-cycle,
+#: a triangle-free graph, on which a doubly nonnegative matrix is cp exactly
+#: when its comparison matrix is psd (Drew, Johnson and Loewy 1994), and
+#: this one's is not.  So every cp scan of it comes back empty.
+NOT_CP = np.array(
+    [[1, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1], [1, 0, 0, 1, 6]], dtype=float
+)
+
+
+def test_a_cp_scan_of_a_matrix_that_is_not_cp_finds_nothing():
+    assert np.linalg.eigvalsh(NOT_CP).min() > 0.07
+    comparison = 2 * np.diag(np.diag(NOT_CP)) - NOT_CP
+    assert np.linalg.eigvalsh(comparison).min() < -0.02
+    assert scan_cp_certificate(NOT_CP) is None
+    entry = verify_correspondence("cp", NOT_CP)
+    assert entry == {"kind": "cp", "verdict": "skipped", "note": "search exhausted without a certificate"}
+
+
+@pytest.mark.parametrize("direction", ["to-state", "to-matrix", "both"])
+def test_convert_of_a_matrix_with_no_cp_certificate(tmp_path, capsys, direction):
+    # a search that finds nothing exits 1; --direction both reports the skip
+    path = write_json_matrix(tmp_path / "m.json", NOT_CP)
+    code, doc = run_json(capsys, ["convert", path, "--kind", "cp", "--direction", direction, "--json"])
+    if direction == "both":
+        assert code == EXIT_OK
+        assert doc["entries"] == [
+            {"name": "correspondence", "note": "search exhausted without a certificate", "verdict": "skipped"}
+        ]
+    else:
+        assert code == EXIT_NOT_FOUND
+        assert doc["entries"] == [{"found": False, "name": "state_certificate"}]
+
+
+@pytest.mark.parametrize(
+    "argv, matrix, message",
+    [
+        (["analyze"], np.ones((2, 3)), "analyze needs a square operator, got (2, 3)"),
+        (["analyze"], np.eye(3), "cannot infer site dimensions for side 3; pass --sites"),
+        (["factorize", "--kind", "minimal"], np.eye(2) + 1j, "factorize expects a real nonnegative matrix"),
+        (["convert", "--kind", "minimal", "--sites", "2,2,2"], np.eye(8), "conversion works on bipartite operators"),
+        (["convert", "--kind", "minimal"], np.eye(2) + 1j, "matrix input must be real; pass --sites for operator input"),
+    ],
+    ids=["analyze-not-square", "analyze-no-sites", "factorize-complex", "convert-three-sites", "convert-complex"],
+)
+def test_command_usage_error(tmp_path, capsys, argv, matrix, message):
+    path = write_json_matrix(tmp_path / "m.json", matrix)
+    assert main([argv[0], path, *argv[1:]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
 
 
 def test_convert_operator_to_matrix(tmp_path, capsys):

@@ -252,6 +252,11 @@ def test_hadamard_roundtrip():
     back = decomposition_to_factorization("vii", dec, sites=(2, 2))
     assert back.inner_dim == 1
     check_factor_certificate(m, back)
+    # a dense root does not say how its side splits into two sites
+    with pytest.raises(UsageError, match="site dimensions are required"):
+        decomposition_to_factorization("vii", dec)
+    with pytest.raises(UsageError, match="must be bipartite"):
+        decomposition_to_factorization("vii", dec, sites=(2, 2, 1))
 
 
 def test_kind_mismatch_rejected():
@@ -500,14 +505,40 @@ def loop_gram(cores, d, r):
     ]
 
 
+def loop_diagonal_cores(factors):
+    """``core[a, i, i*aux + k, b] = factor[a, i, k, b]``, entry by entry."""
+    cores = []
+    for f in factors:
+        left, d, aux, right = f.shape
+        core = np.zeros((left, d, d * aux, right), dtype=complex)
+        for a, i, k, b in itertools.product(range(left), range(d), range(aux), range(right)):
+            core[a, i, i * aux + k, b] = f[a, i, k, b]
+        cores.append(core)
+    return cores
+
+
+#: Factor shapes ``(left, d, aux, right)`` per site: the two-site product
+#: kinds, Gram columns (aux > 1) and a four-site train.
+DIAGONAL_TRAIN_SHAPES = {
+    "product": [(1, 3, 1, 2), (2, 4, 1, 1)],
+    "gram-columns": [(1, 3, 2, 2), (2, 4, 3, 1)],
+    "four-sites": [(1, 2, 1, 3), (3, 3, 2, 2), (2, 2, 1, 4), (4, 3, 3, 1)],
+}
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_diag_cores_train_matches_the_index_loop(dtype):
+@pytest.mark.parametrize("case", sorted(DIAGONAL_TRAIN_SHAPES))
+def test_diagonal_train_matches_the_index_loop(case, dtype):
     rng = np.random.default_rng(20)
-    left = rng.normal(size=(3, 2)).astype(dtype)
-    right = rng.normal(size=(2, 4)).astype(dtype)
-    train = correspondence._diag_cores_train(left, right)
-    for got, want in zip(train.cores, loop_diag_cores(left, right)):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    factors = [rng.normal(size=shape).astype(dtype) for shape in DIAGONAL_TRAIN_SHAPES[case]]
+    if dtype is complex:
+        factors = [f + 1j * rng.normal(size=f.shape) for f in factors]
+    want = loop_diagonal_cores(factors)
+    if case == "product":
+        assert all(np.array_equal(x, y) for x, y in zip(want, loop_diag_cores(factors[0][0, :, 0], factors[1][..., 0, 0])))
+    train = tensor_core._diagonal_train(factors)
+    for got, core in zip(train.cores, want, strict=True):
+        assert got.shape == core.shape and np.array_equal(got, core)
 
 
 def test_purification_train_matches_the_index_loop():

@@ -4,6 +4,8 @@ Every forgery here reproduces the matrix through the checker's own
 reconstruction, so only the kind-specific feasibility tests can catch it.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mpdo_kit.certificates import (
     check_factor_certificate,
     pair_traces,
 )
+from mpdo_kit.cli import EXIT_USAGE, main
 from mpdo_kit.decompositions import SeparableCertificate
 from mpdo_kit.tensor_core import MpoTrain
 
@@ -125,3 +128,57 @@ def test_negative_cp_factor_is_rejected():
     cert = FactorCertificate("cp", 1, {"factor": a}, 0.0)
     with pytest.raises(ValueError, match="not entrywise nonnegative"):
         check_factor_certificate(m, cert)
+
+
+# ---------------------------------------------------------------------------
+# forged certificate documents: ``convert`` refuses each with a usage error
+# that names the field
+
+
+#: ``factorize --json`` payloads of M = [[1, 2], [2, 4]]: minimal M = l r,
+#: and psd M_ij = tr(E_i F_j^T) at inner dimension 1.
+MINIMAL_DOC = {
+    "kind": "minimal",
+    "inner_dim": 1,
+    "residual": 0.0,
+    "payload": {"left": [[1.0], [2.0]], "right": [[1.0, 2.0]]},
+    "matrix": [[1.0, 2.0], [2.0, 4.0]],
+}
+PSD_DOC = {
+    "kind": "psd",
+    "inner_dim": 1,
+    "residual": 0.0,
+    "payload": {"E": [[[1.0]], [[2.0]]], "F": [[[1.0]], [[2.0]]]},
+    "matrix": [[1.0, 2.0], [2.0, 4.0]],
+}
+
+
+def forged(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (forged(MINIMAL_DOC, lambda d: d.update(residual="0")), "field 'residual' must be a number, got '0'"),
+        (forged(MINIMAL_DOC, lambda d: d.update(residual=True)), "field 'residual' must be a number, got True"),
+        (forged(PSD_DOC, lambda d: d["payload"]["E"].pop()), "payload field 'E' must be a list of 2 matrices"),
+        (forged(MINIMAL_DOC, lambda d: d["payload"].update(left=5)), "payload field 'left' must be a list of rows"),
+        (
+            forged(MINIMAL_DOC, lambda d: d["payload"]["left"].pop()),
+            "payload field 'left' shape does not match rows=2 cols=1",
+        ),
+    ],
+    ids=["residual-string", "residual-bool", "E-short", "left-not-a-list", "left-short-a-row"],
+)
+def test_forged_certificate_document_is_a_usage_error(tmp_path, capsys, doc, message):
+    for original in (MINIMAL_DOC, PSD_DOC):  # the unforged documents convert
+        (tmp_path / "cert.json").write_text(json.dumps(original))
+        assert main(["convert", str(tmp_path / "cert.json"), "--kind", original["kind"]]) == 0
+    capsys.readouterr()
+    (tmp_path / "cert.json").write_text(json.dumps(doc))
+    assert main(["convert", str(tmp_path / "cert.json"), "--kind", doc["kind"]]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

@@ -266,6 +266,41 @@ def test_error_past_the_first_chunk_names_its_byte(tmp_path, monkeypatch):
     assert offset > 40 * 64 and raw.startswith(b'[1, "x"]', offset)
 
 
+def test_string_longer_than_a_chunk_is_read_whole(tmp_path, monkeypatch):
+    # an unterminated string fails at its start, however far back the
+    # window's edge cut it: the step is retried until the string ends
+    note = "µ\\u00b5 " + "x" * 300 + "\\" + '"' + "y" * 300
+    text = '{"note": "%s", "%s": 1, "rows": 1, "cols": 1, "data": [[2]]}' % (note, "k" * 200)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    want = json.loads(text)
+    for chunk in (1, 7, 64):
+        doc = read_in_chunks(monkeypatch, path, chunk)
+        assert doc["note"] == want["note"] and doc["k" * 200] == 1 and doc["data"].tolist() == [[2.0]]
+
+
+def test_early_syntax_error_is_raised_without_reading_the_file(tmp_path, traced_memory):
+    # an error far from the window's edge cannot have been cut by it: the
+    # 4.7-MB file below used to be read to its end (7.3 MB of 600 x 600
+    # entries peaked at 14.6 MB) before its row-1 error was raised
+    m = np.random.default_rng(8).random((480, 480))
+    text = json.dumps({"rows": 480, "cols": 480, "data": m.tolist()})
+    second = text.index("], [") + 4
+    comma = text.index(", ", second)
+    text = text[:comma] + " " + text[comma + 2 :]  # "1 2" in row 1
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert path.stat().st_size >= 4 * 10**6
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    del text
+    with traced_memory() as mem:
+        with pytest.raises(InputError) as info:
+            load_matrix(str(path))
+    assert str(info.value) == f"JSON parse error at byte {whole.value.pos}: Expecting ',' delimiter"
+    assert mem.peak < 4 * 2**20, f"peak {mem.peak / 2**20:.1f} MiB"
+
+
 def test_repeated_data_key_keeps_the_last_in_chunks(tmp_path, monkeypatch):
     text = '{"data": [[9, 9, 9]], "rows": 2, "cols": 2, "data": [[1, 2], [3, 4]]}'
     path = tmp_path / "m.json"
