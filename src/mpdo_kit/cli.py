@@ -846,8 +846,7 @@ def cmd_experiment(args) -> int:
     elif args.name == "mixedw":
         for n in range(2, 7) if args.n is None else args.n:
             rho, cert = mixed_w_generator(n)
-            train, _ = mpo_train_form(rho)
-            site = make_translation_invariant(train)
+            site = make_translation_invariant(cert.train)
             holds, bound = periodicity_lower_bound(site, n)
             report.add(
                 f"n={n}",

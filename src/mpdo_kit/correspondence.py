@@ -177,7 +177,7 @@ def _gram_vectors(mats, rel_tol: float) -> np.ndarray:
     eigenvalue some matrix of the tuple counts as nonzero (the nonzero rule
     at ``rel_tol``, against that matrix's largest), and at least one.
     """
-    h = np.array([psd_gram_factor(x)[0] for x in mats])  # eigenvalues ascending
+    h = psd_gram_factor(np.asarray(mats))[0]  # eigenvalues ascending
     weight = (np.abs(h) ** 2).sum(axis=1)  # (count, r): the eigenvalues
     s = max(int(np.count_nonzero(nonzero_mask(weight, rel_tol).any(axis=0))), min(h.shape[2], 1))
     return h[:, :, h.shape[2] - s :]
@@ -317,11 +317,14 @@ def decomposition_to_factorization(
         payload = {"E": e_list} if kind in SYMMETRIC_KINDS else {"E": e_list, "F": f_list}
         return FactorCertificate(kind, r, payload, residual)
 
-    # hadamard-root: diagonal Hermitian root -> sign pattern and root matrix
+    # hadamard-root: diagonal Hermitian root tau -> sign pattern and root
+    # matrix, against the diagonal of tau tau, read with no product formed
     root = diag_extract(obj, sites)
+    tau = _resolve_dims(obj, sites)[0]
+    residual = float(np.abs(root * root - np.einsum("ij,ji->i", tau, tau).reshape(root.shape)).max())
     signs = np.sign(root).astype(int)
     rank = numerical_rank(root, rel_tol)
-    return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, 0.0)
+    return FactorCertificate("hadamard-root", rank, {"root": root, "signs": signs}, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .tensor_core import (
     cyclic_shift_defect,
     is_diagonal,
     matricize,
-    max_abs,
     min_rank_sign_pattern,
     nonzero_mask,
     psd_gram_factor,
@@ -83,31 +82,27 @@ class SeparableCertificate:
     inner_dim: int
     residual: float
 
-    def core_matrices(self):
-        """All bond-slice matrices chi^(l)_(a,b), flattened over (l, a, b)."""
-        out = []
-        for core in self.train.cores:
-            dl, _, _, dr = core.shape
-            for a in range(dl):
-                for b in range(dr):
-                    out.append(core[a, :, :, b])
-        return out
-
     def psd_defect(self) -> float:
-        """Worst defect over the core matrices: 0 when every core is psd.
+        """Worst defect over the bond-slice core matrices chi^(l)_(a,b): 0
+        when every one is psd.
 
-        A core's defect is the larger of its relative negative eigenvalue
+        A matrix's defect is the larger of its relative negative eigenvalue
         (of the Hermitian part) and its relative anti-Hermitian mass
         max|X - X^dag| / max|X|, so a non-Hermitian core cannot pass on
-        the strength of its Hermitian part.
+        the strength of its Hermitian part.  Each core's slices are read as
+        one ``(a, b, i, j)`` stack.
         """
         worst = 0.0
-        for mat in self.core_matrices():
-            w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-            top = max(w.max(initial=0.0), SCALE_FLOOR)
-            skew = np.abs(mat - mat.conj().T).max(initial=0.0) / max_abs(mat)
-            worst = max(worst, -w.min(initial=0.0) / top, skew)
-        return worst
+        for core in self.train.cores:
+            mats = core.transpose(0, 3, 1, 2)
+            adj = np.conj(mats).swapaxes(-1, -2)
+            w = np.linalg.eigvalsh(0.5 * (mats + adj))
+            top = np.maximum(w.max(axis=-1, initial=0.0), SCALE_FLOOR)
+            neg = -w.min(axis=-1, initial=0.0) / top
+            scale = np.maximum(np.abs(mats).max(axis=(-2, -1), initial=0.0), SCALE_FLOOR)
+            skew = np.abs(mats - adj).max(axis=(-2, -1), initial=0.0) / scale
+            worst = max(worst, neg.max(initial=0.0), skew.max(initial=0.0))
+        return float(worst)
 
 
 @dataclass(frozen=True)
@@ -125,17 +120,13 @@ class SignVector:
 class WStateFamily:
     """The W state on n sites together with its two train representations.
 
-    ``open_train`` is the bond-2 open-boundary form; ``cyclic_site`` is the
-    bond-2n single-tensor cyclic form.  Both reproduce ``vector`` exactly,
-    which fixes the overall scale of the cyclic tensor to ``n**(-3/(2n))``
-    per site (the unnormalized convention would drop a factor sqrt(n)).
+    ``open_train`` is the bond-2 open-boundary form; ``cyclic_site`` is its
+    bond-2n fold by :func:`make_translation_invariant`.  Both reproduce
+    ``vector``, the closed form.
     """
 
     n: int
     vector: np.ndarray
-    a0: np.ndarray
-    a1: np.ndarray
-    b: np.ndarray
     open_train: MpoTrain
     cyclic_site: TiSiteTensor
 
@@ -334,31 +325,22 @@ def purification_from_separable(cert: SeparableCertificate) -> PurificationCerti
     Each psd core is replaced by its psd root with the right bond index
     recorded on an auxiliary flag leg; the flags force matching bond values
     between L and L^dag, so the contraction reproduces the separable sum.
+    A core's ``(a, b)`` slices are rooted as one stack, and its flag leg
+    is one broadcast against the identity on the right bond.
     """
     train = cert.train
     n = train.n
-    roots = []
-    for core in train.cores:
+    l_cores = []
+    for l, core in enumerate(train.cores):
         dl, do, di, dr = core.shape
         if do != di:
             raise UsageError("separable cores must be square on the physical legs")
-        rt = np.empty_like(core)
-        for a in range(dl):
-            for b in range(dr):
-                h, v = psd_gram_factor(core[a, :, :, b])
-                rt[a, :, :, b] = h @ v.conj().T
-        roots.append(rt)
-
-    l_cores = []
-    for l, rt in enumerate(roots):
-        dl, d, _, dr = rt.shape
+        h, v = psd_gram_factor(core.transpose(0, 3, 1, 2))
+        rt = (h @ np.conj(v).swapaxes(-1, -2)).transpose(0, 2, 3, 1)
         if l < n - 1:
-            core = np.zeros((dl, d, d * dr, dr), dtype=complex)
-            for b in range(dr):
-                core[:, :, b::dr, b] = rt[:, :, :, b]
-        else:
-            core = rt
-        l_cores.append(core)
+            # L[a, i, j * dr + c, b] = rt[a, i, j, b] when c == b, else 0
+            rt = (rt[:, :, :, None, :] * np.eye(dr, dtype=complex)).reshape(dl, do, do * dr, dr)
+        l_cores.append(rt)
     l_train = MpoTrain(tuple(l_cores))
 
     dense_l = contract_train(l_train)
@@ -445,7 +427,7 @@ def q_sqrt_rank(
 def make_translation_invariant(train: MpoTrain) -> TiSiteTensor:
     """Fold an open train for a shift-invariant operator into one cyclic tensor.
 
-    Zero-pads every core to the largest bond D, places core l in cyclic
+    Writes core l, zero-padded to the largest bond D, straight into cyclic
     block (l, l+1) of an (n D)-bond tensor with an ``n**(-1/n)`` scale, so
     the trace closure averages the n cyclic rotations of the train -- each
     of which reproduces the operator, by the checked shift invariance.
@@ -461,14 +443,11 @@ def make_translation_invariant(train: MpoTrain) -> TiSiteTensor:
         raise UsageError(
             f"operator is not translation invariant (shift defect {defect:.3e})"
         )
-    do, di = out_dims[0], in_dims[0]
     bond = max(max(c.shape[0], c.shape[3]) for c in train.cores)
-    big = np.zeros((n * bond, do, di, n * bond), dtype=complex)
+    big = np.zeros((n * bond, out_dims[0], in_dims[0], n * bond), dtype=complex)
     for k, core in enumerate(train.cores):
-        kk = (k + 1) % n
-        block = np.zeros((bond, do, di, bond), dtype=complex)
-        block[: core.shape[0], :, :, : core.shape[3]] = core
-        big[k * bond : (k + 1) * bond, :, :, kk * bond : (kk + 1) * bond] = block
+        row, col = k * bond, (k + 1) % n * bond
+        big[row : row + core.shape[0], :, :, col : col + core.shape[3]] = core
     big *= n ** (-1.0 / n)
     return TiSiteTensor(big)
 
@@ -493,7 +472,7 @@ def periodicity_lower_bound(site: TiSiteTensor, n: int, tol: float = PERIODICITY
 
     The value is a property of the given tensor, not a bound on the state
     it represents: the block-cyclic fold of :func:`make_translation_invariant`
-    (and the W-state tensor of :func:`w_state_generators`) has this
+    (the W-state tensor of :func:`w_state_generators` among them) has this
     spectrum for every input, while a product state such as sigma^(x)n has
     the bond-1 cyclic tensor sigma.  The spectrum is taken block by block
     (:func:`block_eigvals`), since the folds split into many small blocks.
@@ -540,32 +519,17 @@ def w_state_generators(n: int) -> WStateFamily:
     """W state on n sites with its bond-2 open train and bond-2n cyclic tensor.
 
     The open train realizes the coefficients ``n**(-1/2) tr(B A^{i_1} ...
-    A^{i_n})``; the cyclic tensor is the block-cyclic fold of the same word
-    with overall scale ``n**(-3/(2n))`` per site so that the trace closure
-    reproduces the normalized vector exactly.
+    A^{i_n})``; the cyclic tensor is its block-cyclic fold by
+    :func:`make_translation_invariant`.
     """
     if n < 2:
         raise UsageError(f"W state needs n >= 2, got {n}")
-    a0, a1 = _W_SITE.copy()
-    b = np.array([[0.0, 0.0], [1.0, 0.0]])
     open_train = MpoTrain(_w_word(n, np.sqrt(n)))
-
-    bond = 2 * n
-    cyc = np.zeros((bond, 2, 1, bond), dtype=complex)
-    for i, ai in enumerate((a0, a1)):
-        for k in range(n):
-            blk = b @ ai if k == 0 else ai
-            kk = (k + 1) % n
-            cyc[2 * k : 2 * k + 2, i, 0, 2 * kk : 2 * kk + 2] = blk
-    cyc *= n ** (-1.5 / n)
     return WStateFamily(
         n=n,
         vector=_w_vector(n),
-        a0=a0,
-        a1=a1,
-        b=b,
         open_train=open_train,
-        cyclic_site=TiSiteTensor(cyc),
+        cyclic_site=make_translation_invariant(open_train),
     )
 
 

@@ -300,8 +300,10 @@ def nonzero_mask(values, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def is_psd_spectrum(w) -> bool:
-    """True when no eigenvalue lies below ``-PSD_TOL * lambda_max``."""
-    return bool(np.min(w, initial=0.0) >= -PSD_TOL * np.max(w, initial=0.0))
+    """True when no eigenvalue lies below ``-PSD_TOL * lambda_max``; a
+    ``(..., r)`` stack of spectra passes when each of them does."""
+    w = np.asarray(w)
+    return bool((w.min(axis=-1, initial=0.0) >= -PSD_TOL * w.max(axis=-1, initial=0.0)).all())
 
 
 def clip_psd_spectrum(w, what: str = "operator") -> np.ndarray:
@@ -315,11 +317,12 @@ def clip_psd_spectrum(w, what: str = "operator") -> np.ndarray:
 def psd_gram_factor(mat):
     """Eigenvectors v and Gram vectors h = v sqrt(w) of the Hermitian part X of mat.
 
-    The spectrum is clipped by :func:`clip_psd_spectrum`; ``h h^dag`` is X
-    and ``h v^dag`` its psd square root.  Returns ``(h, v)``.
+    ``mat`` is one matrix or a ``(..., r, r)`` stack, taken by one batched
+    ``eigh``.  The spectrum is clipped by :func:`clip_psd_spectrum`;
+    ``h h^dag`` is X and ``h v^dag`` its psd square root.  Returns ``(h, v)``.
     """
-    w, v = np.linalg.eigh(0.5 * (mat + np.conj(mat).T))
-    return v * np.sqrt(clip_psd_spectrum(w, what="matrix")), v
+    w, v = np.linalg.eigh(0.5 * (mat + np.conj(mat).swapaxes(-1, -2)))
+    return v * np.sqrt(clip_psd_spectrum(w, what="matrix"))[..., None, :], v
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from mpdo_kit.cli import (
     main,
 )
 from mpdo_kit.correspondence import _matrix_certificate, verify_correspondence
-from mpdo_kit.decompositions import w_state_generators
+from mpdo_kit.decompositions import PurificationCertificate, w_state_generators
 from mpdo_kit.nonneg_factorizations import minimal_factorization, scan_cp_certificate, slack_matrix_tgon
 
 
@@ -980,6 +981,37 @@ def test_experiment_bounds(capsys):
     code, doc = run_json(capsys, ["experiment", "bounds", "--count", "10", "--json"])
     assert code == EXIT_OK
     assert all(entry["violations"] == 0 for entry in doc["entries"])
+
+
+def schmidt_ranks(*ranks):
+    """A stand-in for ``operator_schmidt_rank`` reading the given ranks in a cycle.
+
+    ``experiment bounds`` asks for four ranks per instance: rho, tau,
+    rho + tau and rho tau.
+    """
+    cycle = itertools.cycle(ranks)
+    return lambda *args, **kwargs: next(cycle)
+
+
+#: Each counter of ``experiment bounds`` with the ``cli`` name, and a maker
+#: of the stand-in for it, that breaks its inequality.
+BROKEN_BOUNDS = {
+    "subadditive": ("operator_schmidt_rank", lambda: schmidt_ranks(1, 1, 3, 1)),
+    "submultiplicative": ("operator_schmidt_rank", lambda: schmidt_ranks(1, 1, 1, 2)),
+    "purification_square": ("local_purification_spectral", lambda: lambda *a, **k: PurificationCertificate(None, 0, 0.0)),
+    "dimension_cap": ("schmidt_rank_cap", lambda: lambda *a, **k: 0),
+}
+
+
+@pytest.mark.parametrize("counter", sorted(BROKEN_BOUNDS))
+def test_experiment_bounds_counts_each_broken_inequality(capsys, monkeypatch, counter):
+    name, make = BROKEN_BOUNDS[counter]
+    monkeypatch.setattr(cli, name, make())
+    code, doc = run_json(capsys, ["experiment", "bounds", "--count", "4", "--json"])
+    assert code == EXIT_OK
+    for entry in doc["entries"]:
+        assert entry["instances"] == 4
+        assert entry["violations"] == (4 if entry["name"] == counter else 0)
 
 
 def test_experiment_unknown_name(capsys):

@@ -35,11 +35,13 @@ from mpdo_kit.nonneg_factorizations import (
     symmetric_factorization,
 )
 from mpdo_kit.tensor_core import (
+    DEFAULT_RANK_TOL,
     PsdOperator,
     SignBudgetError,
     SiteSpec,
     UsageError,
     contract_train,
+    nonzero_mask,
     psd_gram_factor,
     relative_residual,
 )
@@ -257,6 +259,20 @@ def test_hadamard_roundtrip():
         decomposition_to_factorization("vii", dec)
     with pytest.raises(UsageError, match="must be bipartite"):
         decomposition_to_factorization("vii", dec, sites=(2, 2, 1))
+
+
+def test_hadamard_root_read_back_measures_its_residual():
+    # tau squares to diag(-1, 1, 1, 1), not even psd: the real part of its
+    # diagonal is no root of it, so it cannot read back as exact
+    forged = decomposition_to_factorization("hadamard-root", np.diag([1j, 1, 1, 1]), (2, 2))
+    assert np.array_equal(forged.payload["root"], [[0.0, 1.0], [1.0, 1.0]])
+    assert forged.residual >= 1.0
+    # roots transported from the sign walk read back exactly
+    rng = np.random.default_rng(26)
+    for shape in ((2, 2), (2, 3), (4, 4)):
+        m = rng.uniform(0.1, 1.0, shape)
+        dec = factorization_to_decomposition("hadamard-root", hadamard_root_certificate(m), DiagBipartite(m))
+        assert decomposition_to_factorization("hadamard-root", dec, sites=shape).residual == 0.0
 
 
 def test_kind_mismatch_rejected():
@@ -550,6 +566,27 @@ def test_purification_train_matches_the_index_loop():
     train = correspondence._purification_train(e, f)
     for got, want in zip(train.cores, loop_purification_cores(he, hf)):
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def loop_gram_vectors(mats, rel_tol):
+    """The Gram vectors of a tuple taken one matrix at a time."""
+    h = np.array([psd_gram_factor(x)[0] for x in mats])
+    weight = (np.abs(h) ** 2).sum(axis=1)
+    s = max(int(np.count_nonzero(nonzero_mask(weight, rel_tol).any(axis=0))), min(h.shape[2], 1))
+    return h[:, :, h.shape[2] - s :]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("r, rank, count", [(1, 1, 3), (2, 1, 4), (3, 2, 5), (3, 3, 1)])
+def test_gram_vectors_match_the_per_matrix_loop(r, rank, count, dtype):
+    rng = np.random.default_rng(24 + r + rank)
+    g = rng.normal(size=(count, r, rank))
+    if dtype is complex:
+        g = g + 1j * rng.normal(size=g.shape)
+    mats = list(g @ np.conj(g).swapaxes(-1, -2))
+    got = correspondence._gram_vectors(mats, DEFAULT_RANK_TOL)
+    want = loop_gram_vectors(mats, DEFAULT_RANK_TOL)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_purification_keeps_only_the_gram_columns_that_carry_weight():

@@ -1,4 +1,6 @@
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from mpdo_kit.decompositions import (
     w_state_generators,
 )
 from mpdo_kit.tensor_core import (
+    SCALE_FLOOR,
     PsdOperator,
     SignBudgetError,
     SiteSpec,
@@ -36,7 +39,9 @@ from mpdo_kit.tensor_core import (
     cyclic_shift_defect,
     kron_chain,
     matricize,
+    max_abs,
     numerical_rank,
+    psd_gram_factor,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -331,6 +336,81 @@ def test_separable_dominates_purification_random():
         assert puri.residual <= 1e-8
 
 
+def loop_purification_from_separable(cert):
+    """Cores, residual and osr_L of the separable purification, built one
+    core slice at a time: the oracle of the stacked construction."""
+    n = cert.train.n
+    roots = []
+    for core in cert.train.cores:
+        dl, _, _, dr = core.shape
+        rt = np.empty_like(core)
+        for a in range(dl):
+            for b in range(dr):
+                h, v = psd_gram_factor(core[a, :, :, b])
+                rt[a, :, :, b] = h @ v.conj().T
+        roots.append(rt)
+    cores = []
+    for l, rt in enumerate(roots):
+        dl, d, _, dr = rt.shape
+        core = rt
+        if l < n - 1:
+            core = np.zeros((dl, d, d * dr, dr), dtype=complex)
+            for b in range(dr):
+                core[:, :, b::dr, b] = rt[:, :, :, b]
+        cores.append(core)
+    train = MpoTrain(tuple(cores))
+    dense = contract_train(train)
+    residual = _gram_residual(dense, contract_train(cert.train))
+    return cores, residual, operator_schmidt_rank(dense, train.out_dims, in_dims=train.in_dims)
+
+
+def loop_psd_defect(cert):
+    """The psd defect taken one core slice at a time."""
+    worst = 0.0
+    for core in cert.train.cores:
+        for a in range(core.shape[0]):
+            for b in range(core.shape[3]):
+                mat = core[a, :, :, b]
+                w = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+                top = max(w.max(initial=0.0), SCALE_FLOOR)
+                skew = np.abs(mat - mat.conj().T).max(initial=0.0) / max_abs(mat)
+                worst = max(worst, -w.min(initial=0.0) / top, skew)
+    return worst
+
+
+def random_separable(n, d, bond, dtype, seed):
+    """Open train of psd core slices, of every rank from 1 to d."""
+    rng = np.random.default_rng(seed)
+    bonds = (1,) + (bond,) * (n - 1) + (1,)
+    cores = []
+    for k in range(n):
+        g = rng.normal(size=(bonds[k], bonds[k + 1], d, 1 + k % d))
+        if dtype is complex:
+            g = g + 1j * rng.normal(size=g.shape)
+        cores.append(np.ascontiguousarray((g @ np.conj(g).swapaxes(-1, -2)).transpose(0, 2, 3, 1)))
+    return SeparableCertificate(MpoTrain(tuple(cores)), bond, 0.0)
+
+
+SEPARABLE_CASES = [(f"mixedw-{n}", (n,)) for n in range(2, 8)] + [
+    (f"n{n}-d{d}-bond{bond}-{dtype.__name__}", (n, d, bond, dtype))
+    for n in (2, 3, 4)
+    for d in (2, 3)
+    for bond in (1, 2, 3)
+    for dtype in (float, complex)
+]
+
+
+@pytest.mark.parametrize("args", [case[1] for case in SEPARABLE_CASES], ids=[case[0] for case in SEPARABLE_CASES])
+def test_separable_purification_and_defect_match_the_slice_loops(args):
+    cert = mixed_w_generator(*args)[1] if len(args) == 1 else random_separable(*args, seed=sum(args[:3]))
+    puri = purification_from_separable(cert)
+    cores, residual, osr = loop_purification_from_separable(cert)
+    for got, want in zip(puri.train.cores, cores, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    assert puri.residual == residual and puri.osr_L == osr
+    assert cert.psd_defect() == loop_psd_defect(cert)
+
+
 # ---------------------------------------------------------------------------
 # quantum square-root rank
 
@@ -466,6 +546,89 @@ def test_make_ti_w_train():
     assert np.linalg.norm(rec - fam.vector) <= 1e-9
 
 
+def loop_fold(train):
+    """The fold with each core first padded into a block of its own."""
+    n, bond = train.n, max(max(c.shape[0], c.shape[3]) for c in train.cores)
+    do, di = train.out_dims[0], train.in_dims[0]
+    big = np.zeros((n * bond, do, di, n * bond), dtype=complex)
+    for k, core in enumerate(train.cores):
+        kk = (k + 1) % n
+        block = np.zeros((bond, do, di, bond), dtype=complex)
+        block[: core.shape[0], :, :, : core.shape[3]] = core
+        big[k * bond : (k + 1) * bond, :, :, kk * bond : (kk + 1) * bond] = block
+    big *= n ** (-1.0 / n)
+    return big
+
+
+FOLD_CASES = (
+    [(f"w-{n}", lambda n=n: w_state_generators(n).open_train) for n in (2, 3, 6)]
+    + [(f"mixedw-{n}", lambda n=n: mixed_w_generator(n)[1].train) for n in (2, 3, 5)]
+    + [("product", lambda: mpo_train_form(kron_chain([np.diag([0.7, 0.3])] * 3), (2, 2, 2))[0])]
+)
+
+
+@pytest.mark.parametrize("make", [case[1] for case in FOLD_CASES], ids=[case[0] for case in FOLD_CASES])
+def test_fold_matches_the_padded_blocks(make):
+    train = make()
+    got = make_translation_invariant(train).tensor
+    want = loop_fold(train)
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_w_family_cyclic_site_is_the_fold_of_its_open_train():
+    for n in (2, 5):
+        fam = w_state_generators(n)
+        assert np.array_equal(fam.cyclic_site.tensor, make_translation_invariant(fam.open_train).tensor)
+
+
+# ---------------------------------------------------------------------------
+# tooling guard: one builder of cyclic tensors
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mpdo_kit"
+FOLD = "make_translation_invariant"
+
+
+def cyclic_builds(source: str):
+    """``(line, enclosing function path)`` of each ``TiSiteTensor(...)`` call outside the fold."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TiSiteTensor" and path != [FOLD]:
+                    found.append((child.lineno, ".".join(path) or "<module>"))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_fold_builds_cyclic_tensors(path):
+    assert cyclic_builds(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_flags_cyclic_tensors_built_outside_the_fold():
+    source = (
+        "def make_translation_invariant(train):\n"
+        "    return TiSiteTensor(big)\n"
+        "def w_state_generators(n):\n"
+        "    cyc = np.zeros((2 * n, 2, 1, 2 * n))\n"
+        "    return WStateFamily(cyclic_site=TiSiteTensor(cyc))\n"
+        "class Family:\n"
+        "    def site(self):\n"
+        "        return tensor_core.TiSiteTensor(self.cyc)\n"
+        "def isinstance_only(site):\n"
+        "    return isinstance(site, TiSiteTensor)\n"
+    )
+    assert cyclic_builds(source) == [(5, "w_state_generators"), (8, "site")]
+
+
 def test_make_ti_random_diagonal():
     rng = np.random.default_rng(13)
     vals = rng.uniform(0.2, 1.0, 8)
@@ -525,9 +688,10 @@ def test_w_vector_three_sites():
 
 
 def test_w_word_traces():
-    fam = w_state_generators(3)
-    assert abs(np.trace(fam.b @ fam.a1 @ fam.a0 @ fam.a0) - 1.0) < 1e-15
-    assert abs(np.trace(fam.b @ fam.a0 @ fam.a0 @ fam.a0)) < 1e-15
+    # the open train's amplitudes are the word tr(B A^{i_1} A^{i_2} A^{i_3}) / sqrt(3)
+    amp = contract_train(w_state_generators(3).open_train).ravel()
+    assert abs(np.sqrt(3) * amp[0b100] - 1.0) < 1e-15
+    assert abs(amp[0b000]) < 1e-15
 
 
 def test_w_family_mutual_consistency():
@@ -678,7 +842,7 @@ def test_every_fold_has_the_periodic_signature(n):
 
 @pytest.mark.parametrize(
     "site, largest, calls",
-    [(w_state_generators(10).cyclic_site, 20, 20), (mixed_w_fold(8), 29, 3), (dense_site(), 9, 1)],
+    [(w_state_generators(10).cyclic_site, 19, 19), (mixed_w_fold(8), 29, 3), (dense_site(), 9, 1)],
     ids=["w-10", "mixedw-8", "dense"],
 )
 def test_block_eigvals_stacks_one_call_per_block_size(monkeypatch, site, largest, calls):

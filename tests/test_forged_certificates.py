@@ -89,6 +89,27 @@ def test_hadamard_root_rank_over_claim_is_rejected():
         check_factor_certificate(root * root, cert)
 
 
+#: Each payload reconstructs its matrix (the all-ones matrix, or I for the
+#: psd kinds) but claims an inner dimension its factors do not have.
+INNER_DIM_FORGERIES = {
+    "minimal": (2, {"left": np.ones((2, 1)), "right": np.ones((1, 2))}, "inner dimension does not match the factors"),
+    "nonnegative": (2, {"left": np.ones((2, 1)), "right": np.ones((1, 2))}, "inner dimension does not match the factors"),
+    "symmetric": (2, {"factor": np.ones((2, 1))}, "inner dimension does not match the factor"),
+    "cp": (2, {"factor": np.ones((2, 1))}, "inner dimension does not match the factor"),
+    "psd": (3, {"E": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], "F": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]},
+            "psd factor size does not match inner dimension"),
+    "cpsdt": (1, {"E": [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]}, "psd factor size does not match inner dimension"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INNER_DIM_FORGERIES))
+def test_inner_dimension_the_factors_do_not_have_is_rejected(kind):
+    inner_dim, payload, message = INNER_DIM_FORGERIES[kind]
+    m = np.eye(2) if "E" in payload else np.ones((2, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_factor_certificate(m, FactorCertificate(kind, inner_dim, payload, 0.0))
+
+
 def test_minimal_factors_with_an_imaginary_product_are_rejected():
     # the product [[1, 1j], [1, 1j]] has real part M: a real-part comparison accepts it
     left = np.array([[1.0], [1.0]])

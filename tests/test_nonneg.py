@@ -313,6 +313,24 @@ def test_cp_rejects_asymmetric():
     assert info.value.condition == "not symmetric"
 
 
+@pytest.mark.parametrize(
+    "m, condition, message",
+    [
+        (np.ones((2, 3)), "not symmetric", "necessary condition violated: not symmetric (shape (2, 3))"),
+        (
+            np.array([[1.0, -0.5], [-0.5, 1.0]]),
+            "not entrywise nonnegative",
+            "necessary condition violated: not entrywise nonnegative (min entry -5.000e-01)",
+        ),
+    ],
+    ids=["non-square", "negative-entry"],
+)
+def test_cp_rejects_before_any_restart(m, condition, message):
+    with pytest.raises(NecessaryConditionError) as info:
+        cp_factorization_search(m, 2)
+    assert info.value.condition == condition and str(info.value) == message
+
+
 def test_cp_planted():
     rng = np.random.default_rng(4)
     a = rng.uniform(0.2, 1.2, (5, 3))

@@ -875,6 +875,31 @@ def test_psd_gram_factor_gives_gram_vectors_and_the_psd_root():
     assert np.allclose(root @ root, x)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("stack", [(1,), (5,), (2, 3)], ids=str)
+def test_psd_gram_factor_of_a_stack_is_its_per_matrix_results(stack, dtype):
+    rng = np.random.default_rng(22)
+    g = rng.normal(size=stack + (4, 2))
+    if dtype is complex:
+        g = g + 1j * rng.normal(size=g.shape)
+    x = g @ np.conj(g).swapaxes(-1, -2)  # rank 2: the clip meets round-off below 0
+    x[(0,) * len(stack)] += 0.5 * np.eye(4)
+    h, v = psd_gram_factor(x)
+    assert h.shape == v.shape == x.shape
+    for idx in np.ndindex(stack):
+        hi, vi = psd_gram_factor(x[idx])
+        assert h[idx].dtype == hi.dtype and np.array_equal(h[idx], hi) and np.array_equal(v[idx], vi)
+
+
+def test_psd_gram_factor_tests_each_matrix_of_a_stack_on_its_own_scale():
+    # -1 is material against the 1 of its own matrix, not against the 1e12 of the other
+    x = np.stack([np.diag([1e12, 0.0]), np.diag([1.0, -1.0])])
+    with pytest.raises(UsageError, match="matrix is materially non-psd"):
+        psd_gram_factor(x)
+    assert not is_psd_spectrum(np.array([[1e12, 0.0], [1.0, -1.0]]))
+    assert is_psd_spectrum(np.array([[1e12, 0.0], [1.0, -1e-11]]))
+
+
 def test_relative_residual_overwrites_only_a_writable_approx_of_the_result_dtype():
     rng = np.random.default_rng(33)
     exact = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
