@@ -109,6 +109,27 @@ def pair_traces(e_list, f_list) -> np.ndarray:
     return np.einsum("iab,jab->ij", e, f).real
 
 
+def _trace_pairs(e_list, f_list, inner_dim: int) -> np.ndarray:
+    """The checker's own tr(E_i F_j^T) table: each E_i flattened against each F_j.
+
+    The tuples hold inner_dim x inner_dim matrices; an empty tuple gives
+    the table no rows (or no columns), which the shape rule then refuses.
+    """
+    e = np.asarray(e_list).reshape(len(e_list), inner_dim * inner_dim)
+    f = np.asarray(f_list).reshape(len(f_list), inner_dim * inner_dim)
+    return (e @ f.T).real
+
+
+def _real(x, what: str) -> np.ndarray:
+    """``x`` as a real array; raise when any entry has a nonzero imaginary part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        if np.abs(x.imag).max(initial=0.0) > 0:
+            raise ValueError(f"{what} must be real")
+        x = x.real
+    return x
+
+
 def _min_rel_eig(mat) -> float:
     herm = 0.5 * (mat + np.conj(mat).T)
     w = np.linalg.eigvalsh(herm)
@@ -136,6 +157,16 @@ def _real_product(prod, residual_tol: float, scale: float, what: str) -> np.ndar
     return np.real(prod)
 
 
+def _check_reconstruction(recon, m, bar: float, what: str) -> float:
+    """Max-abs residual of ``recon`` against ``m``; raise on another shape or a residual above ``bar``."""
+    if recon.shape != m.shape:
+        raise ValueError(f"{what} reconstruction has shape {recon.shape}, the matrix has shape {m.shape}")
+    residual = float(np.abs(recon - m).max())
+    if residual > bar:
+        raise ValueError(f"{what} does not reconstruct the matrix: max-abs residual {residual:.3e} > {bar:.3e}")
+    return residual
+
+
 def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: float = 1e-8):
     """Recompute reconstruction and kind-specific feasibility of a certificate.
 
@@ -154,35 +185,38 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
         if a.shape[1] != cert.inner_dim or b.shape[0] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factors")
         if kind == "nonnegative":
-            if any(np.iscomplexobj(x) and np.abs(x.imag).max(initial=0.0) > 0 for x in (a, b)):
-                raise ValueError("nonnegative factors must be real")
-            if a.real.min(initial=0.0) < -CLIP_TOL or b.real.min(initial=0.0) < -CLIP_TOL:
+            a, b = _real(a, "nonnegative factors"), _real(b, "nonnegative factors")
+            if a.min(initial=0.0) < -CLIP_TOL or b.min(initial=0.0) < -CLIP_TOL:
                 raise ValueError("factors are not entrywise nonnegative")
         recon = _real_product(a @ b, residual_tol, scale, "left @ right")
     elif kind == "psd":
         e_list, f_list = pay["E"], pay["F"]
         _check_psd_payload(list(e_list) + list(f_list), cert.inner_dim)
-        recon = pair_traces(e_list, f_list)
+        recon = _trace_pairs(e_list, f_list, cert.inner_dim)
     elif kind == "symmetric":
         a = np.asarray(pay["factor"])
         if a.shape[1] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factor")
         recon = _real_product(a @ a.T, residual_tol, scale, "factor factor^T")
     elif kind == "cp":
-        a = np.asarray(pay["factor"])
-        if np.iscomplexobj(a) and np.abs(a.imag).max(initial=0.0) > 0:
-            raise ValueError("cp factor must be real")
-        if a.real.min(initial=0.0) < -CLIP_TOL:
+        a = _real(pay["factor"], "cp factor")
+        if a.min(initial=0.0) < -CLIP_TOL:
             raise ValueError("cp factor is not entrywise nonnegative")
         if a.shape[1] != cert.inner_dim:
             raise ValueError("inner dimension does not match the factor")
-        recon = a.real @ a.real.T
+        recon = a @ a.T
     elif kind == "cpsdt":
         e_list = pay["E"]
         _check_psd_payload(e_list, cert.inner_dim)
-        recon = pair_traces(e_list, e_list)
+        if "root" in pay:
+            # the symmetric entrywise root N the E_i are built from: N o N = M
+            root = _real(pay["root"], "cpsdt root")
+            if not np.array_equal(root, root.T):
+                raise ValueError("cpsdt root is not symmetric")
+            _check_reconstruction(root * root, m, residual_tol * scale, "root o root")
+        recon = _trace_pairs(e_list, e_list, cert.inner_dim)
     elif kind == "hadamard-root":
-        root = np.asarray(pay["root"], dtype=float)
+        root = _real(pay["root"], "hadamard root")
         recon = root * root
         s = np.linalg.svd(root, compute_uv=False)
         rank = int(np.count_nonzero(s > ROOT_RANK_TOL * s.max(initial=0.0)))
@@ -191,10 +225,5 @@ def check_factor_certificate(matrix, cert: FactorCertificate, residual_tol: floa
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind}")
 
-    residual = float(np.abs(recon - m).max())
-    if residual > residual_tol * scale:
-        raise ValueError(
-            f"certificate does not reconstruct the matrix: max-abs residual "
-            f"{residual:.3e} > {residual_tol * scale:.3e}"
-        )
+    residual = _check_reconstruction(recon, m, residual_tol * scale, "certificate")
     return {"kind": kind, "inner_dim": cert.inner_dim, "max_abs_residual": residual}

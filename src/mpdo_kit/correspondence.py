@@ -19,9 +19,10 @@ Every matrix-side certificate comes from one producer,
 factorization of the entrywise root (``psd_construct``), so its
 purification is built from the matrix side like every other kind's.
 ``verify_correspondence`` transports that certificate across once and
-grades the rank relation: exact equality where both sides are exactly
-computable (minimal, symmetric, hadamard-root), interval consistency for
-the others.
+grades every kind by one rule: the transport must reproduce sigma at the
+bar its producer met, and then the rank relation must hold, exact equality
+where both sides are exactly computable (minimal, symmetric,
+hadamard-root), interval consistency for the others.
 """
 
 from __future__ import annotations
@@ -364,28 +365,6 @@ def _matrix_certificate(
     return scan_cp_certificate(m, restarts=restarts, seed=seed, rel_tol=rel_tol)
 
 
-def _interval_verdict(matrix_iv, state_iv) -> str:
-    lo = max(matrix_iv[0], state_iv[0])
-    up = min(matrix_iv[1], state_iv[1])
-    return "intervals-consistent" if lo <= up else "violation"
-
-
-def _search_verdict(cert: FactorCertificate, dec: StateDecomposition, sigma, rank: int, osr: int):
-    """Grade a transported search certificate at the bar it was accepted at.
-
-    The search accepted it at ``SEARCH_RESIDUAL_TOL`` of max|M| in max-abs
-    residual, so the transported state is held to the same measure, not to
-    the exact ``CERT_RESIDUAL_TOL``.
-    """
-    drift = np.abs(contract_train(dec.payload.train) - sigma).max() / max_abs(sigma)
-    matrix_iv = [rank, cert.inner_dim]
-    state_iv = [osr, dec.inner_dim]
-    verdict = _interval_verdict(matrix_iv, state_iv)
-    if drift > SEARCH_RESIDUAL_TOL:
-        verdict = "violation"
-    return {"matrix_side": matrix_iv, "state_side": state_iv, "verdict": verdict}
-
-
 def verify_correspondence(
     kind: str,
     matrix,
@@ -394,39 +373,39 @@ def verify_correspondence(
     seed: int = 0,
     rel_tol: float = DEFAULT_RANK_TOL,
 ) -> dict:
-    """Drive both converters for one kind and grade the rank relation.
+    """Drive both converters for one kind and grade it by one rule.
 
     The certificate comes from ``_matrix_certificate`` and is transported
-    to sigma once, by ``factorization_to_decomposition``.  Exact kinds
-    (minimal, symmetric, hadamard-root) must match integer for integer; the
-    others report [lower, upper] intervals on both sides and are graded for
-    overlap, the state-side upper bound being the transported certificate's
-    inner dimension (nonnegative, cp) or Schmidt rank ``osr_L`` (psd,
-    cpsdt).  For hadamard-root the sign walk runs once, on the matrix side
-    (``sqrt_rank``); its root is transported as the diagonal operator tau,
-    and the verdict checks that tau^2 = sigma within ``CERT_RESIDUAL_TOL``
-    and that the Schmidt rank of tau, read by the train sweep's SVDs, is
-    the walk's rank: the state side re-derives the rank of the root it was
-    handed, not the minimum over roots, which only the walk computes.
-    Transported certificates must reproduce sigma: search-origin ones
-    (nonnegative, cp) within ``SEARCH_RESIDUAL_TOL``, the bar their search
-    accepted them at, the others within ``CERT_RESIDUAL_TOL``.  The
-    certificates, their transport, the rank lower bounds and the support
-    the sign budget counts are all taken at ``rel_tol``.  A budget overrun
-    (the walk's refusal, :class:`SignBudgetError`), a violated necessary
-    condition or a search without a certificate marks the kind "skipped";
-    any inconsistency is a "violation".
+    to sigma once, by ``factorization_to_decomposition``.  The transport is
+    sound when it reproduces sigma at the bar its producer met: within
+    ``SEARCH_RESIDUAL_TOL`` of max|sigma| in max-abs drift for the
+    search-origin kinds (nonnegative, cp), and ``residual <=
+    CERT_RESIDUAL_TOL`` for every other kind.  An unsound transport is a
+    "violation" whatever the ranks say.  The rank relation is then read by
+    factor shape.  The exact kinds (minimal, symmetric, hadamard-root)
+    report integers and are an "exact-match" when the matrix rank, the
+    Schmidt rank of sigma and every inner dimension of the round trip
+    agree.  For hadamard-root the sign walk runs once, on the matrix side
+    (``sqrt_rank``), and its root is transported as the diagonal operator
+    tau: the two sides are the walk's rank and the Schmidt rank of tau read
+    by the train sweep's SVDs, the rank of the root it was handed rather
+    than the minimum over roots, which only the walk computes.  The Gram
+    (psd, cpsdt) and separable (nonnegative, cp) kinds report [lower,
+    upper] intervals on both sides and are "intervals-consistent" when
+    they overlap.  The lower ends are ceil(sqrt(.)) of the matrix rank and
+    of the Schmidt rank of sigma for a Gram kind (a size-r psd
+    factorization has rank <= r^2) and those ranks themselves for a
+    separable kind.  The upper ends are the certificate's inner dimension
+    and, on the state side, the transported purification's Schmidt rank
+    ``osr_L`` or separable train's inner dimension.  The certificates,
+    their transport, the ranks and the support the sign budget counts are
+    all taken at ``rel_tol``.  A budget overrun (the walk's refusal,
+    :class:`SignBudgetError`), a violated necessary condition or a search
+    without a certificate marks the kind "skipped".
     """
     kind = canonical_kind(kind)
     m = as_nonneg(matrix)
-    target = DiagBipartite(m)
-    sigma = diag_embed(m)
     entry: dict = {"kind": kind}
-
-    if kind != "hadamard-root":
-        rank = numerical_rank(m, rel_tol)
-        osr = operator_schmidt_rank(sigma, rel_tol=rel_tol)
-
     try:
         cert = _matrix_certificate(kind, m, rel_tol=rel_tol, sign_budget=sign_budget, restarts=restarts, seed=seed)
     except SignBudgetError as exc:
@@ -439,38 +418,41 @@ def verify_correspondence(
         entry.update(verdict="skipped", note="search exhausted without a certificate")
         return entry
 
-    # the state-side upper bounds are backed by the transported certificate
-    dec = factorization_to_decomposition(kind, cert, target, rel_tol)
-    if kind == "hadamard-root":
-        state_side = operator_schmidt_rank(dec.payload, m.shape, rel_tol)
-        ok = cert.inner_dim == state_side and dec.residual <= CERT_RESIDUAL_TOL
-        entry.update(matrix_side=cert.inner_dim, state_side=state_side, verdict="exact-match" if ok else "violation")
-        return entry
+    # the state-side upper bounds are backed by the transported certificate,
+    # which must reproduce sigma at the bar its producer met
+    dec = factorization_to_decomposition(kind, cert, DiagBipartite(m), rel_tol)
+    sigma = diag_embed(m)
     if kind in SEPARABLE_KINDS:
-        entry.update(_search_verdict(cert, dec, sigma.data, rank, osr))
-        return entry
+        drift = np.abs(contract_train(dec.payload.train) - sigma.data).max()
+        sound = drift / max_abs(sigma.data) <= SEARCH_RESIDUAL_TOL
+    else:
+        sound = dec.residual <= CERT_RESIDUAL_TOL
 
-    if kind in GRAM_KINDS:
+    if kind == "hadamard-root":
+        # the walk's rank against the Schmidt rank of the root it handed over
+        sides = (cert.inner_dim, operator_schmidt_rank(dec.payload, m.shape, rel_tol))
+    else:
+        sides = (numerical_rank(m, rel_tol), operator_schmidt_rank(sigma, rel_tol=rel_tol))
+
+    gram = kind in GRAM_KINDS
+    if gram or kind in SEPARABLE_KINDS:
         # a size-r psd factorization has rank <= r^2
-        matrix_iv = [ceil(sqrt(rank)), cert.inner_dim]
-        state_iv = [ceil(sqrt(osr)), dec.payload.osr_L]
-        verdict = _interval_verdict(matrix_iv, state_iv)
-        if dec.residual > CERT_RESIDUAL_TOL:
-            verdict = "violation"
-        entry.update(matrix_side=matrix_iv, state_side=state_iv, verdict=verdict)
-        return entry
-
-    back = decomposition_to_factorization(kind, dec)
-    if kind == "minimal":
+        lower = [ceil(sqrt(x)) if gram else x for x in sides]
+        upper = [cert.inner_dim, dec.payload.osr_L if gram else dec.inner_dim]
+        consistent = max(lower) <= min(upper)
         entry.update(
-            matrix_side=rank,
-            state_side=osr,
-            round_trip_inner=(dec.inner_dim, back.inner_dim),
-            verdict="exact-match" if rank == osr == dec.inner_dim == back.inner_dim else "violation",
+            matrix_side=[lower[0], upper[0]],
+            state_side=[lower[1], upper[1]],
+            verdict="intervals-consistent" if sound and consistent else "violation",
         )
         return entry
 
-    # symmetric
-    ok = cert.inner_dim == rank == osr == dec.inner_dim == back.inner_dim and dec.residual <= CERT_RESIDUAL_TOL
-    entry.update(matrix_side=rank, state_side=osr, verdict="exact-match" if ok else "violation")
+    dims = {*sides, cert.inner_dim}
+    entry.update(matrix_side=sides[0], state_side=sides[1])
+    if kind != "hadamard-root":
+        back = decomposition_to_factorization(kind, dec)
+        dims.add(back.inner_dim)
+        if kind == "minimal":
+            entry["round_trip_inner"] = (dec.inner_dim, back.inner_dim)
+    entry["verdict"] = "exact-match" if sound and len(dims) == 1 else "violation"
     return entry

@@ -1146,6 +1146,11 @@ def test_convert_scans_start_at_the_rank_at_tol(tmp_path, capsys, kind):
     assert inner == {"1e-10": 3, "1e-6": 1}
 
 
+#: At --tol 0.2 the rank is 1: the minimal train truncates and misses sigma,
+#: while the root keeps every entry and reproduces it.
+VERDICT_AT_TOL = {"minimal": "violation", "sqrt": "exact-match"}
+
+
 @pytest.mark.parametrize("kind", ["minimal", "sqrt"])
 def test_convert_both_ranks_at_tol(tmp_path, capsys, kind):
     path = write_csv_matrix(tmp_path / "m.csv", [[1.0, 1.0], [1.0, 1.2]])
@@ -1153,7 +1158,7 @@ def test_convert_both_ranks_at_tol(tmp_path, capsys, kind):
     assert code == EXIT_OK
     entry = entry_named(doc, "correspondence")
     assert entry["matrix_side"] == entry["state_side"] == 1
-    assert entry["verdict"] == "exact-match"
+    assert entry["verdict"] == VERDICT_AT_TOL[kind]
 
 
 def test_convert_parses_a_json_matrix_once(tmp_path, capsys, monkeypatch):

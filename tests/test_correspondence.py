@@ -649,3 +649,55 @@ def test_checker_accepts_the_zero_matrix_certificates(kind, shape):
     cert = correspondence._matrix_certificate(kind, m)
     assert cert.inner_dim == 0
     assert check_factor_certificate(m, cert)["max_abs_residual"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one grading rule: a transport that misses sigma is a violation for every kind
+
+
+#: At rel_tol 0.2 the rank of this matrix is 1, so every exact route truncates.
+LOOSE_TOL_M = np.array([[1.0, 1.0], [1.0, 1.2]])
+
+#: Only the routes whose transport still reproduces sigma pass: the root
+#: keeps every entry, and the searches meet their own max-abs bar.
+VERDICTS_AT_LOOSE_TOL = {
+    "minimal": "violation",
+    "symmetric": "violation",
+    "psd": "violation",
+    "cpsdt": "violation",
+    "hadamard-root": "exact-match",
+    "nonnegative": "intervals-consistent",
+    "cp": "intervals-consistent",
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_verdict_at_a_loose_tolerance(kind):
+    entry = verify_correspondence(kind, LOOSE_TOL_M, rel_tol=0.2)
+    assert entry["verdict"] == VERDICTS_AT_LOOSE_TOL[kind], entry
+
+
+#: The payload field a 0.1% scaling puts off M, per exact-route kind.
+SCALED_FIELD = {"minimal": "left", "symmetric": "factor", "psd": "E", "cpsdt": "E", "hadamard-root": "root"}
+
+
+@pytest.mark.parametrize("scale, verdict", [(1.0, "pass"), (1.001, "violation")], ids=["exact", "off"])
+@pytest.mark.parametrize("kind", sorted(SCALED_FIELD))
+def test_a_certificate_off_by_a_tenth_of_a_percent_is_a_violation(kind, scale, verdict, monkeypatch):
+    # the ranks are those of the exact certificate: only the transport's
+    # residual against sigma can tell the two apart
+    m = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    produce = correspondence._matrix_certificate
+
+    def scaled(kind, m, **options):
+        cert = produce(kind, m, **options)
+        field = SCALED_FIELD[kind]
+        payload = {**cert.payload, field: scale * np.asarray(cert.payload[field])}
+        return FactorCertificate(kind, cert.inner_dim, payload, cert.residual)
+
+    monkeypatch.setattr(correspondence, "_matrix_certificate", scaled)
+    entry = verify_correspondence(kind, m)
+    if verdict == "pass":
+        assert entry["verdict"] in ("exact-match", "intervals-consistent"), entry
+    else:
+        assert entry["verdict"] == "violation", entry
